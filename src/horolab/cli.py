@@ -11,6 +11,7 @@ diagnostic object.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -19,14 +20,20 @@ from pathlib import Path
 from .cocycle import (
     cocycle_field,
     cocycle_vs_fixed,
+    field_mean_value,
     height_set,
     semigroup_convergence,
 )
 from .errors import ConfigError, HorolabError, SuiteFailureError
 from .julia import inverse_iteration_sample
 from .maps import RationalMap, evaluate
-from .orbits import realize
-from .periodic import build_linearizer, collinearity_in_linearizer, make_periodic_point, periodic_points
+from .periodic import (
+    PeriodicPoint,
+    build_linearizer,
+    collinearity_in_linearizer,
+    make_periodic_point,
+    periodic_points,
+)
 from .quadratic import (
     build_B_epsilon,
     cocycle_lower_bound_check,
@@ -35,7 +42,6 @@ from .quadratic import (
     disk_containment_check,
     excursion_stats,
     family_word,
-    find_sigma,
     fixed_point_a,
     limit_decomposition_check,
     nested_decomposition_check,
@@ -72,8 +78,8 @@ class RunConfig:
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.depth is not None and not (1 <= self.depth <= MAX_DEPTH):
             raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
         if self.command in RANDOMIZED and self.seed is None:
@@ -83,10 +89,7 @@ class RunConfig:
             raise ConfigError(f"n_points must lie in [1, {MAX_POINTS}]")
 
     def int_extra(self, key: str, default: int) -> int:
-        try:
-            return int(self.extras.get(key, default))
-        except ValueError:
-            raise ConfigError(f"config key {key} must be an integer") from None
+        return _number(key, self.extras.get(key, default), int)
 
     def str_extra(self, key: str, default: str) -> str:
         return str(self.extras.get(key, default))
@@ -108,11 +111,20 @@ class RunConfig:
 
     def the_map(self) -> RationalMap:
         if self.map_path is not None:
-            import json
-
-            data = json.loads(Path(self.map_path).read_text())
+            try:
+                data = json.loads(Path(self.map_path).read_text())
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read map file {self.map_path!r}: {exc}") from None
             return RationalMap.from_json(data)
         return quadratic_map(self.need_epsilon())
+
+
+def _number(key: str, raw, kind: type):
+    """raw (a flag or config-file value) converted to int or float."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key} must be of type {kind.__name__}, got {raw!r}") from None
 
 
 def parse_epsilon(text: str) -> complex:
@@ -128,8 +140,12 @@ def parse_epsilon(text: str) -> complex:
 
 
 def parse_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     out = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,13 +171,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg.word = args.word if args.word is not None else file_conf.get("word")
     raw_depth = args.depth if args.depth is not None else file_conf.get("depth")
     if raw_depth is not None:
-        cfg.depth = int(raw_depth)
+        cfg.depth = _number("depth", raw_depth, int)
     raw_tol = args.tol if args.tol is not None else file_conf.get("tol")
     if raw_tol is not None:
-        cfg.tol = float(raw_tol)
+        cfg.tol = _number("tol", raw_tol, float)
     raw_seed = args.seed if args.seed is not None else file_conf.get("seed")
     if raw_seed is not None:
-        cfg.seed = int(raw_seed)
+        cfg.seed = _number("seed", raw_seed, int)
     cfg.out = Path(args.out if args.out is not None else file_conf.get("out", "horolab-out"))
     cfg.suite = args.suite if args.suite is not None else file_conf.get("suite", "acceptance")
     cfg.validate()
@@ -233,17 +249,20 @@ def cmd_classify(cfg: RunConfig) -> dict:
     )
 
 
+def _repelling_base(cfg: RunConfig, f: RationalMap) -> PeriodicPoint:
+    """a(epsilon) for the quadratic family, else the first repelling
+    fixed point of the --map map."""
+    if cfg.map_path is None:
+        return make_periodic_point(f, fixed_point_a(cfg.need_epsilon()), 1)
+    reps = [p for p in periodic_points(f, 1) if p.classification == "repelling"]
+    if not reps:
+        raise ConfigError("map has no repelling fixed point")
+    return reps[0]
+
+
 def cmd_linearize(cfg: RunConfig) -> dict:
     f = cfg.the_map()
-    eps = cfg.need_epsilon() if cfg.map_path is None else None
-    base = fixed_point_a(eps) if eps is not None else None
-    if base is None:
-        reps = [p for p in periodic_points(f, 1) if p.classification == "repelling"]
-        if not reps:
-            raise ConfigError("map has no repelling fixed point to linearize at")
-        point = reps[0]
-    else:
-        point = make_periodic_point(f, base, 1)
+    point = _repelling_base(cfg, f)
     lin = build_linearizer(f, point)
     residual = 0.0
     for k in range(16):
@@ -260,15 +279,7 @@ def cmd_linearize(cfg: RunConfig) -> dict:
 
 def cmd_collinearity(cfg: RunConfig) -> dict:
     f = cfg.the_map()
-    eps = cfg.need_epsilon() if cfg.map_path is None else None
-    if eps is not None:
-        point = make_periodic_point(f, fixed_point_a(eps), 1)
-    else:
-        reps = [p for p in periodic_points(f, 1) if p.classification == "repelling"]
-        if not reps:
-            raise ConfigError("map has no repelling fixed point")
-        point = reps[0]
-    lin = build_linearizer(f, point)
+    lin = build_linearizer(f, _repelling_base(cfg, f))
     rep = collinearity_in_linearizer(f, lin, depth=cfg.depth or 8)
     return _payload(
         cfg,
@@ -335,10 +346,8 @@ def cmd_cocycle(cfg: RunConfig) -> dict:
 
 
 def cmd_field(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    c = family_word(eps, cfg.need_word())
-    a = fixed_point_a(eps)
-    sigma, _ = find_sigma(eps)
+    c = family_word(cfg.need_epsilon(), cfg.need_word())
+    a, sigma = c.base.location, c.sigma
     n = cfg.int_extra("grid", 5)
     span = sigma / (2.0 * math.sqrt(2.0))  # square inscribed in D_{sigma/2}
     rows = []
@@ -350,23 +359,14 @@ def cmd_field(cfg: RunConfig) -> dict:
             )
             rows.append((z.real, z.imag, cocycle_field(c, z, cfg.tol)))
     write_csv(cfg.out / "field_values.csv", ["re", "im", "value"], rows)
-    center = cocycle_field(c, a + 0.3 * sigma, cfg.tol)
-    r = sigma / 10.0
-    ring = [
-        cocycle_field(
-            c,
-            a + 0.3 * sigma + r * complex(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)),
-            cfg.tol,
-        )
-        for k in range(16)
-    ]
+    center, residual = field_mean_value(c, cfg.tol)
     return _payload(
         cfg,
         word=c.prefix,
         grid=n,
         sigma=sigma,
         center_value=center,
-        mean_value_residual=abs(sum(ring) / 16.0 - center),
+        mean_value_residual=residual,
     )
 
 
@@ -402,7 +402,7 @@ def cmd_semigroup(cfg: RunConfig) -> dict:
     eps = cfg.need_epsilon()
     y = family_word(eps, cfg.str_extra("word_y", "-"))
     c = family_word(eps, cfg.str_extra("word_c", "--"))
-    junctions = [int(t) for t in cfg.str_extra("junctions", "10,20,30,40,50").split(",")]
+    junctions = [_number("junctions", t, int) for t in cfg.str_extra("junctions", "10,20,30,40,50").split(",")]
     tab = semigroup_convergence(y, c, junctions, cfg.tol)
     write_csv(
         cfg.out / "semigroup_defects.csv",
@@ -513,7 +513,7 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
     eps = cfg.need_epsilon()
     y = family_word(eps, cfg.str_extra("word_y", "-"))
     c = family_word(eps, cfg.str_extra("word_c", "--"))
-    junctions = [int(t) for t in cfg.str_extra("junctions", "10,20,30,40").split(",")]
+    junctions = [_number("junctions", t, int) for t in cfg.str_extra("junctions", "10,20,30,40").split(",")]
     ld = limit_decomposition_check(y, c, junctions, cfg.tol)
     body = {
         "sequence": ld.sequence_id,
@@ -529,9 +529,10 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
     }
     nested_at = cfg.extras.get("nested_junction")
     if nested_at is not None:
-        nd = nested_decomposition_check(y, c, int(nested_at), cfg.tol)
+        nested_at = _number("nested_junction", nested_at, int)
+        nd = nested_decomposition_check(y, c, nested_at, cfg.tol)
         body["nested"] = {
-            "junction": int(nested_at),
+            "junction": nested_at,
             "limit_value": nd.limit_value,
             "defect": nd.defects[0],
             "converged": nd.converged,

@@ -1,7 +1,8 @@
 """The basic cocycle as a certified series, heights, and density reports.
 
-The cocycle of two backward orbits over the same repelling fixed point
-is the series of log-derivative differences along the orbits.  Only
+The cocycle of two backward orbits of z**2 + epsilon over the repelling
+fixed point a is the series of differences ln|2 y_j| - ln|2 x_j| along
+the orbits (quadratic family only, like the orbit words).  Only
 finitely many terms are large: once both orbits sit inside the
 certified disk around a, the terms are controlled by the local
 Lipschitz constant of ln|f'| and the measured contraction rate, which
@@ -11,6 +12,7 @@ that bound.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -25,12 +27,20 @@ from .errors import (
     PreconditionError,
     SingularTermError,
 )
-from .maps import RationalMap, quadratic_epsilon
-from .orbits import OrbitWord, is_in_Pi_a, realize, shift
+from .maps import quadratic_epsilon
+from .orbits import (
+    CRITICAL_PROXIMITY,
+    OrbitWord,
+    _entry_index,
+    concatenate,
+    fixed_word,
+    is_in_Pi_a,
+    realize,
+    shift,
+    tail_contraction,
+)
 
 MIN_TOL = 1e-12
-CRITICAL_PROXIMITY = 1e-8
-RHO_SIGNAL_FLOOR = 1e-10  # distances below this are rounding noise, not signal
 DEPTH_BUDGET = 4000
 
 
@@ -81,72 +91,44 @@ class ProgressionReport:
 
 
 @functools.lru_cache(maxsize=256)
-def _log_deriv_lipschitz(f: RationalMap, a: complex, sigma: float) -> float:
-    """Sampled bound for the Lipschitz constant of z -> ln|f'(z)| on
-    D_sigma(a): max |f''/f'| on the boundary circle (the quotient is
-    holomorphic there, the disk being free of critical points), with a
-    5% sampling margin."""
-    df = f.derivative()
-    ddf = df.derivative()
+def _log_deriv_lipschitz(a: complex, sigma: float) -> float:
+    """Sampled bound for the Lipschitz constant of z -> ln|2z| on
+    D_sigma(a): max |f''/f'| = |2/(2z)| on the boundary circle (the
+    quotient is holomorphic there, the disk being free of the critical
+    point 0), with a 5% sampling margin."""
     worst = 0.0
     for k in range(256):
         z = a + sigma * complex(math.cos(2 * math.pi * k / 256), math.sin(2 * math.pi * k / 256))
-        worst = max(worst, abs(ddf(z) / df(z)))
+        worst = max(worst, abs(2 / (2 * z)))
     return 1.05 * worst
 
 
-def _seq_entry(pts, a, sigma, confirm: int = 4) -> int | None:
-    last_outside = -1
-    for j, p in enumerate(pts):
-        if abs(p - a) >= sigma:
-            last_outside = j
-    entry = last_outside + 1
-    if len(pts) - entry < confirm + 1:
-        return None
-    return entry
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ConfigError(f"tol must be finite and >= {MIN_TOL:g}, got {tol!r}")
 
 
-def _measured_rho(seqs_with_entries, a, fallback: float) -> float:
-    """Contraction factor of the in-disk tails, from the data when the
-    distances are above the noise floor, else the local theoretical
-    rate (the tail then contributes at rounding scale anyway)."""
-    ratios = []
-    for pts, entry in seqs_with_entries:
-        d = [abs(p - a) for p in pts]
-        for j in range(max(entry, 1), len(pts) - 1):
-            if d[j] > RHO_SIGNAL_FLOOR:
-                ratios.append(d[j + 1] / d[j])
-    return 1.1 * max(ratios) if ratios else fallback
-
-
-def _certified_series(
-    f: RationalMap,
-    a: complex,
-    sigma: float,
-    multiplier: complex,
-    tol: float,
-    make_pair,
-    depth0: int,
-    depth_budget: int,
-) -> CocycleValue:
+def _certified_series(a: complex, sigma: float, tol: float, make_pair, depth0: int) -> CocycleValue:
     """Sum sum_j [ln|f'(y_j)| - ln|f'(x_j)|] with a certified tail.
 
     make_pair(depth) -> (x_points, y_points), aligned backward orbits
     starting at index 0.  The truncation depth k is the first index,
     past both entries, where L * rho/(1-rho) * (|x_k - a| + |y_k - a|)
-    drops below tol; that expression bounds the discarded tail.
+    drops below tol; that expression bounds the discarded tail.  rho is
+    1.1 times the larger measured tail contraction, or the local
+    theoretical rate 1/|f'(a)| = 1/|2a| (plus 0.05) when both tails sit
+    at rounding scale.
     """
-    L = _log_deriv_lipschitz(f, a, sigma)
-    df = f.derivative()
-    crits = list(f.critical_points())
-    fallback_rho = 1.0 / abs(multiplier) + 0.05
+    L = _log_deriv_lipschitz(a, sigma)
+    fallback_rho = 1.0 / abs(2 * a) + 0.05
     depth = depth0
     while True:
         px, py = make_pair(depth)
-        ex = _seq_entry(px, a, sigma)
-        ey = _seq_entry(py, a, sigma)
+        ex = _entry_index(px, a, sigma)
+        ey = _entry_index(py, a, sigma)
         if ex is not None and ey is not None:
-            rho = _measured_rho([(px, ex), (py, ey)], a, fallback_rho)
+            measured = [r for r in (tail_contraction(px, a, ex), tail_contraction(py, a, ey)) if r is not None]
+            rho = 1.1 * max(measured) if measured else fallback_rho
             if rho >= 0.999:
                 raise DivergentWordError(
                     f"measured tail contraction {rho:.3f} certifies no geometric bound"
@@ -164,18 +146,18 @@ def _certified_series(
                 value = 0.0
                 for j in range(1, k + 1):
                     for p in (px[j], py[j]):
-                        if crits and min(abs(p - c) for c in crits) <= CRITICAL_PROXIMITY:
+                        if abs(p) <= CRITICAL_PROXIMITY:
                             raise SingularTermError(
                                 f"orbit point at depth {j} is within"
-                                f" {CRITICAL_PROXIMITY:g} of a critical point"
+                                f" {CRITICAL_PROXIMITY:g} of the critical point 0"
                             )
-                    value += math.log(abs(df(py[j]))) - math.log(abs(df(px[j])))
+                    value += math.log(abs(2 * py[j])) - math.log(abs(2 * px[j]))
                 return CocycleValue(value, bound, k)
-        if depth >= depth_budget:
+        if depth >= DEPTH_BUDGET:
             raise DepthBudgetError(
-                f"tail certification did not reach tol={tol:g} within depth {depth_budget}"
+                f"tail certification did not reach tol={tol:g} within depth {DEPTH_BUDGET}"
             )
-        depth = min(depth_budget, 2 * depth)
+        depth = min(DEPTH_BUDGET, 2 * depth)
 
 
 def _common_base(x: OrbitWord, y: OrbitWord):
@@ -187,12 +169,9 @@ def _common_base(x: OrbitWord, y: OrbitWord):
 # cocycle operations
 
 
-def basic_cocycle(
-    x: OrbitWord, y: OrbitWord, tol: float, depth_budget: int = DEPTH_BUDGET
-) -> CocycleValue:
+def basic_cocycle(x: OrbitWord, y: OrbitWord, tol: float) -> CocycleValue:
     """Certified value of the series between the two backward orbits."""
-    if tol < MIN_TOL:
-        raise ConfigError(f"tol must be >= {MIN_TOL:g}")
+    _check_tol(tol)
     _common_base(x, y)
     if x == y:
         return CocycleValue(0.0, 0.0, 0)
@@ -201,28 +180,23 @@ def basic_cocycle(
     def make_pair(depth):
         return realize(x, depth).points, realize(y, depth).points
 
-    return _certified_series(
-        x.map, x.base.location, x.sigma, x.base.multiplier, tol, make_pair, depth0, depth_budget
-    )
+    return _certified_series(x.base.location, x.sigma, tol, make_pair, depth0)
 
 
-def cocycle_vs_fixed(y: OrbitWord, tol: float, depth_budget: int = DEPTH_BUDGET) -> CocycleValue:
+def cocycle_vs_fixed(y: OrbitWord, tol: float) -> CocycleValue:
     """Cocycle of y against the fixed orbit at the base point."""
-    import dataclasses
-
-    return basic_cocycle(dataclasses.replace(y, prefix=""), y, tol, depth_budget)
+    return basic_cocycle(fixed_word(y), y, tol)
 
 
 def series_terms(y: OrbitWord, depth: int) -> list[float]:
     """The individual series terms ln|f'(y_{-j})| - ln|f'(a)| to the
     given depth (diagnostic; the certified sum is cocycle_vs_fixed)."""
     orb = realize(y, depth)
-    df = y.map.derivative()
-    base = math.log(abs(df(y.base.location)))
-    return [math.log(abs(df(p))) - base for p in orb.points[1:]]
+    base = math.log(abs(2 * y.base.location))
+    return [math.log(abs(2 * p)) - base for p in orb.points[1:]]
 
 
-def cocycle_field(c: OrbitWord, z: complex, tol: float, depth_budget: int = DEPTH_BUDGET) -> float:
+def cocycle_field(c: OrbitWord, z: complex, tol: float) -> float:
     """The cocycle field at z inside the certified disk.
 
     The series runs between the backward orbit of z along the a-fixing
@@ -230,16 +204,12 @@ def cocycle_field(c: OrbitWord, z: complex, tol: float, depth_budget: int = DEPT
     branch germ (at each step the preimage closest to c's own realized
     point).  At z = a this is the plain cocycle against the fixed orbit.
     """
-    if tol < MIN_TOL:
-        raise ConfigError(f"tol must be >= {MIN_TOL:g}")
-    f = c.map
+    _check_tol(tol)
     a = c.base.location
     sigma = c.sigma
     if abs(z - a) >= sigma:
         raise DomainError("field evaluation point must lie inside the sigma-disk")
-    eps = quadratic_epsilon(f)
-    if eps is None:
-        raise ConfigError("the cocycle field is implemented for the quadratic family")
+    eps = quadratic_epsilon(c.map)
 
     def make_pair(depth):
         corb = realize(c, depth)
@@ -247,15 +217,25 @@ def cocycle_field(c: OrbitWord, z: complex, tol: float, depth_budget: int = DEPT
         seq_c = _germ_sequence(z, eps, corb.points, depth)
         return seq_a, seq_c
 
-    return _certified_series(
-        f, a, sigma, c.base.multiplier, tol, make_pair, len(c.prefix) + 120, depth_budget
-    ).value
+    return _certified_series(a, sigma, tol, make_pair, len(c.prefix) + 120).value
+
+
+def field_mean_value(c: OrbitWord, tol: float) -> tuple[float, float]:
+    """The field at z0 = a + 0.3*sigma and its mean-value residual, the
+    distance to its average over 16 equally spaced points on the circle
+    of radius sigma/10 about z0 (zero for a harmonic field)."""
+    z0 = c.base.location + 0.3 * c.sigma
+    center = cocycle_field(c, z0, tol)
+    r = c.sigma / 10.0
+    ring = [
+        cocycle_field(c, z0 + r * complex(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)), tol)
+        for k in range(16)
+    ]
+    return center, abs(sum(ring) / 16.0 - center)
 
 
 def _principal_sequence(z, eps, a, sigma, depth):
     """Backward orbit of z under the a-fixing inverse branch."""
-    import cmath
-
     pts = [z]
     w = z
     for _ in range(depth):
@@ -272,8 +252,6 @@ def _principal_sequence(z, eps, a, sigma, depth):
 
 def _germ_sequence(z, eps, guide_points, depth):
     """Backward orbit of z tracking the branch germ of the guide orbit."""
-    import cmath
-
     pts = [z]
     w = z
     for j in range(1, depth + 1):
@@ -345,8 +323,6 @@ def semigroup_convergence(
     distance from y's depth-j point to a; the fitted geometric rate is
     reported as a diagnostic where the defect is above rounding scale.
     """
-    from .orbits import concatenate
-
     if list(junctions) != sorted(junctions) or len(set(junctions)) != len(junctions):
         raise PreconditionError("junctions must be strictly increasing")
     beta_y = cocycle_vs_fixed(y, tol)

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, PreconditionError
 from .maps import QuadraticParam, RationalMap, quadratic_epsilon
+from .orbits import CRITICAL_PROXIMITY
 from .periodic import PeriodicPoint, periodic_points
 
 BURN_IN = 20
-COLLISION_RADIUS = 1e-8  # |sqrt(w - eps)| below this counts as a critical-value hit
 MAX_RESAMPLE = 5
 ESCAPE_BUDGET_MAX = 100000
 
@@ -144,7 +144,7 @@ def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex, burn_in: int):
     collided = np.zeros(n_paths, dtype=bool)
     for step in range(depth):
         s = np.sqrt(z - eps)
-        collided |= np.abs(s) < COLLISION_RADIUS
+        collided |= np.abs(s) < CRITICAL_PROXIMITY  # a preimage on the critical point 0
         z = np.where(signs[:, step] == 1, s, -s)
         if step >= burn_in:
             collected[:, step - burn_in] = z

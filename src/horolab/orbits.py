@@ -1,4 +1,4 @@
-"""Symbolic backward-orbit words and their numerical realization.
+"""Symbolic backward-orbit words of z**2 + epsilon and their realization.
 
 A word fixes a finite prefix of inverse-branch choices at a repelling
 fixed point a and continues with the deterministic tail rule: at each
@@ -8,10 +8,10 @@ enters the certified disk D_sigma(a), the tail rule coincides with the
 a-fixing inverse branch, so the word determines a unique backward orbit
 converging to a.
 
-Symbols: the quadratic family z**2 + epsilon uses '+'/'-' for the
-principal square root of (w - epsilon) and its negative; a general map
-of degree d <= 10 uses digits indexing its preimages sorted by argument
-then modulus.
+Symbols '+'/'-' select the principal square root of (w - epsilon) and
+its negative.  Words exist for the quadratic family only (f'(z) = 2z,
+critical point 0); RationalMap and the Aberth solver serve the --map
+commands (fixed-points, classify, linearize, collinearity) instead.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from .errors import (
     PreconditionError,
 )
 from .maps import RationalMap, quadratic_epsilon
-from .periodic import PeriodicPoint, preimage_points
+from .periodic import PeriodicPoint
 
 RESIDUAL_TOL = 1e-12
 COLLISION_TOL = 1e-13
-CRITICAL_PROXIMITY = 1e-8
+CRITICAL_PROXIMITY = 1e-8  # a point this close to the critical point 0 is a critical hit
+RHO_SIGNAL_FLOOR = 1e-10  # distances below this are rounding noise, not signal
 TAIL_CONFIRM = 8  # trailing in-disk steps required before the tail counts as settled
 DIVERGENCE_GRACE = 60  # post-prefix depth allowed before a missing tail is an error
 
@@ -46,42 +47,23 @@ class OrbitWord:
     base: PeriodicPoint
     prefix: str
     sigma: float
-    tail_rule: str = "nearest"
 
     def __post_init__(self):
+        if quadratic_epsilon(self.map) is None:
+            raise ConfigError("orbit words are defined for the quadratic family z**2 + epsilon only")
         if self.base.period != 1:
             raise PreconditionError("orbit words are based at fixed points")
         if self.base.classification != "repelling":
             raise PreconditionError("orbit words are based at repelling fixed points")
         if not (self.sigma > 0.0):
             raise PreconditionError("sigma must be positive")
-        if self.tail_rule != "nearest":
-            raise ConfigError(f"unknown tail rule {self.tail_rule!r}")
-        eps = quadratic_epsilon(self.map)
-        if eps is not None:
-            bad = set(self.prefix) - set("+-")
-            if bad:
-                raise ConfigError(f"quadratic-family symbols are '+'/'-', got {bad}")
-        else:
-            d = self.map.degree
-            if d > 10:
-                raise ConfigError("digit symbols support degree <= 10 only")
-            for ch in self.prefix:
-                if not ch.isdigit() or int(ch) >= d:
-                    raise ConfigError(f"symbol {ch!r} is not a branch index below {d}")
+        bad = set(self.prefix) - set("+-")
+        if bad:
+            raise ConfigError(f"quadratic-family symbols are '+'/'-', got {bad}")
 
     def to_json(self) -> dict:
         eps = quadratic_epsilon(self.map)
-        head: dict = {}
-        if eps is not None:
-            head["epsilon"] = [eps.real, eps.imag]
-        else:
-            head["map"] = self.map.to_json()
-            head["base"] = [self.base.location.real, self.base.location.imag]
-        head["prefix"] = self.prefix
-        head["sigma"] = self.sigma
-        head["tail_rule"] = self.tail_rule
-        return head
+        return {"epsilon": [eps.real, eps.imag], "prefix": self.prefix, "sigma": self.sigma}
 
 
 @dataclass(frozen=True)
@@ -94,22 +76,19 @@ class RealizedOrbit:
     choices: str
     entry_index: int | None  # first depth from which every point stays in the disk
 
-    def distances(self) -> list[float]:
-        a = self.word.base.location
-        return [abs(p - a) for p in self.points]
-
     def tail_contraction(self) -> float | None:
-        """Largest measured step ratio |y_{-j-1} - a| / |y_{-j} - a| past
-        entry, over steps still above the double-precision noise floor."""
+        """Largest measured tail step ratio past entry, or None before entry."""
         if self.entry_index is None:
             return None
-        d = self.distances()
-        ratios = [
-            d[j + 1] / d[j]
-            for j in range(max(self.entry_index, 1), self.depth)
-            if d[j] > 1e-10
-        ]
-        return max(ratios) if ratios else None
+        return tail_contraction(self.points, self.word.base.location, self.entry_index)
+
+
+def tail_contraction(pts, a: complex, entry: int) -> float | None:
+    """Largest step ratio |p_{j+1} - a| / |p_j - a| from the entry index
+    on, over steps still above the double-precision noise floor."""
+    d = [abs(p - a) for p in pts]
+    ratios = [d[j + 1] / d[j] for j in range(max(entry, 1), len(d) - 1) if d[j] > RHO_SIGNAL_FLOOR]
+    return max(ratios) if ratios else None
 
 
 def _quadratic_candidates(w: complex, eps: complex, depth: int):
@@ -120,19 +99,6 @@ def _quadratic_candidates(w: complex, eps: complex, depth: int):
             f" {w!r} coincide at {s!r}"
         )
     return [(s, "+"), (-s, "-")]
-
-
-def _general_candidates(f: RationalMap, w: complex, depth: int):
-    roots = preimage_points(f, w)
-    if len(roots) >= 2:
-        scale = 1.0 + max(abs(r) for r in roots)
-        rs = sorted(roots, key=lambda z: (z.real, z.imag))
-        for i in range(len(rs) - 1):
-            if abs(rs[i + 1] - rs[i]) < COLLISION_TOL * scale:
-                raise DegenerateBranchError(
-                    f"inverse branches collide at depth {depth} over {w!r}"
-                )
-    return [(r, str(i)) for i, r in enumerate(roots)]
 
 
 def _nearest_to(cands, target: complex):
@@ -161,20 +127,9 @@ def realize(word: OrbitWord, depth: int) -> RealizedOrbit:
     pts: list[complex] = [a]
     choices: list[str] = []
     for j in range(depth):
-        w = pts[-1]
-        if eps is not None:
-            cands = _quadratic_candidates(w, eps, j + 1)
-        else:
-            cands = _general_candidates(f, w, j + 1)
+        cands = _quadratic_candidates(pts[-1], eps, j + 1)
         if j < len(word.prefix):
-            sym = word.prefix[j]
-            match = [z for z, s in cands if s == sym]
-            if not match:
-                raise DomainError(
-                    f"branch {sym!r} unavailable at depth {j + 1}"
-                    f" (map has {len(cands)} finite preimages there)"
-                )
-            z = match[0]
+            z, sym = cands["+-".index(word.prefix[j])]
         else:
             z, sym = _nearest_to(cands, a)
         pts.append(z)
@@ -228,8 +183,8 @@ def is_in_Pi_a(word: OrbitWord, depth: int) -> PiMembership:
     the fixed orbit, avoiding critical points, with a convergent tail?
 
     The all-principal word realizes the constant orbit at a and is
-    excluded.  A realized point within 1e-8 of any critical point (or a
-    branch collision while realizing, which is the same event seen one
+    excluded.  A realized point within 1e-8 of the critical point 0 (or
+    a branch collision while realizing, which is the same event seen one
     step earlier) rejects with reason "critical-hit".
     """
     try:
@@ -242,24 +197,17 @@ def is_in_Pi_a(word: OrbitWord, depth: int) -> PiMembership:
     scale = 1.0 + abs(a)
     if all(abs(p - a) <= 1e-12 * scale for p in orb.points):
         return PiMembership(False, "fixed-orbit")
-    for c in word.map.critical_points():
-        for p in orb.points:
-            if abs(p - c) <= CRITICAL_PROXIMITY:
-                return PiMembership(False, "critical-hit")
+    if any(abs(p) <= CRITICAL_PROXIMITY for p in orb.points):
+        return PiMembership(False, "critical-hit")
     if orb.entry_index is None:
         return PiMembership(False, "no-tail-convergence")
     return PiMembership(True, "ok")
 
 
 def principal_symbol(word: OrbitWord) -> str:
-    """The symbol of the a-fixing branch at a (constant in depth, since
-    the principal prefix keeps the orbit at a)."""
-    if quadratic_epsilon(word.map) is not None:
-        return "+"
-    a = word.base.location
-    roots = preimage_points(word.map, a)
-    best = min(range(len(roots)), key=lambda i: abs(roots[i] - a))
-    return str(best)
+    """The symbol of the a-fixing branch: '+', since a (Re a > 0) is the
+    principal square root of a - epsilon = a**2."""
+    return "+"
 
 
 def shift(word: OrbitWord, n: int) -> OrbitWord:

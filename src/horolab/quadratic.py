@@ -114,12 +114,8 @@ def family_word(epsilon: complex, prefix: str, sigma: float | None = None) -> Or
 
 
 def word_from_json(data: dict) -> OrbitWord:
-    if "epsilon" in data:
-        eps = complex(data["epsilon"][0], data["epsilon"][1])
-        return family_word(eps, data["prefix"], data["sigma"])
-    f = RationalMap.from_json(data["map"])
-    base = make_periodic_point(f, complex(data["base"][0], data["base"][1]), 1)
-    return OrbitWord(f, base, data["prefix"], data["sigma"], data.get("tail_rule", "nearest"))
+    eps = complex(data["epsilon"][0], data["epsilon"][1])
+    return family_word(eps, data["prefix"], data["sigma"])
 
 
 def sample_words(

@@ -100,14 +100,37 @@ def test_missing_seed_on_randomized_command_exits_2(tmp_path, capsys):
     assert "--seed" in payload["message"]
 
 
-def test_bad_tol_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+def test_bad_tol_exits_2(tmp_path, capsys, tol):
     code, payload = run(
         capsys,
         "cocycle",
         "--epsilon", "0.1",
         "--word", "-",
-        "--tol", "-1",
+        "--tol", tol,
         "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert payload["error"] == "config-error"
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("cocycle", "depth"), ("cocycle", "tol"), ("cocycle", "seed"), ("semigroup", "junctions")],
+)
+def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epsilon = 0.1\nword = -\n{key} = abc\n")
+    code, payload = run(capsys, command, "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert key in payload["message"]
+
+
+@pytest.mark.parametrize("flag", ["--config", "--map"])
+def test_missing_input_file_exits_2(tmp_path, capsys, flag):
+    code, payload = run(
+        capsys, "fixed-points", flag, str(tmp_path / "absent"), "--out", str(tmp_path)
     )
     assert code == 2
     assert payload["error"] == "config-error"

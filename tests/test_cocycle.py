@@ -120,6 +120,25 @@ def test_tol_floor_enforced():
         cocycle_vs_fixed(w, 1e-13)
 
 
+# engine outputs frozen bit for bit; any change to the truncation, the
+# contraction estimate or the term evaluation shows here
+FROZEN_ENGINE = {
+    (0.1, "-"): (0.45047942930950924, 6.481225263013562e-13, 53),
+    (-1.0, "-+--"): (-2.9171783382250362, 8.157093952541832e-13, 28),
+    (0.1 + 0.02j, "-+"): (0.36787711959380287, 6.421455691073477e-13, 53),
+}
+
+
+def test_engine_values_frozen():
+    for (eps, prefix), frozen in FROZEN_ENGINE.items():
+        v = cocycle_vs_fixed(family_word(eps, prefix), 1e-12)
+        assert (v.value, v.tail_bound, v.depth_used) == frozen
+    v = basic_cocycle(family_word(-1.0, "-+"), family_word(-1.0, "--+-"), 1e-12)
+    assert v == CocycleValue(-1.329501860367812, 5.78639474160013e-13, 29)
+    c = family_word(0.1, "-")
+    assert cocycle_field(c, fixed_point_a(0.1) + 0.3 * c.sigma, 1e-12) == 0.4362588979617221
+
+
 def test_mismatched_bases_rejected():
     with pytest.raises(PreconditionError):
         basic_cocycle(family_word(0.1, "-"), family_word(-1.0, "-"), SEED_WORD_TOL)

@@ -11,7 +11,7 @@ from horolab.errors import (
     DomainError,
     PreconditionError,
 )
-from horolab.maps import evaluate
+from horolab.maps import RationalMap, evaluate
 from horolab.orbits import (
     OrbitWord,
     concatenate,
@@ -21,6 +21,7 @@ from horolab.orbits import (
     realize,
     shift,
 )
+from horolab.periodic import make_periodic_point
 from horolab.quadratic import family_word, fixed_point_a
 
 
@@ -76,6 +77,14 @@ def test_depth_shorter_than_prefix_rejected():
 def test_bad_symbols_rejected():
     with pytest.raises(ConfigError):
         family_word(0.1, "-x")
+
+
+def test_non_quadratic_map_rejected():
+    cube = RationalMap((0j, 0j, 0j, 1 + 0j))
+    base = make_periodic_point(cube, 1.0, 1)
+    assert base.classification == "repelling"
+    with pytest.raises(ConfigError):
+        OrbitWord(cube, base, "", 0.1)
 
 
 def test_nonpositive_sigma_rejected():
