@@ -24,7 +24,7 @@ from .cocycle import (
     height_set,
     semigroup_convergence,
 )
-from .errors import ConfigError, HorolabError, SuiteFailureError
+from .errors import ConfigError, ConstructionError, HorolabError, SuiteFailureError
 from .julia import inverse_iteration_sample
 from .maps import RationalMap, evaluate
 from .periodic import (
@@ -62,6 +62,7 @@ from .suite import run_battery
 MAX_DEPTH = 100_000
 MAX_POINTS = 1_000_000
 RANDOMIZED = {"julia", "heights", "b-epsilon", "sigma-delta", "excursions", "bound-528", "suite"}
+DEPTH_READERS = {"collinearity", "julia"}
 
 
 @dataclass
@@ -74,12 +75,13 @@ class RunConfig:
     tol: float = 1e-12
     seed: int | None = None
     out: Path = Path("horolab-out")
-    suite: str = "acceptance"
     extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tolerance must be positive and finite, got {self.tol!r}")
+        if self.depth is not None and self.command not in DEPTH_READERS:
+            raise ConfigError(f"'{self.command}' takes no depth; only collinearity and julia read it")
         if self.depth is not None and not (1 <= self.depth <= MAX_DEPTH):
             raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
         if self.command in RANDOMIZED and self.seed is None:
@@ -115,7 +117,10 @@ class RunConfig:
                 data = json.loads(Path(self.map_path).read_text())
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot read map file {self.map_path!r}: {exc}") from None
-            return RationalMap.from_json(data)
+            try:
+                return RationalMap.from_json(data)
+            except ConstructionError as exc:
+                raise ConfigError(f"map file {self.map_path!r} holds no admissible map: {exc}") from None
         return quadratic_map(self.need_epsilon())
 
 
@@ -156,7 +161,7 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-KNOWN_FLAG_KEYS = {"epsilon", "map", "word", "depth", "tol", "seed", "out", "suite"}
+KNOWN_FLAG_KEYS = {"epsilon", "map", "word", "depth", "tol", "seed", "out"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -179,7 +184,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if raw_seed is not None:
         cfg.seed = _number("seed", raw_seed, int)
     cfg.out = Path(args.out if args.out is not None else file_conf.get("out", "horolab-out"))
-    cfg.suite = args.suite if args.suite is not None else file_conf.get("suite", "acceptance")
     cfg.validate()
     return cfg
 
@@ -376,7 +380,8 @@ def cmd_heights(cfg: RunConfig) -> dict:
     max_len = cfg.int_extra("max_len", 10)
     m_span = cfg.int_extra("m_span", 40)
     words = sample_words(eps, n_words, cfg.need_seed(), max_len)
-    rep = height_set(words, (-m_span, m_span), cfg.tol, window=(0.0, 1.0))
+    betas = [cocycle_vs_fixed(w, cfg.tol) for w in words]
+    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span), window=(0.0, 1.0))
     write_csv(
         cfg.out / "height_values.csv",
         ["value", "bound"],
@@ -541,8 +546,6 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
 
 
 def cmd_suite(cfg: RunConfig) -> dict:
-    if cfg.suite != "acceptance":
-        raise ConfigError(f"unknown suite {cfg.suite!r}; available: acceptance")
     results = run_battery(cfg.need_seed())
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -592,7 +595,7 @@ def cmd_suite(cfg: RunConfig) -> dict:
             )
     payload = _payload(
         cfg,
-        suite=cfg.suite,
+        suite="acceptance",
         criteria=[
             {"index": r.index, "name": r.name, "ok": r.ok, "details": r.details}
             for r in results
@@ -625,8 +628,15 @@ COMMANDS = {
 }
 
 
+class _ConfigErrorParser(argparse.ArgumentParser):
+    """Argument errors raise ConfigError (JSON, exit 2); subparsers inherit."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ConfigErrorParser(
         prog="horolab",
         description="numerical laboratory for backward-orbit cocycles of quadratic maps",
     )
@@ -636,19 +646,17 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", help="parameter, RE or RE,IM")
         p.add_argument("--map", help="rational map JSON file")
         p.add_argument("--word", help="branch-symbol prefix string")
-        p.add_argument("--depth", type=int)
+        p.add_argument("--depth", type=int, help="collinearity and julia only")
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory (default horolab-out)")
-        p.add_argument("--suite", help="suite name (default acceptance)")
         p.add_argument("--config", help="flat key=value config file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
+        cfg = build_config(make_parser().parse_args(argv))
         payload = COMMANDS[cfg.command](cfg)
         report_name = "report.json" if cfg.command == "suite" else f"{cfg.command.replace('-', '_')}.json"
         write_json(cfg.out / report_name, payload)

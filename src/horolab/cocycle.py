@@ -8,6 +8,11 @@ certified disk around a, the terms are controlled by the local
 Lipschitz constant of ln|f'| and the measured contraction rate, which
 gives an explicit geometric tail bound.  Every returned value carries
 that bound.
+
+The orbits come from orbits.realize, a one-pass closed-form kernel; the
+field's own backward orbits (_follow) pick preimages by the same
+nearest-preimage rule.  Callers compute each word's value once and hand
+the CocycleValues on: height_set takes values, not words.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from .orbits import (
     CRITICAL_PROXIMITY,
     OrbitWord,
     _entry_index,
+    _nearer,
     concatenate,
     fixed_word,
-    is_in_Pi_a,
     realize,
     shift,
     tail_contraction,
@@ -212,10 +217,8 @@ def cocycle_field(c: OrbitWord, z: complex, tol: float) -> float:
     eps = quadratic_epsilon(c.map)
 
     def make_pair(depth):
-        corb = realize(c, depth)
-        seq_a = _principal_sequence(z, eps, a, sigma, depth)
-        seq_c = _germ_sequence(z, eps, corb.points, depth)
-        return seq_a, seq_c
+        guide = realize(c, depth).points[1:]
+        return _follow(z, eps, [a] * depth, sigma), _follow(z, eps, guide)
 
     return _certified_series(a, sigma, tol, make_pair, len(c.prefix) + 120).value
 
@@ -234,37 +237,29 @@ def field_mean_value(c: OrbitWord, tol: float) -> tuple[float, float]:
     return center, abs(sum(ring) / 16.0 - center)
 
 
-def _principal_sequence(z, eps, a, sigma, depth):
-    """Backward orbit of z under the a-fixing inverse branch."""
+def _follow(z, eps, targets, sigma=None):
+    """Backward orbit of z taking, at step j, the preimage nearer
+    targets[j-1] (orbits._nearer).  With sigma, every point must stay
+    within sigma of its target (the principal sequence, whose targets
+    are all a); without, the two preimages must differ by a factor 2 in
+    distance to the target, so the choice never rests on a near-tie."""
     pts = [z]
     w = z
-    for _ in range(depth):
+    for j, t in enumerate(targets, 1):
         s = cmath.sqrt(w - eps)
-        w = s if abs(s - a) <= abs(-s - a) else -s
-        if abs(w - a) >= sigma:
+        if sigma is None:
+            near, far = sorted((abs(s - t), abs(-s - t)))
+            if far < 2.0 * near:
+                raise DomainError(
+                    f"branch collision at depth {j} while restarting the word's"
+                    " choices: the germ does not separate the preimages here"
+                )
+        w = s if _nearer(s, t) else -s
+        if sigma is not None and abs(w - t) >= sigma:
             raise DomainError(
                 "principal inverse branch left the sigma-disk; the disk"
                 " certificate does not cover this point"
             )
-        pts.append(w)
-    return pts
-
-
-def _germ_sequence(z, eps, guide_points, depth):
-    """Backward orbit of z tracking the branch germ of the guide orbit."""
-    pts = [z]
-    w = z
-    for j in range(1, depth + 1):
-        s = cmath.sqrt(w - eps)
-        guide = guide_points[j]
-        d_plus, d_minus = abs(s - guide), abs(-s - guide)
-        best, second = min(d_plus, d_minus), max(d_plus, d_minus)
-        if second < 2.0 * best:
-            raise DomainError(
-                f"branch collision at depth {j} while restarting the word's"
-                " choices: the germ does not separate the preimages here"
-            )
-        w = s if d_plus <= d_minus else -s
         pts.append(w)
     return pts
 
@@ -292,25 +287,17 @@ def make_density_report(
 
 
 def height_set(
-    words: list[OrbitWord],
+    betas: list[CocycleValue],
+    step: float,
     m_range: tuple[int, int],
-    tol: float,
     window: tuple[float, float] = (0.0, 1.0),
 ) -> DensityReport:
-    """All heights beta(y) + m*ln|lambda| over the word sample, clipped
-    to the window."""
+    """All heights beta + m*step over the cocycle values, clipped to the
+    window; step is ln|lambda| of the words' common base point."""
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ConfigError("empty m_range")
-    pairs: list[tuple[float, float]] = []
-    for w in words:
-        mem = is_in_Pi_a(w, len(w.prefix) + 80)
-        if not mem.member:
-            raise PreconditionError(f"word {w.prefix!r} is not admissible: {mem.reason}")
-        beta = cocycle_vs_fixed(w, tol)
-        step = math.log(abs(w.base.multiplier))
-        for m in range(m_lo, m_hi + 1):
-            pairs.append((beta.value + m * step, beta.tail_bound))
+    pairs = [(b.value + m * step, b.tail_bound) for b in betas for m in range(m_lo, m_hi + 1)]
     return make_density_report(pairs, window)
 
 

@@ -9,9 +9,12 @@ a-fixing inverse branch, so the word determines a unique backward orbit
 converging to a.
 
 Symbols '+'/'-' select the principal square root of (w - epsilon) and
-its negative.  Words exist for the quadratic family only (f'(z) = 2z,
-critical point 0); RationalMap and the Aberth solver serve the --map
-commands (fixed-points, classify, linearize, collinearity) instead.
+its negative; '+' fixes a, the principal root of a - epsilon = a**2.
+realize takes each step in one closed-form pass, and its tail rule
+(_nearer) is the one nearest-preimage rule, shared with the cocycle
+field.  Words exist for the quadratic family only (f'(z) = 2z, critical
+point 0); RationalMap and the Aberth solver serve the --map commands
+(fixed-points, classify, linearize, collinearity) instead.
 """
 
 from __future__ import annotations
@@ -91,58 +94,58 @@ def tail_contraction(pts, a: complex, entry: int) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _quadratic_candidates(w: complex, eps: complex, depth: int):
-    s = cmath.sqrt(w - eps)
-    if 2.0 * abs(s) < COLLISION_TOL * max(1.0, abs(s)):
-        raise DegenerateBranchError(
-            f"inverse branches collide at depth {depth}: both preimages of"
-            f" {w!r} coincide at {s!r}"
-        )
-    return [(s, "+"), (-s, "-")]
-
-
-def _nearest_to(cands, target: complex):
-    dmin = min(abs(z - target) for z, _ in cands)
-    ties = [(z, s) for z, s in cands if abs(z - target) <= dmin + 1e-12 * (1.0 + dmin)]
-    return max(ties, key=lambda zs: (zs[0].imag, zs[0].real))
+def _nearer(s: complex, target: complex) -> bool:
+    """True when s, not -s, is the preimage nearer the target (realize
+    and cocycle_field share this rule).  A near-tie, distances within
+    1e-12*(1+d), goes to the larger imaginary part, then real part."""
+    dp, dm = abs(s - target), abs(-s - target)
+    d = min(dp, dm)
+    slack = d + 1e-12 * (1.0 + d)
+    if dp <= slack and dm <= slack:
+        return (s.imag, s.real) >= (-s.imag, -s.real)
+    return dp < dm
 
 
 def realize(word: OrbitWord, depth: int) -> RealizedOrbit:
-    """Realize the word to the given depth.
+    """Realize the word to the given depth in one pass.
 
-    The prefix is applied symbol by symbol, then the nearest-to-a tail
-    rule takes over.  Every step is validated: the forward residual
-    |f(y_{-j-1}) - y_{-j}| must stay below 1e-12 (relative), colliding
-    branches raise, and once the orbit has had room to settle it must
-    actually enter D_sigma(a) and contract monotonically, else the word
-    is reported divergent.
+    Each step takes s = sqrt(w - epsilon) once, picks its sign by the
+    prefix symbol or the nearest-to-a tail rule, and is checked on the
+    spot: colliding branches raise, and the residual |z*z + epsilon - w|
+    must stay below 1e-12 (relative).  Once the orbit has had room to
+    settle it must enter D_sigma(a) and contract monotonically, else the
+    word is reported divergent.
     """
-    if depth < len(word.prefix):
+    prefix = word.prefix
+    if depth < len(prefix):
         raise PreconditionError(
-            f"depth {depth} is shorter than the prefix ({len(word.prefix)} symbols)"
+            f"depth {depth} is shorter than the prefix ({len(prefix)} symbols)"
         )
-    f = word.map
-    eps = quadratic_epsilon(f)
+    eps = quadratic_epsilon(word.map)
     a = word.base.location
     pts: list[complex] = [a]
     choices: list[str] = []
+    w = a
     for j in range(depth):
-        cands = _quadratic_candidates(pts[-1], eps, j + 1)
-        if j < len(word.prefix):
-            z, sym = cands["+-".index(word.prefix[j])]
-        else:
-            z, sym = _nearest_to(cands, a)
-        pts.append(z)
-        choices.append(sym)
-    for j in range(depth):
-        res = abs(f(pts[j + 1]) - pts[j])
-        if res > RESIDUAL_TOL * max(1.0, abs(pts[j])):
+        s = cmath.sqrt(w - eps)
+        if 2.0 * abs(s) < COLLISION_TOL * max(1.0, abs(s)):
+            raise DegenerateBranchError(
+                f"inverse branches collide at depth {j + 1}: both preimages of"
+                f" {w!r} coincide at {s!r}"
+            )
+        plus = prefix[j] == "+" if j < len(prefix) else _nearer(s, a)
+        z = s if plus else -s
+        res = abs(z * z + eps - w)
+        if res > RESIDUAL_TOL * max(1.0, abs(w)):
             raise ConstructionError(
                 f"backward step at depth {j + 1} fails the residual check:"
                 f" {res:.3e}"
             )
+        pts.append(z)
+        choices.append("+" if plus else "-")
+        w = z
     entry = _entry_index(pts, a, word.sigma)
-    if entry is None and depth - len(word.prefix) >= DIVERGENCE_GRACE:
+    if entry is None and depth - len(prefix) >= DIVERGENCE_GRACE:
         raise DivergentWordError(
             f"tail did not settle into the sigma-disk within depth {depth}"
         )
@@ -204,24 +207,17 @@ def is_in_Pi_a(word: OrbitWord, depth: int) -> PiMembership:
     return PiMembership(True, "ok")
 
 
-def principal_symbol(word: OrbitWord) -> str:
-    """The symbol of the a-fixing branch: '+', since a (Re a > 0) is the
-    principal square root of a - epsilon = a**2."""
-    return "+"
-
-
 def shift(word: OrbitWord, n: int) -> OrbitWord:
     """Shift the word n steps (positive: deeper, prepending principal
     symbols; negative: toward the root, which must only consume
     principal symbols or the shifted word would leave the leaf of a)."""
     if n == 0:
         return word
-    psym = principal_symbol(word)
     if n > 0:
-        return dataclasses.replace(word, prefix=psym * n + word.prefix)
+        return dataclasses.replace(word, prefix="+" * n + word.prefix)
     k = -n
     head = word.prefix[:k]
-    if any(s != psym for s in head):
+    if any(s != "+" for s in head):
         raise DomainError(
             "negative shift consumes a non-principal symbol; the shifted"
             " word would not stay in the leaf of a"

@@ -36,7 +36,6 @@ from .orbits import (
     RealizedOrbit,
     concatenate,
     is_in_Pi_a,
-    principal_symbol,
     realize,
     shift,
 )
@@ -159,9 +158,8 @@ def sample_words(
 
 def normalize_word(word: OrbitWord) -> OrbitWord:
     """Shift until the first backward point is the non-fixed preimage -a."""
-    psym = principal_symbol(word)
     k = 0
-    while k < len(word.prefix) and word.prefix[k] == psym:
+    while k < len(word.prefix) and word.prefix[k] == "+":
         k += 1
     if k == len(word.prefix):
         raise PreconditionError(

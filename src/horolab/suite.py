@@ -132,8 +132,9 @@ def criterion_3(seed: int) -> CriterionResult:
     """Degenerate parameter: vanishing cocycle, ln-2 ladder."""
     t0 = time.perf_counter()
     words = sample_words(0.0, 200, seed)
-    max_beta = max(abs(cocycle_vs_fixed(w, 1e-12).value) for w in words)
-    rep = height_set(words, (-40, 40), 1e-12, window=(0.0, 1.0))
+    betas = [cocycle_vs_fixed(w, 1e-12) for w in words]
+    max_beta = max(abs(b.value) for b in betas)
+    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-40, 40), window=(0.0, 1.0))
     gap_err = abs(rep.max_gap - math.log(2.0))
     ok = max_beta < 1e-10 and gap_err < 1e-9
     return _result(
@@ -363,8 +364,9 @@ def criterion_10(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     eps = -1.0
     words = sample_words(eps, 500, seed, max_len=12)
-    rep = height_set(words, (-40, 40), 1e-12, window=(0.0, 1.0))
-    betas = sorted(set(round(cocycle_vs_fixed(w, 1e-12).value, 14) for w in words))
+    values = [cocycle_vs_fixed(w, 1e-12) for w in words]
+    rep = height_set(values, math.log(abs(words[0].base.multiplier)), (-40, 40), window=(0.0, 1.0))
+    betas = sorted(set(round(b.value, 14) for b in values))
     b1, b2 = min(zip(betas, betas[1:]), key=lambda p: p[1] - p[0])
     lam = abs(2.0 * fixed_point_a(eps))
     prog = progression_density_check([b1, b2], math.log(lam), (0.0, 1.0), 0.05)

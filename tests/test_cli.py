@@ -136,6 +136,52 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag):
     assert payload["error"] == "config-error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cocycle", "--epsilon", "0.1", "--word=-", "--depth", "abc"],
+        # a negative RE,IM value reads as a flag unless joined with "="
+        ["cocycle", "--epsilon", "-0.525,0.16", "--word=-"],
+    ],
+)
+def test_argument_errors_print_json(tmp_path, capsys, argv):
+    code, payload = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+
+
+def test_joined_negative_complex_epsilon_parses(tmp_path, capsys):
+    code, payload = run(
+        capsys, "fixed-points", "--epsilon=-0.525,0.16", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert payload["epsilon"] == [-0.525, 0.16]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"num": 5}', '{"num": [[0, 0], [1, 0]], "den": [[1, 0]]}'],
+    ids=["malformed", "degree-1"],
+)
+def test_inadmissible_map_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, payload = run(
+        capsys, "fixed-points", "--map", str(path), "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert payload["error"] == "config-error"
+
+
+def test_depth_rejected_where_unread(tmp_path, capsys):
+    code, payload = run(
+        capsys, "classify", "--epsilon", "0.1", "--depth", "3", "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert "depth" in payload["message"]
+
+
 def test_computation_error_exits_1(tmp_path, capsys):
     # sigma construction must fail at epsilon -2
     code, payload = run(

@@ -11,6 +11,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horolab.cocycle import (
     CocycleValue,
@@ -139,6 +141,28 @@ def test_engine_values_frozen():
     assert cocycle_field(c, fixed_point_a(0.1) + 0.3 * c.sigma, 1e-12) == 0.4362588979617221
 
 
+# the certified region: real parameters on both sides of the sign law and
+# a complex strip off the real axis, away from 0, -2 and 1/4
+CERTIFIED_EPSILON = st.one_of(
+    st.floats(-1.9, -0.3),
+    st.floats(0.05, 0.2),
+    st.builds(complex, st.floats(-1.2, 0.1), st.floats(0.02, 0.3)),
+)
+PREFIX = st.text(alphabet="+-", max_size=8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(eps=CERTIFIED_EPSILON, p=PREFIX, q=PREFIX)
+def test_engine_within_tail_bound_of_brute_force(eps, p, q):
+    x = family_word(eps, p)
+    v = cocycle_vs_fixed(x, 1e-12)
+    assert abs(v.value - brute_beta(eps, p)) <= v.tail_bound + 1e-12
+    y = family_word(eps, q)
+    xy = basic_cocycle(x, y, 1e-12)
+    yx = basic_cocycle(y, x, 1e-12)
+    assert abs(xy.value + yx.value) <= xy.tail_bound + yx.tail_bound
+
+
 def test_mismatched_bases_rejected():
     with pytest.raises(PreconditionError):
         basic_cocycle(family_word(0.1, "-"), family_word(-1.0, "-"), SEED_WORD_TOL)
@@ -190,14 +214,11 @@ def test_density_report_counts_edge_gaps():
         make_density_report([], (1.0, 1.0))
 
 
-def test_height_set_rejects_fixed_orbit_word():
-    with pytest.raises(PreconditionError):
-        height_set([family_word(0.1, "")], (0, 3), SEED_WORD_TOL)
-
-
 def test_height_set_fills_window():
     words = [family_word(0.1, p) for p in ("-", "--", "-+", "-+-", "--+")]
-    rep = height_set(words, (-20, 20), SEED_WORD_TOL, window=(0.0, 1.0))
+    betas = [cocycle_vs_fixed(w, SEED_WORD_TOL) for w in words]
+    step = math.log(abs(words[0].base.multiplier))
+    rep = height_set(betas, step, (-20, 20), window=(0.0, 1.0))
     assert rep.count >= 5
     assert rep.max_gap < 1.0
     vals = [v for v, _ in rep.values]

@@ -17,7 +17,6 @@ from horolab.orbits import (
     concatenate,
     fixed_word,
     is_in_Pi_a,
-    principal_symbol,
     realize,
     shift,
 )
@@ -69,6 +68,57 @@ def test_fixed_orbit_stays_at_a():
     assert orb.choices == "+" * 20
 
 
+# realize outputs frozen bit for bit; any change to the branch choice,
+# the tie rule or the arithmetic of a step shows here
+FROZEN_ORBIT_EPS_M1 = (
+    (1.618033988749895+0j), (-1.618033988749895-0j), -0.7861513777574233j,
+    (-1.0658376165049883+0.3687950986076611j), (-0.392930073529853-0.4692884605327133j),
+    (0.8289693978454893-0.28305535870950416j), (1.356412976977315-0.10433966775379724j),
+    (1.5354372100695253-0.03397718482707368j), (1.592341369280441-0.010668938671871455j),
+    (1.6100783665401384-0.00331317372296533j), (1.6155740211938396-0.0010253859246006683j),
+    (1.6172736693861018-0.0003170106408119205j), (1.6177990230511885-9.797590315453233e-05j),
+    (1.6179613790099936-3.0277577828984498e-05j), (1.6180115509777846-9.356415845946025e-06j),
+    (1.6180270550847238-2.8913038927696115e-06j), (1.6180318461283518-8.934632219038092e-07j),
+    (1.6180333266433136-2.760954323967297e-07j), (1.6180337841476984-8.531819146846904e-08j),
+    (1.6180339255243381-2.6364772123310373e-08j), (1.6180339692121233-8.147162737302819e-09j),
+    (1.6180339827123915-2.5176117511590584e-09j), (1.6180339868842037-7.779848172432838e-10j),
+    (1.6180339881733645-2.404105299795243e-10j), (1.6180339885717372-7.429093939854078e-11j),
+    (1.618033988694841-2.295716280300956e-11j), (1.6180339887328823-7.094153448836948e-12j),
+    (1.6180339887446378-2.1922139764013836e-12j), (1.6180339887482704-6.774313740149876e-13j),
+    (1.6180339887493929-2.0933780709346726e-13j), (1.6180339887497397-6.468893995707201e-14j),
+    (1.618033988749847-1.9989981794836424e-14j), (1.61803398874988-6.1772440918503255e-15j),
+    (1.6180339887498902-1.9088734027839946e-15j), (1.6180339887498936-5.898743215705889e-16j),
+    (1.6180339887498945-1.8228118991070465e-16j), (1.6180339887498947-5.632798543729495e-17j),
+    (1.618033988749895-1.7406304759028692e-17j), (1.618033988749895-5.37884397980939e-18j),
+    (1.618033988749895-1.6621541998524779e-18j), (1.618033988749895-5.136338950261084e-19j),
+)
+
+# eps = 0.1, word "-": the second point is an exact tie (+/- i*r), which
+# must go to the upper half plane, so the tail's first choice is "-"
+FROZEN_ORBIT_EPS_01 = (
+    (0.8872983346207417+0j), (-0.8872983346207417-0j), (-0+0.9936288716722868j),
+    (0.6703164378490739+0.7411640350493752j), (0.8676142326216917+0.42712763759636657j),
+    (0.9072104264093255+0.23540714764870344j), (0.9077572466171888+0.1296641522422223j),
+    (0.9016250283970287+0.07190580793478425j), (0.8962333884230689+0.04011555966538091j),
+    (0.8926020055513956+0.022471134624327864j), (0.8903714078274757+0.012618966886615266j),
+    (0.8890566758161271+0.007096829274146913j), (0.8882976037536182+0.003994623673506677j),
+)
+
+
+def test_realize_frozen():
+    orb = realize(family_word(-1.0, "-+--"), 40)
+    assert orb.points == FROZEN_ORBIT_EPS_M1
+    assert orb.choices == "-+--" + "+" * 36
+    assert orb.entry_index == 6
+
+
+def test_realize_frozen_near_tie():
+    orb = realize(family_word(0.1, "-"), 12)
+    assert orb.points == FROZEN_ORBIT_EPS_01
+    assert orb.choices == "--" + "+" * 10
+    assert orb.entry_index is None
+
+
 def test_depth_shorter_than_prefix_rejected():
     with pytest.raises(PreconditionError):
         realize(family_word(0.1, "-+-"), 2)
@@ -107,10 +157,6 @@ def test_membership_critical_hit_at_branch_merge():
     assert mem.reason == "critical-hit"
     with pytest.raises(DegenerateBranchError):
         realize(w, 3)
-
-
-def test_principal_symbol_is_plus_for_family():
-    assert principal_symbol(family_word(0.1, "-")) == "+"
 
 
 def test_shift_prepends_and_pops_principal_symbols():

@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Check that the working tree produces byte-identical outputs to git
+# revision REF.
+#
+#   tools/same_outputs.sh REF        (e.g. tools/same_outputs.sh HEAD~)
+#
+# Extracts REF into a temporary directory (git archive, so an interrupted
+# run leaves nothing behind in .git) and runs, against both source trees:
+# the seed-7 acceptance suite, the README examples, `field --epsilon 0.1
+# --word=-` and the --map commands on z**3.  Each command's --out tree,
+# stdout, exit status and (for the suite, with its timings removed) stderr
+# are collected per tree and compared with `diff -r`.  Exit status 0 means
+# no difference.
+set -euo pipefail
+
+ref=${1:?usage: tools/same_outputs.sh REF}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
+# one map file for both trees: the report records its path
+printf '%s\n' '{"num": [[0,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}' > "$tmp/cube.json"
+
+run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
+    local tree=$1 out=$2 name=$3
+    shift 3
+    local code=0
+    PYTHONPATH="$tree/src" python3 -m horolab.cli "$@" --out "$out/$name" \
+        > "$out/$name.stdout" 2> "$out/$name.stderr" || code=$?
+    echo "$code" > "$out/$name.exit"
+    sed -i 's/ ([0-9.]*s)$//' "$out/$name.stderr"
+}
+
+run_all() {  # run_all TREE OUT
+    local tree=$1 out=$2
+    mkdir -p "$out"
+    run "$tree" "$out" suite suite --epsilon -1 --seed 7
+    run "$tree" "$out" fixed-points fixed-points --epsilon 0
+    run "$tree" "$out" cocycle cocycle --epsilon 0.1 --word=- --tol 1e-9
+    run "$tree" "$out" sigma-delta sigma-delta --epsilon -1 --seed 7
+    run "$tree" "$out" heights heights --epsilon -1 --seed 7 --tol 1e-9
+    run "$tree" "$out" semigroup semigroup --epsilon 0.1 --tol 1e-9
+    run "$tree" "$out" field field --epsilon 0.1 --word=-
+    run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
+    run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
+    run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
+}
+
+run_all "$tmp/ref" "$tmp/out-ref"
+run_all "$root" "$tmp/out-new"
+if diff -r "$tmp/out-ref" "$tmp/out-new"; then
+    echo "same outputs as $ref"
+else
+    echo "outputs differ from $ref" >&2
+    exit 1
+fi
