@@ -2,10 +2,12 @@
 
 Every subcommand prints its report JSON to stdout and writes the same
 payload (plus CSV tables and SVG plots where they make sense) into the
-output directory.  Configuration can come from a flat key=value file
-merged under explicit flags; flags win.  Config validation failures
-exit 2, computation failures exit 1, and both print a machine-readable
-diagnostic object.
+output directory.  COMMANDS declares each subcommand once: its handler,
+the flags it reads and its config-only keys with type and default; all
+take --out and --config.  A flat key=value config file is merged under
+explicit flags (flags win).  An unread flag or key, a bad value or a
+missing input exits 2, a computation failure exits 1; both print a
+machine-readable diagnostic object.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .cocycle import (
     cocycle_field,
@@ -26,11 +29,12 @@ from .cocycle import (
 )
 from .errors import ConfigError, ConstructionError, HorolabError, SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import RationalMap, evaluate
+from .maps import RationalMap
 from .periodic import (
     PeriodicPoint,
     build_linearizer,
     collinearity_in_linearizer,
+    functional_equation_residual,
     make_periodic_point,
     periodic_points,
 )
@@ -44,6 +48,7 @@ from .quadratic import (
     family_word,
     fixed_point_a,
     limit_decomposition_check,
+    list_1_1_member,
     nested_decomposition_check,
     normalize_word,
     quadratic_map,
@@ -61,75 +66,41 @@ from .suite import run_battery
 
 MAX_DEPTH = 100_000
 MAX_POINTS = 1_000_000
-RANDOMIZED = {"julia", "heights", "b-epsilon", "sigma-delta", "excursions", "bound-528", "suite"}
-DEPTH_READERS = {"collinearity", "julia"}
 
 
 @dataclass
 class RunConfig:
+    """One run's inputs; the fields a command does not read stay at their defaults."""
+
     command: str
     epsilon: complex | None = None
-    map_path: str | None = None
+    map: str | None = None  # path of a rational map JSON file
     word: str | None = None
     depth: int | None = None
     tol: float = 1e-12
     seed: int | None = None
     out: Path = Path("horolab-out")
-    extras: dict = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tol!r}")
-        if self.depth is not None and self.command not in DEPTH_READERS:
-            raise ConfigError(f"'{self.command}' takes no depth; only collinearity and julia read it")
-        if self.depth is not None and not (1 <= self.depth <= MAX_DEPTH):
-            raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
-        if self.command in RANDOMIZED and self.seed is None:
-            raise ConfigError(f"'{self.command}' is randomized; --seed is mandatory")
-        n_points = self.int_extra("n_points", 2000)
-        if not (1 <= n_points <= MAX_POINTS):
-            raise ConfigError(f"n_points must lie in [1, {MAX_POINTS}]")
-
-    def int_extra(self, key: str, default: int) -> int:
-        return _number(key, self.extras.get(key, default), int)
-
-    def str_extra(self, key: str, default: str) -> str:
-        return str(self.extras.get(key, default))
-
-    def need_epsilon(self) -> complex:
-        if self.epsilon is None:
-            raise ConfigError(f"'{self.command}' requires --epsilon")
-        return self.epsilon
-
-    def need_word(self) -> str:
-        if self.word is None:
-            raise ConfigError(f"'{self.command}' requires --word")
-        return self.word
-
-    def need_seed(self) -> int:
-        if self.seed is None:
-            raise ConfigError(f"'{self.command}' requires --seed")
-        return self.seed
+    keys: dict = field(default_factory=dict)  # the command's config-only keys
 
     def the_map(self) -> RationalMap:
-        if self.map_path is not None:
+        if self.map is not None:
             try:
-                data = json.loads(Path(self.map_path).read_text())
+                data = json.loads(Path(self.map).read_text())
             except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read map file {self.map_path!r}: {exc}") from None
+                raise ConfigError(f"cannot read map file {self.map!r}: {exc}") from None
             try:
                 return RationalMap.from_json(data)
             except ConstructionError as exc:
-                raise ConfigError(f"map file {self.map_path!r} holds no admissible map: {exc}") from None
-        return quadratic_map(self.need_epsilon())
+                raise ConfigError(f"map file {self.map!r} holds no admissible map: {exc}") from None
+        return quadratic_map(self.epsilon)
 
 
-def _number(key: str, raw, kind: type):
-    """raw (a flag or config-file value) converted to int or float."""
+def _convert(key: str, raw, kind: Callable):
+    """raw (a flag or config-file string) converted by kind."""
     try:
         return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {key} must be of type {kind.__name__}, got {raw!r}") from None
+        raise ConfigError(f"{key} must be of type {kind.__name__}, got {raw!r}") from None
 
 
 def parse_epsilon(text: str) -> complex:
@@ -142,6 +113,10 @@ def parse_epsilon(text: str) -> complex:
     except ValueError:
         pass
     raise ConfigError(f"cannot parse epsilon {text!r}; expected RE or RE,IM")
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(","))
 
 
 def parse_config_file(path: str) -> dict:
@@ -161,30 +136,26 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-KNOWN_FLAG_KEYS = {"epsilon", "map", "word", "depth", "tol", "seed", "out"}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
+    name = args.command
+    spec = COMMANDS[name]
     file_conf = parse_config_file(args.config) if args.config else {}
-    extras = {k: v for k, v in file_conf.items() if k not in KNOWN_FLAG_KEYS}
-    cfg = RunConfig(command=args.command, extras=extras)
-    if args.epsilon is not None:
-        cfg.epsilon = parse_epsilon(args.epsilon)
-    elif "epsilon" in file_conf:
-        cfg.epsilon = parse_epsilon(file_conf["epsilon"])
-    cfg.map_path = args.map if args.map is not None else file_conf.get("map")
-    cfg.word = args.word if args.word is not None else file_conf.get("word")
-    raw_depth = args.depth if args.depth is not None else file_conf.get("depth")
-    if raw_depth is not None:
-        cfg.depth = _number("depth", raw_depth, int)
-    raw_tol = args.tol if args.tol is not None else file_conf.get("tol")
-    if raw_tol is not None:
-        cfg.tol = _number("tol", raw_tol, float)
-    raw_seed = args.seed if args.seed is not None else file_conf.get("seed")
-    if raw_seed is not None:
-        cfg.seed = _number("seed", raw_seed, int)
-    cfg.out = Path(args.out if args.out is not None else file_conf.get("out", "horolab-out"))
-    cfg.validate()
+    given = {**file_conf, **{k: v for k, v in vars(args).items() if v is not None}}
+    flags = {k: _convert(k, given[k], FLAGS[k][0]) for k in spec.flags if k in given}
+    keys = {k: _convert(k, given[k], kind) if k in given else dflt for k, (kind, dflt) in spec.keys.items()}
+    unread = sorted(set(file_conf) - set(spec.flags) - set(spec.keys) - {"out"})
+    if unread:
+        raise ConfigError(f"'{name}' reads no config key {', '.join(map(repr, unread))}")
+    missing = [f"--{k}" for k in ("word", "seed") if k in spec.flags and k not in flags]
+    if "epsilon" not in flags and "map" not in flags and name != "suite":
+        missing.insert(0, "--epsilon or --map" if "map" in spec.flags else "--epsilon")
+    if missing:
+        raise ConfigError(f"'{name}' requires {', '.join(missing)}")
+    cfg = RunConfig(name, out=Path(given.get("out", "horolab-out")), keys=keys, **flags)
+    if not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"tolerance must be positive and finite, got {cfg.tol!r}")
+    if cfg.depth is not None and not (1 <= cfg.depth <= MAX_DEPTH):
+        raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
     return cfg
 
 
@@ -196,8 +167,8 @@ def _payload(cfg: RunConfig, **body) -> dict:
     head: dict = {"schema": 1, "command": cfg.command}
     if cfg.epsilon is not None:
         head["epsilon"] = cx(cfg.epsilon)
-    if cfg.map_path is not None:
-        head["map"] = cfg.map_path
+    if cfg.map is not None:
+        head["map"] = cfg.map
     if cfg.seed is not None:
         head["seed"] = cfg.seed
     head.update(body)
@@ -235,7 +206,7 @@ def cmd_fixed_points(cfg: RunConfig) -> dict:
 
 def cmd_classify(cfg: RunConfig) -> dict:
     f = cfg.the_map()
-    period = cfg.int_extra("period", 1)
+    period = cfg.keys["period"]
     pts = periodic_points(f, period)
     counts: dict[str, int] = {}
     for p in pts:
@@ -256,8 +227,8 @@ def cmd_classify(cfg: RunConfig) -> dict:
 def _repelling_base(cfg: RunConfig, f: RationalMap) -> PeriodicPoint:
     """a(epsilon) for the quadratic family, else the first repelling
     fixed point of the --map map."""
-    if cfg.map_path is None:
-        return make_periodic_point(f, fixed_point_a(cfg.need_epsilon()), 1)
+    if cfg.map is None:
+        return make_periodic_point(f, fixed_point_a(cfg.epsilon), 1)
     reps = [p for p in periodic_points(f, 1) if p.classification == "repelling"]
     if not reps:
         raise ConfigError("map has no repelling fixed point")
@@ -268,16 +239,12 @@ def cmd_linearize(cfg: RunConfig) -> dict:
     f = cfg.the_map()
     point = _repelling_base(cfg, f)
     lin = build_linearizer(f, point)
-    residual = 0.0
-    for k in range(16):
-        z = complex(point.location) + lin.radius * 0.5 * complex(math.cos(k), math.sin(k))
-        residual = max(residual, abs(lin(evaluate(f, z)) - lin.multiplier * lin(z)))
     return _payload(
         cfg,
         base=cx(point.location),
         multiplier=cx(lin.multiplier),
         radius=lin.radius,
-        functional_equation_residual=residual,
+        functional_equation_residual=functional_equation_residual(lin, 16),
     )
 
 
@@ -296,11 +263,18 @@ def cmd_collinearity(cfg: RunConfig) -> dict:
     )
 
 
+def _n_points(cfg: RunConfig) -> int:
+    n_points = cfg.keys["n_points"]
+    if not (1 <= n_points <= MAX_POINTS):
+        raise ConfigError(f"n_points must lie in [1, {MAX_POINTS}]")
+    return n_points
+
+
 def cmd_julia(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    n_points = cfg.int_extra("n_points", 2000)
+    eps = cfg.epsilon
+    n_points = _n_points(cfg)
     depth = cfg.depth or 40
-    sample = inverse_iteration_sample(quadratic_map(eps), n_points, depth, cfg.need_seed())
+    sample = inverse_iteration_sample(quadratic_map(eps), n_points, depth, cfg.seed)
     write_csv(
         cfg.out / "julia_points.csv",
         ["re", "im"],
@@ -319,7 +293,7 @@ def cmd_julia(cfg: RunConfig) -> dict:
         "depth": depth,
         "params": {k: sample.params[k] for k in sorted(sample.params)},
     }
-    if eps.imag == 0.0 and eps.real < 0.25 and abs(eps) > 1e-12 and abs(eps + 2) > 1e-12:
+    if eps.imag == 0.0 and eps.real < 0.25 and not list_1_1_member(eps):
         rep = disk_containment_check(eps.real, sample, 1e-6)
         ext = derivative_extremality_check(eps.real, sample, 1e-6)
         body["containment"] = {
@@ -338,7 +312,7 @@ def cmd_julia(cfg: RunConfig) -> dict:
 
 
 def cmd_cocycle(cfg: RunConfig) -> dict:
-    w = family_word(cfg.need_epsilon(), cfg.need_word())
+    w = family_word(cfg.epsilon, cfg.word)
     b = cocycle_vs_fixed(w, cfg.tol)
     return _payload(
         cfg,
@@ -350,9 +324,11 @@ def cmd_cocycle(cfg: RunConfig) -> dict:
 
 
 def cmd_field(cfg: RunConfig) -> dict:
-    c = family_word(cfg.need_epsilon(), cfg.need_word())
+    c = family_word(cfg.epsilon, cfg.word)
     a, sigma = c.base.location, c.sigma
-    n = cfg.int_extra("grid", 5)
+    n = cfg.keys["grid"]
+    if n < 1:
+        raise ConfigError(f"grid must be >= 1, got {n}")
     span = sigma / (2.0 * math.sqrt(2.0))  # square inscribed in D_{sigma/2}
     rows = []
     for i in range(n):
@@ -375,11 +351,9 @@ def cmd_field(cfg: RunConfig) -> dict:
 
 
 def cmd_heights(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    n_words = cfg.int_extra("n_words", 200)
-    max_len = cfg.int_extra("max_len", 10)
-    m_span = cfg.int_extra("m_span", 40)
-    words = sample_words(eps, n_words, cfg.need_seed(), max_len)
+    eps = cfg.epsilon
+    n_words, m_span = cfg.keys["n_words"], cfg.keys["m_span"]
+    words = sample_words(eps, n_words, cfg.seed, cfg.keys["max_len"])
     betas = [cocycle_vs_fixed(w, cfg.tol) for w in words]
     rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span), window=(0.0, 1.0))
     write_csv(
@@ -404,11 +378,9 @@ def cmd_heights(cfg: RunConfig) -> dict:
 
 
 def cmd_semigroup(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    y = family_word(eps, cfg.str_extra("word_y", "-"))
-    c = family_word(eps, cfg.str_extra("word_c", "--"))
-    junctions = [_number("junctions", t, int) for t in cfg.str_extra("junctions", "10,20,30,40,50").split(",")]
-    tab = semigroup_convergence(y, c, junctions, cfg.tol)
+    y = family_word(cfg.epsilon, cfg.keys["word_y"])
+    c = family_word(cfg.epsilon, cfg.keys["word_c"])
+    tab = semigroup_convergence(y, c, cfg.keys["junctions"], cfg.tol)
     write_csv(
         cfg.out / "semigroup_defects.csv",
         ["junction", "defect", "beta_concat"],
@@ -433,10 +405,8 @@ def cmd_semigroup(cfg: RunConfig) -> dict:
 
 
 def cmd_b_epsilon(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    budget = cfg.int_extra("word_budget", 12)
-    l_max = cfg.int_extra("l_max", 2)
-    rep = build_B_epsilon(eps, budget, l_max, cfg.tol, cfg.need_seed())
+    budget, l_max = cfg.keys["word_budget"], cfg.keys["l_max"]
+    rep = build_B_epsilon(cfg.epsilon, budget, l_max, cfg.tol, cfg.seed)
     write_csv(cfg.out / "b_values.csv", ["value", "bound"], [(v, b) for v, b in rep.values])
     svg_gap_histogram(
         cfg.out / "b_histogram.svg",
@@ -457,8 +427,7 @@ def cmd_b_epsilon(cfg: RunConfig) -> dict:
 
 
 def cmd_sigma_delta(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    sd = default_sigma_delta(eps, cfg.need_seed(), n_points=cfg.int_extra("n_points", 10000))
+    sd = default_sigma_delta(cfg.epsilon, cfg.seed, n_points=_n_points(cfg))
     return _payload(
         cfg,
         sigma=sd.sigma,
@@ -468,9 +437,8 @@ def cmd_sigma_delta(cfg: RunConfig) -> dict:
 
 
 def cmd_excursions(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    sd = default_sigma_delta(eps, cfg.need_seed())
-    w = normalize_word(family_word(eps, cfg.need_word()))
+    sd = default_sigma_delta(cfg.epsilon, cfg.seed)
+    w = normalize_word(family_word(cfg.epsilon, cfg.word))
     st = excursion_stats(w, sd)
     return _payload(
         cfg,
@@ -484,42 +452,33 @@ def cmd_excursions(cfg: RunConfig) -> dict:
 
 
 def cmd_bound_528(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    n_words = cfg.int_extra("n_words", 50)
-    seed = cfg.need_seed()
-    base = complex(eps.real, 0.0)
-    sd = default_sigma_delta(base, seed)
-    words = sample_words(eps, n_words, seed, cfg.int_extra("max_len", 8))
-    rows = []
-    all_ok = True
-    min_margin = math.inf
-    for w in words:
-        bc = cocycle_lower_bound_check(w, sd, cfg.tol)
-        rows.append((w.prefix, bc.beta.value, bc.beta.tail_bound, bc.stats.d, bc.margin, bc.ok))
-        all_ok = all_ok and bc.ok
-        min_margin = min(min_margin, bc.margin)
+    n_words = cfg.keys["n_words"]
+    sd = default_sigma_delta(complex(cfg.epsilon.real, 0.0), cfg.seed)
+    words = sample_words(cfg.epsilon, n_words, cfg.seed, cfg.keys["max_len"])
+    checks = [cocycle_lower_bound_check(w, sd, cfg.tol) for w in words]
     write_csv(
         cfg.out / "bound_checks.csv",
         ["prefix", "beta", "tail_bound", "excursion_length", "margin", "ok"],
-        rows,
+        [
+            (w.prefix, bc.beta.value, bc.beta.tail_bound, bc.stats.d, bc.margin, bc.ok)
+            for w, bc in zip(words, checks)
+        ],
     )
     return _payload(
         cfg,
         n_words=n_words,
         sigma=sd.sigma,
         delta=sd.delta,
-        delta_used=sd.delta if complex(eps) == sd.epsilon else 0.5 * sd.delta,
-        all_ok=all_ok,
-        min_margin=min_margin,
+        delta_used=checks[0].delta_used,  # one parameter, so the same for every word
+        all_ok=all(bc.ok for bc in checks),
+        min_margin=min(bc.margin for bc in checks),
     )
 
 
 def cmd_limit_decomp(cfg: RunConfig) -> dict:
-    eps = cfg.need_epsilon()
-    y = family_word(eps, cfg.str_extra("word_y", "-"))
-    c = family_word(eps, cfg.str_extra("word_c", "--"))
-    junctions = [_number("junctions", t, int) for t in cfg.str_extra("junctions", "10,20,30,40").split(",")]
-    ld = limit_decomposition_check(y, c, junctions, cfg.tol)
+    y = family_word(cfg.epsilon, cfg.keys["word_y"])
+    c = family_word(cfg.epsilon, cfg.keys["word_c"])
+    ld = limit_decomposition_check(y, c, cfg.keys["junctions"], cfg.tol)
     body = {
         "sequence": ld.sequence_id,
         "l": ld.l,
@@ -532,9 +491,8 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
         "windows_converging": ld.windows_converging,
         "converged": ld.converged,
     }
-    nested_at = cfg.extras.get("nested_junction")
+    nested_at = cfg.keys["nested_junction"]
     if nested_at is not None:
-        nested_at = _number("nested_junction", nested_at, int)
         nd = nested_decomposition_check(y, c, nested_at, cfg.tol)
         body["nested"] = {
             "junction": nested_at,
@@ -546,7 +504,7 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
 
 
 def cmd_suite(cfg: RunConfig) -> dict:
-    results = run_battery(cfg.need_seed())
+    results = run_battery(cfg.seed)
     for r in results:
         status = "PASS" if r.ok else "FAIL"
         print(f"[{r.index:02d}] {status} {r.name} ({r.elapsed:.2f}s)", file=sys.stderr)
@@ -609,22 +567,56 @@ def cmd_suite(cfg: RunConfig) -> dict:
     return payload
 
 
+FLAGS = {  # flag -> (type, help)
+    "epsilon": (parse_epsilon, "parameter, RE or RE,IM"),
+    "map": (str, "rational map JSON file"),
+    "word": (str, "branch-symbol prefix string"),
+    "depth": (int, "preimage-tree or inverse-iteration depth"),
+    "tol": (float, "tail-bound tolerance (default 1e-12)"),
+    "seed": (int, "random seed"),
+}
+
+
+class Command(NamedTuple):
+    run: Callable[[RunConfig], dict]
+    flags: tuple[str, ...]  # keys of FLAGS
+    keys: dict = {}  # config-only key -> (type, default)
+
+
+WORD_PAIR = {"word_y": (str, "-"), "word_c": (str, "--")}
+
 COMMANDS = {
-    "fixed-points": cmd_fixed_points,
-    "classify": cmd_classify,
-    "linearize": cmd_linearize,
-    "collinearity": cmd_collinearity,
-    "julia": cmd_julia,
-    "cocycle": cmd_cocycle,
-    "field": cmd_field,
-    "heights": cmd_heights,
-    "semigroup": cmd_semigroup,
-    "b-epsilon": cmd_b_epsilon,
-    "sigma-delta": cmd_sigma_delta,
-    "excursions": cmd_excursions,
-    "bound-528": cmd_bound_528,
-    "limit-decomp": cmd_limit_decomp,
-    "suite": cmd_suite,
+    "fixed-points": Command(cmd_fixed_points, ("epsilon", "map")),
+    "classify": Command(cmd_classify, ("epsilon", "map"), {"period": (int, 1)}),
+    "linearize": Command(cmd_linearize, ("epsilon", "map")),
+    "collinearity": Command(cmd_collinearity, ("epsilon", "map", "depth")),
+    "julia": Command(cmd_julia, ("epsilon", "depth", "seed"), {"n_points": (int, 2000)}),
+    "cocycle": Command(cmd_cocycle, ("epsilon", "word", "tol")),
+    "field": Command(cmd_field, ("epsilon", "word", "tol"), {"grid": (int, 5)}),
+    "heights": Command(
+        cmd_heights,
+        ("epsilon", "tol", "seed"),
+        {"n_words": (int, 200), "max_len": (int, 10), "m_span": (int, 40)},
+    ),
+    "semigroup": Command(
+        cmd_semigroup, ("epsilon", "tol"), {**WORD_PAIR, "junctions": (int_list, (10, 20, 30, 40, 50))}
+    ),
+    "b-epsilon": Command(
+        cmd_b_epsilon, ("epsilon", "tol", "seed"), {"word_budget": (int, 12), "l_max": (int, 2)}
+    ),
+    "sigma-delta": Command(cmd_sigma_delta, ("epsilon", "seed"), {"n_points": (int, 10000)}),
+    "excursions": Command(cmd_excursions, ("epsilon", "word", "seed")),
+    "bound-528": Command(
+        cmd_bound_528, ("epsilon", "tol", "seed"), {"n_words": (int, 50), "max_len": (int, 8)}
+    ),
+    "limit-decomp": Command(
+        cmd_limit_decomp,
+        ("epsilon", "tol"),
+        {**WORD_PAIR, "junctions": (int_list, (10, 20, 30, 40)), "nested_junction": (int, None)},
+    ),
+    # --epsilon is only recorded in report.json (and optional); the README,
+    # the acceptance test and the benchmark run `suite --epsilon -1 --seed 7`
+    "suite": Command(cmd_suite, ("epsilon", "seed")),
 }
 
 
@@ -641,14 +633,10 @@ def make_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for backward-orbit cocycles of quadratic maps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, spec in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--epsilon", help="parameter, RE or RE,IM")
-        p.add_argument("--map", help="rational map JSON file")
-        p.add_argument("--word", help="branch-symbol prefix string")
-        p.add_argument("--depth", type=int, help="collinearity and julia only")
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
+        for flag in spec.flags:
+            p.add_argument(f"--{flag}", help=FLAGS[flag][1])
         p.add_argument("--out", help="output directory (default horolab-out)")
         p.add_argument("--config", help="flat key=value config file")
     return parser
@@ -657,7 +645,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(make_parser().parse_args(argv))
-        payload = COMMANDS[cfg.command](cfg)
+        payload = COMMANDS[cfg.command].run(cfg)
         report_name = "report.json" if cfg.command == "suite" else f"{cfg.command.replace('-', '_')}.json"
         write_json(cfg.out / report_name, payload)
         sys.stdout.write(to_json_text(payload))

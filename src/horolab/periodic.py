@@ -34,6 +34,7 @@ from .maps import (
     RationalFunction,
     RationalMap,
     compose,
+    evaluate,
     poly_eval,
     poly_mul,
     poly_sub,
@@ -358,6 +359,15 @@ class Linearizer:
                 return new
             val = new
         raise ConstructionError("Koenigs limit did not stabilize to 1e-12")
+
+
+def functional_equation_residual(lin: Linearizer, n: int) -> float:
+    """max |phi(f(z)) - lambda*phi(z)| over z = a + (radius/2) e^{ik}, k < n."""
+    residual = 0.0
+    for k in range(n):
+        z = complex(lin.point.location) + lin.radius * 0.5 * complex(math.cos(k), math.sin(k))
+        residual = max(residual, abs(lin(evaluate(lin.map, z)) - lin.multiplier * lin(z)))
+    return residual
 
 
 def _mp_der(c):

@@ -130,8 +130,8 @@ def sample_words(
     Normalized words start with '-' (first backward step to -a), the
     hypothesis under which excursion statistics are defined.
     """
-    if n < 1:
-        raise ConfigError("need n >= 1 words")
+    if n < 1 or max_len < 1:
+        raise ConfigError(f"need n >= 1 words of max_len >= 1, got n={n}, max_len={max_len}")
     rng = np.random.default_rng(seed)
     out: list[OrbitWord] = []
     seen: set[str] = set()

@@ -36,6 +36,7 @@ from .orbits import is_in_Pi_a, realize, shift
 from .periodic import (
     build_linearizer,
     collinearity_in_linearizer,
+    functional_equation_residual,
     make_periodic_point,
 )
 from .quadratic import (
@@ -401,9 +402,7 @@ def criterion_11(seed: int) -> CriterionResult:
         lin = build_linearizer(f, p)
         rep = collinearity_in_linearizer(f, lin, depth=8)
         verdicts[eps] = rep
-        for k in range(8):
-            z = complex(p.location) + lin.radius * 0.5 * complex(math.cos(k), math.sin(k))
-            residual = max(residual, abs(lin(evaluate(f, z)) - lin.multiplier * lin(z)))
+        residual = max(residual, functional_equation_residual(lin, 8))
         key = "line" if eps == -3.0 else "full"
         details[f"{key}_epsilon"] = eps
         details[f"{key}_verdict"] = rep.verdict

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from horolab.cli import main, parse_epsilon
+from horolab.cli import COMMANDS, main, make_parser, parse_epsilon
 from horolab.errors import ConfigError
 
 
@@ -116,7 +116,14 @@ def test_bad_tol_exits_2(tmp_path, capsys, tol):
 
 @pytest.mark.parametrize(
     "command, key",
-    [("cocycle", "depth"), ("cocycle", "tol"), ("cocycle", "seed"), ("semigroup", "junctions")],
+    [
+        ("cocycle", "depth"),
+        ("cocycle", "tol"),
+        ("cocycle", "seed"),
+        ("semigroup", "junctions"),
+        ("julia", "depth"),
+        ("heights", "seed"),
+    ],
 )
 def test_non_numeric_config_value_exits_2(tmp_path, capsys, command, key):
     cfg = tmp_path / "run.cfg"
@@ -180,6 +187,89 @@ def test_depth_rejected_where_unread(tmp_path, capsys):
     assert code == 2
     assert payload["error"] == "config-error"
     assert "depth" in payload["message"]
+
+
+def test_each_parser_takes_exactly_its_declared_flags():
+    sub = next(a for a in make_parser()._actions if a.dest == "command")
+    for name, spec in COMMANDS.items():
+        options = {o for a in sub.choices[name]._actions for o in a.option_strings}
+        assert options == {"-h", "--help", "--out", "--config"} | {f"--{f}" for f in spec.flags}, name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fixed-points", "--epsilon", "0", "--word=-"], "--word"),
+        (["classify", "--epsilon", "0.1", "--word=-"], "--word"),
+        (["linearize", "--epsilon", "-1", "--seed", "3"], "--seed"),
+        (["collinearity", "--epsilon", "-3", "--tol", "1e-9"], "--tol"),
+        (["julia", "--epsilon", "-1", "--seed", "7", "--tol", "1e-9"], "--tol"),
+        (["cocycle", "--epsilon", "0.1", "--word=-", "--seed", "3"], "--seed"),
+        (["cocycle", "--epsilon", "0.1", "--word=-", "--map", "f.json"], "--map"),
+        (["field", "--epsilon", "0.1", "--word=-", "--seed", "3"], "--seed"),
+        (["heights", "--epsilon", "-1", "--seed", "7", "--word=---"], "--word"),
+        (["semigroup", "--epsilon", "0.1", "--depth", "5"], "--depth"),
+        (["b-epsilon", "--epsilon", "0.1", "--seed", "7", "--word=-"], "--word"),
+        (["sigma-delta", "--epsilon", "-1", "--seed", "7", "--tol", "1e-9"], "--tol"),
+        (["excursions", "--epsilon", "0.1", "--word=-", "--seed", "7", "--depth", "5"], "--depth"),
+        (["bound-528", "--epsilon", "-1", "--seed", "7", "--map", "f.json"], "--map"),
+        (["limit-decomp", "--epsilon", "0.1", "--seed", "3"], "--seed"),
+        (["suite", "--epsilon", "-1", "--seed", "7", "--tol", "1e-9"], "--tol"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_unread_flag_exits_2(tmp_path, capsys, argv, flag):
+    code, payload = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert flag in payload["message"]
+
+
+def test_undeclared_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_word = 5\n")  # a typo of n_words
+    code, payload = run(
+        capsys, "heights", "--epsilon", "-1", "--seed", "7", "--config", str(cfg), "--out", str(tmp_path)
+    )
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert "n_word" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["fixed-points"], "--epsilon or --map"),
+        (["field", "--epsilon", "0.1"], "--word"),
+        (["excursions", "--word=-"], "--epsilon"),
+    ],
+    ids=["fixed-points", "field", "excursions"],
+)
+def test_missing_required_input_exits_2(tmp_path, capsys, argv, flag):
+    code, payload = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert flag in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["julia", "--epsilon", "-1", "--seed", "7"], "n_points"),
+        (["sigma-delta", "--epsilon", "-1", "--seed", "7"], "n_points"),
+        (["heights", "--epsilon", "-1", "--seed", "7"], "max_len"),
+        (["bound-528", "--epsilon", "-1", "--seed", "7"], "max_len"),
+        (["field", "--epsilon", "0.1", "--word=-"], "grid"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_config_key_out_of_range_exits_2(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 0\n")
+    code, payload = run(capsys, *argv, "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert key in payload["message"]
 
 
 def test_computation_error_exits_1(tmp_path, capsys):

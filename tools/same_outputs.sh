@@ -6,11 +6,11 @@
 #
 # Extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs, against both source trees:
-# the seed-7 acceptance suite, the README examples, `field --epsilon 0.1
-# --word=-` and the --map commands on z**3.  Each command's --out tree,
-# stdout, exit status and (for the suite, with its timings removed) stderr
-# are collected per tree and compared with `diff -r`.  Exit status 0 means
-# no difference.
+# the seed-7 acceptance suite, the README examples, every other
+# subcommand once with the flags it reads, and the --map commands on
+# z**3.  Each command's --out tree, stdout, exit status and (for the
+# suite, with its timings removed) stderr are collected per tree and
+# compared with `diff -r`.  Exit status 0 means no difference.
 set -euo pipefail
 
 ref=${1:?usage: tools/same_outputs.sh REF}
@@ -43,6 +43,14 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" heights heights --epsilon -1 --seed 7 --tol 1e-9
     run "$tree" "$out" semigroup semigroup --epsilon 0.1 --tol 1e-9
     run "$tree" "$out" field field --epsilon 0.1 --word=-
+    run "$tree" "$out" classify classify --epsilon -1
+    run "$tree" "$out" linearize linearize --epsilon -1
+    run "$tree" "$out" collinearity collinearity --epsilon -3
+    run "$tree" "$out" julia julia --epsilon -1 --seed 7
+    run "$tree" "$out" b-epsilon b-epsilon --epsilon 0.1 --seed 7 --tol 1e-9
+    run "$tree" "$out" excursions excursions --epsilon 0.1 --word=- --seed 7
+    run "$tree" "$out" bound-528 bound-528 --epsilon -1 --seed 7 --tol 1e-9
+    run "$tree" "$out" limit-decomp limit-decomp --epsilon 0.1 --tol 1e-9
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
