@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -27,7 +28,7 @@ from .cocycle import (
     height_set,
     semigroup_convergence,
 )
-from .errors import ConfigError, ConstructionError, HorolabError, SuiteFailureError
+from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
 from .maps import RationalMap
 from .periodic import (
@@ -157,6 +158,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if cfg.depth is not None and not (1 <= cfg.depth <= MAX_DEPTH):
         raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
     return cfg
+
+
+@contextmanager
+def _junction_key(key: str):
+    """Report a junction depth that concatenation rejects (unsorted, or
+    above the word's entry index) as a bad value of config key `key`."""
+    try:
+        yield
+    except PreconditionError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def cx(z: complex) -> list[float]:
@@ -380,7 +391,8 @@ def cmd_heights(cfg: RunConfig) -> dict:
 def cmd_semigroup(cfg: RunConfig) -> dict:
     y = family_word(cfg.epsilon, cfg.keys["word_y"])
     c = family_word(cfg.epsilon, cfg.keys["word_c"])
-    tab = semigroup_convergence(y, c, cfg.keys["junctions"], cfg.tol)
+    with _junction_key("junctions"):
+        tab = semigroup_convergence(y, c, cfg.keys["junctions"], cfg.tol)
     write_csv(
         cfg.out / "semigroup_defects.csv",
         ["junction", "defect", "beta_concat"],
@@ -478,7 +490,8 @@ def cmd_bound_528(cfg: RunConfig) -> dict:
 def cmd_limit_decomp(cfg: RunConfig) -> dict:
     y = family_word(cfg.epsilon, cfg.keys["word_y"])
     c = family_word(cfg.epsilon, cfg.keys["word_c"])
-    ld = limit_decomposition_check(y, c, cfg.keys["junctions"], cfg.tol)
+    with _junction_key("junctions"):
+        ld = limit_decomposition_check(y, c, cfg.keys["junctions"], cfg.tol)
     body = {
         "sequence": ld.sequence_id,
         "l": ld.l,
@@ -493,7 +506,8 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
     }
     nested_at = cfg.keys["nested_junction"]
     if nested_at is not None:
-        nd = nested_decomposition_check(y, c, nested_at, cfg.tol)
+        with _junction_key("nested_junction"):
+            nd = nested_decomposition_check(y, c, nested_at, cfg.tol)
         body["nested"] = {
             "junction": nested_at,
             "limit_value": nd.limit_value,

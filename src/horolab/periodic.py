@@ -3,14 +3,15 @@
 The all-roots solver is an Aberth-Ehrlich simultaneous iteration with
 deterministic initial placement and a Newton polish, so every caller
 (periodic point enumeration, critical points, preimage steps) resolves
-roots the same way.
+roots the same way.  A root that is not finite, or whose residual is
+above tolerance, is a RootFindingError.
 
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
-fixed point a, normalized phi(a) = 0, phi'(a) = 1.  The direct Koenigs
-limit lambda^n (g^n(z) - a) multiplies rounding noise of the inverse
-branch g by lambda^n, which stalls around 1e-9 in double precision, so
-the limit is evaluated in extended (mpmath) precision and rounded on
-return.
+fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
+power series of phi at a, whose coefficients follow from the Taylor
+series of f at a, summed in double precision on a disk that holds no
+critical value of f and that the a-fixing inverse branch maps into
+itself.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -35,6 +35,7 @@ from .maps import (
     RationalMap,
     compose,
     evaluate,
+    is_inf,
     poly_eval,
     poly_mul,
     poly_sub,
@@ -47,8 +48,6 @@ PARABOLIC_TOL = 1e-8
 PARABOLIC_ORDER_BOUND = 64
 ROOT_RESIDUAL_TOL = 1e-9
 BRANCH_COLLISION_TOL = 1e-13
-LINEARIZER_DPS = 40
-LINEARIZER_STOP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +122,9 @@ def _aberth(c: np.ndarray, max_iter: int = 300) -> np.ndarray:
 
 def _check_residuals(c, roots, residual_tol):
     cs = max(abs(x) for x in c)
-    worst = 0.0
-    for z in roots:
-        res = abs(poly_eval(c, z)) / (cs * max(1.0, abs(z)) ** (len(c) - 1))
-        worst = max(worst, res)
-    # Multiple roots polish like |res| ~ eps^(1/m); allow a soft factor
-    # before declaring failure so genuine clusters still pass.
-    if worst > residual_tol:
+    residuals = [abs(poly_eval(c, z)) / (cs * max(1.0, abs(z)) ** (len(c) - 1)) for z in roots]
+    worst = float(np.max(residuals))  # a non-finite root's NaN propagates and fails below
+    if not worst <= residual_tol:
         raise RootFindingError(
             f"root residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
         )
@@ -210,7 +205,7 @@ def make_periodic_point(f: RationalMap, z: complex, period: int) -> PeriodicPoin
     """Polish the candidate by Newton on f^period(z) - z, then validate."""
     z = _polish_periodic(f, z, period)
     w = f.iterate(z, period)
-    if abs(w - z) > 1e-9 * (1.0 + abs(z)):
+    if not abs(w - z) <= 1e-9 * (1.0 + abs(z)):  # NaN fails too
         raise ConstructionError(
             f"|f^{period}(z) - z| = {abs(w - z):.3e}; not a period-{period} point"
         )
@@ -276,7 +271,7 @@ def _minimal_period(f: RationalMap, z: complex, period: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# preimage solving (shared with orbit construction and Julia sampling)
+# preimage solving (linearizer pullback and collinearity preimage tree)
 
 
 def preimage_points(f: RationalMap, w: complex) -> list[complex]:
@@ -292,14 +287,23 @@ def preimage_points(f: RationalMap, w: complex) -> list[complex]:
 # ---------------------------------------------------------------------------
 # Koenigs linearizer
 
+# Terms of the Schroeder series.  phi is analytic on the certified disk
+# and the series is summed at most half its radius from a, where the
+# Cauchy estimate bounds term n by 2^-n * max|phi| on the disk: 64 terms
+# leave a truncation error of 2^-64 (5e-20) of that maximum, below
+# double-precision rounding.
+SERIES_TERMS = 64
+
 
 class Linearizer:
     """Koenigs coordinate at a repelling fixed point.
 
     phi(f(z)) = multiplier * phi(z) on the certified disk, with
-    phi(a) = 0 and phi'(a) = 1.  Evaluation outside the disk pulls the
-    point back with the a-fixing inverse branch until it enters, then
-    pushes the value forward by powers of the multiplier.
+    phi(a) = 0 and phi'(a) = 1.  phi is the Schroeder power series at a,
+    built once from the Taylor series of f at a and summed in double
+    precision within half the certified radius.  A point farther out is
+    pulled back by the a-fixing inverse branch until it is that close,
+    and the value pushed forward by powers of the multiplier.
     """
 
     def __init__(self, f: RationalMap, point: PeriodicPoint, radius: float):
@@ -308,57 +312,60 @@ class Linearizer:
         self.map = f
         self.point = point
         self.radius = radius
-        self._num = [mp.mpc(c) for c in f.num]
-        self._den = [mp.mpc(c) for c in f.den]
-        eps = quadratic_epsilon(f)
-        self._quad_eps = mp.mpc(eps) if eps is not None else None
-        with mp.workdps(LINEARIZER_DPS):
-            a = _mp_fixed_point(self._num, self._den, mp.mpc(point.location))
-            self._a = a
-            p, q = _mp_eval(self._num, a), _mp_eval(self._den, a)
-            dp, dq = _mp_eval(_mp_der(self._num), a), _mp_eval(_mp_der(self._den), a)
-            self._lambda = (dp * q - p * dq) / q**2
-
-    @property
-    def multiplier(self) -> complex:
-        return complex(self._lambda)
+        self._a = complex(point.location)
+        self._quad_eps = quadratic_epsilon(f)
+        self.multiplier, self._coeffs = _schroeder_series(f, self._a)
 
     def __call__(self, z: complex) -> complex:
-        with mp.workdps(LINEARIZER_DPS):
-            w = mp.mpc(z)
-            pushed = 0
-            while abs(w - self._a) > self.radius:
-                w = self._pullback(w)
-                pushed += 1
-                if pushed > 80:
-                    raise DomainError(
-                        "point did not reach the certified disk under pullback"
-                    )
-            val = self._koenigs_limit(w)
-            return complex(val * self._lambda**pushed)
-
-    def _pullback(self, w):
-        """One step of the a-fixing inverse branch, by Newton from the
-        linear prediction a + (w - a)/lambda (closed form for the
-        quadratic family)."""
-        guess = self._a + (w - self._a) / self._lambda
-        if self._quad_eps is not None:
-            s = mp.sqrt(w - self._quad_eps)
-            return s if abs(s - guess) <= abs(-s - guess) else -s
-        return _mp_inverse_step(self._num, self._den, w, guess)
-
-    def _koenigs_limit(self, w):
-        a, lam = self._a, self._lambda
-        val = w - a
-        power = mp.mpc(1)
-        for _ in range(400):
+        w = complex(z)
+        pushed = 0
+        while abs(w - self._a) > 0.5 * self.radius:
             w = self._pullback(w)
-            power *= lam
-            new = power * (w - a)
-            if abs(new - val) < LINEARIZER_STOP:
-                return new
-            val = new
-        raise ConstructionError("Koenigs limit did not stabilize to 1e-12")
+            pushed += 1
+            if pushed > 80:
+                raise DomainError("point did not reach the certified disk under pullback")
+        return poly_eval(self._coeffs, w - self._a) * self.multiplier**pushed
+
+    def _pullback(self, w: complex) -> complex:
+        """One step of the a-fixing inverse branch: the preimage nearest
+        the linear prediction a + (w - a)/lambda (closed form for the
+        quadratic family)."""
+        guess = self._a + (w - self._a) / self.multiplier
+        if self._quad_eps is not None:
+            s = cmath.sqrt(w - self._quad_eps)
+            return s if abs(s - guess) <= abs(-s - guess) else -s
+        return min(preimage_points(self.map, w), key=lambda z: abs(z - guess))
+
+
+def _schroeder_series(f: RationalMap, a: complex) -> tuple[complex, tuple[complex, ...]]:
+    """The multiplier lambda and the coefficients d_0..d_N (N =
+    SERIES_TERMS) of phi(a + u) = sum d_n u^n.
+
+    g(u) = f(a + u) - a is expanded by a truncated series division of
+    the shifted numerator by the shifted denominator; phi(f) = lambda*phi
+    then gives d_1 = 1 and d_n = [u^n](sum_{k<n} d_k g^k) / (lambda - lambda^n)
+    (Milnor, Dynamics in One Complex Variable, section 8).
+    """
+    n = SERIES_TERMS + 1
+    shifted = compose(f, RationalFunction((a, 1 + 0j)))
+    num, den = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+    num[: len(shifted.num)] = shifted.num[:n]
+    den[: len(shifted.den)] = shifted.den[:n]
+    g = np.zeros(n, dtype=complex)
+    g[0] = a  # f(a)
+    for k in range(1, n):
+        g[k] = (num[k] - np.dot(den[1 : k + 1], g[k - 1 :: -1])) / den[0]
+    g[0] = 0.0  # g(u) = f(a + u) - a
+    lam = complex(g[1])
+    d = np.zeros(n, dtype=complex)
+    d[1] = 1.0
+    power = g.copy()  # g^(k-1) at the top of step k, truncated like all series here
+    total = g.copy()  # sum_{j<k} d_j g^j at the top of step k
+    for k in range(2, n):
+        d[k] = total[k] / (lam - lam**k)
+        power = np.convolve(power, g)[:n]
+        total += d[k] * power
+    return lam, tuple(complex(x) for x in d)
 
 
 def functional_equation_residual(lin: Linearizer, n: int) -> float:
@@ -370,46 +377,6 @@ def functional_equation_residual(lin: Linearizer, n: int) -> float:
     return residual
 
 
-def _mp_der(c):
-    return [k * c[k] for k in range(1, len(c))] or [mp.mpc(0)]
-
-
-def _mp_eval(c, z):
-    acc = mp.mpc(0)
-    for x in reversed(c):
-        acc = acc * z + x
-    return acc
-
-
-def _mp_fixed_point(num, den, guess):
-    """Polish f(z) = z in working precision."""
-    z = guess
-    for _ in range(60):
-        p, q = _mp_eval(num, z), _mp_eval(den, z)
-        g = p - z * q
-        dg = _mp_eval(_mp_der(num), z) - q - z * _mp_eval(_mp_der(den), z)
-        step = g / dg
-        z = z - step
-        if abs(step) < mp.mpf(10) ** (-LINEARIZER_DPS + 4):
-            return z
-    raise ConstructionError("fixed point did not polish in extended precision")
-
-
-def _mp_inverse_step(num, den, target, guess):
-    """Newton solve f(w) = target from the given branch guess."""
-    w = guess
-    dnum, dden = _mp_der(num), _mp_der(den)
-    for _ in range(80):
-        p, q = _mp_eval(num, w), _mp_eval(den, w)
-        g = p - target * q
-        dg = _mp_eval(dnum, w) - target * _mp_eval(dden, w)
-        step = g / dg
-        w = w - step
-        if abs(step) < mp.mpf(10) ** (-LINEARIZER_DPS + 4) * (1 + abs(w)):
-            return w
-    raise ConstructionError("inverse branch Newton did not converge")
-
-
 def build_linearizer(
     f: RationalMap,
     point: PeriodicPoint,
@@ -418,10 +385,12 @@ def build_linearizer(
 ) -> Linearizer:
     """Certify a disk for the Koenigs coordinate by shrink-and-retry.
 
-    The candidate radius is accepted when the inverse branch maps the
-    sampled boundary strictly inside the disk with contraction factor
-    at most (1/|lambda| + 1)/2; the maximum principle then controls
-    the interior at desk scale.
+    A candidate radius r is accepted when the closed disk of radius r
+    about a holds no finite critical value f(c), so the inverse branch
+    fixing a is analytic on it, and that branch maps the sampled
+    boundary circle inside radius r*(1/|lambda| + 1)/2, so by the maximum
+    principle it maps the disk into itself.  phi is then analytic on the
+    disk, which is what the series evaluation needs.  Otherwise r halves.
     """
     lam = abs(point.multiplier)
     if lam <= 1.0:
@@ -429,9 +398,12 @@ def build_linearizer(
     target = (1.0 / lam + 1.0) / 2.0
     r = initial_radius if initial_radius is not None else 0.5 * (1.0 + abs(point.location))
     lin = Linearizer(f, point, r)
+    a = lin._a
+    critical_values = [v for v in map(f, f.critical_points()) if not is_inf(v)]
     for _ in range(60):
-        lin.radius = r
-        if _radius_certified(lin, r, target, boundary_samples):
+        if all(abs(v - a) > r for v in critical_values) and _radius_certified(
+            lin, r, target, boundary_samples
+        ):
             lin.radius = r
             return lin
         r *= 0.5
@@ -439,20 +411,15 @@ def build_linearizer(
 
 
 def _radius_certified(lin: Linearizer, r: float, target: float, samples: int) -> bool:
-    with mp.workdps(LINEARIZER_DPS):
-        a = lin._a
-        for k in range(samples):
-            z = a + r * mp.exp(2j * mp.pi * k / samples)
-            try:
-                w = lin._pullback(z)
-            except ConstructionError:
-                return False
-            if abs(w - a) > target * r:
-                return False
-            # the Newton solution must actually invert the map on this branch
-            res = _mp_eval(lin._num, w) / _mp_eval(lin._den, w) - z
-            if abs(res) > mp.mpf(10) ** (-LINEARIZER_DPS + 8):
-                return False
+    a = lin._a
+    for k in range(samples):
+        z = a + r * cmath.exp(2j * math.pi * k / samples)
+        try:
+            w = lin._pullback(z)
+        except RootFindingError:
+            return False
+        if abs(w - a) > target * r:
+            return False
     return True
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -283,6 +285,43 @@ def test_computation_error_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in payload
+
+
+def test_non_finite_periodic_points_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("period = 6\n")
+    code, payload = run(capsys, "classify", "--epsilon", "-1.1", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 1
+    assert payload["error"] == "root-finding-error"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("limit-decomp", "junctions = 5", "junctions"),  # y = "-" enters at depth 6
+        ("limit-decomp", "junctions = 20,10", "junctions"),
+        ("semigroup", "junctions = 0,1", "junctions"),
+        ("limit-decomp", "nested_junction = 2", "nested_junction"),
+    ],
+    ids=["above-entry", "unsorted", "semigroup", "nested"],
+)
+def test_rejected_junction_exits_2(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    code, payload = run(capsys, command, "--epsilon", "0.1", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert payload["message"].startswith(key + ":")
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, horolab.cli; print('mpmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr
 
 
 def test_config_file_merged_under_flags(tmp_path, capsys):

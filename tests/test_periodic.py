@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from horolab.errors import ConstructionError, PreconditionError
+from horolab.errors import ConstructionError, PreconditionError, RootFindingError
 from horolab.maps import RationalMap, evaluate
 from horolab.periodic import (
     all_roots,
@@ -128,6 +128,40 @@ def test_linearizer_functional_equation():
             z = complex(p.location) + lin.radius * 0.4 * cmath.exp(1j * k)
             worst = max(worst, abs(lin(evaluate(f, z)) - lin.multiplier * lin(z)))
         assert worst < 1e-9
+
+
+MOBIUS_SQUARE = RationalMap(num=(0, 0, 1), den=(1, -2, 2))  # w -> w/(1-w) conjugates it to z**2
+
+
+@pytest.mark.parametrize(
+    "f, a, exact",
+    [
+        (quad(0.0), 1.0, cmath.log),
+        (quad(-2.0), 2.0, lambda z: cmath.acosh(z / 2) ** 2),
+        (MOBIUS_SQUARE, 0.5, lambda w: cmath.log(w / (1 - w)) / 4),
+    ],
+    ids=["z**2", "z**2-2", "mobius"],
+)
+def test_linearizer_matches_exact_koenigs_coordinate(f, a, exact):
+    lin = build_linearizer(f, make_periodic_point(f, a, 1))
+    worst = 0.0
+    for k in range(12):
+        for s in (0.25, 0.5, 0.75, 1.0):
+            z = a + lin.radius * s * cmath.exp(1j * (k + 0.5))
+            worst = max(worst, abs(lin(z) - exact(z)))
+    assert worst < 1e-13
+
+
+def test_linearizer_disk_excludes_critical_values():
+    # the critical values 0 and 1 of MOBIUS_SQUARE lie 0.5 from a = 1/2
+    lin = build_linearizer(MOBIUS_SQUARE, make_periodic_point(MOBIUS_SQUARE, 0.5, 1))
+    assert lin.radius < 0.5
+
+
+def test_non_finite_roots_raise():
+    # Aberth on the degree-64 period-6 polynomial of z**2 - 1.1 ends in NaN
+    with pytest.raises(RootFindingError):
+        periodic_points(quad(-1.1), 6)
 
 
 def test_linearizer_normalized_derivative():

@@ -7,10 +7,12 @@
 # Extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs, against both source trees:
 # the seed-7 acceptance suite, the README examples, every other
-# subcommand once with the flags it reads, and the --map commands on
-# z**3.  Each command's --out tree, stdout, exit status and (for the
-# suite, with its timings removed) stderr are collected per tree and
-# compared with `diff -r`.  Exit status 0 means no difference.
+# subcommand once with the flags it reads, the linearizer at a complex
+# parameter, collinearity at both verdicts, the --map commands on z**3
+# and linearize on a non-polynomial map.  Each command's --out tree,
+# stdout, exit status and (for the suite, with its timings removed)
+# stderr are collected per tree and compared with `diff -r`.  Exit
+# status 0 means no difference.
 set -euo pipefail
 
 ref=${1:?usage: tools/same_outputs.sh REF}
@@ -20,8 +22,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
-# one map file for both trees: the report records its path
+# one file per map for both trees: the report records its path
 printf '%s\n' '{"num": [[0,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}' > "$tmp/cube.json"
+# w**2/(2w**2-2w+1), conjugate to z**2; a rational map that is not a polynomial
+printf '%s\n' '{"num": [[0,0],[0,0],[1,0]], "den": [[1,0],[-2,0],[2,0]]}' > "$tmp/mobius.json"
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -45,7 +49,9 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" field field --epsilon 0.1 --word=-
     run "$tree" "$out" classify classify --epsilon -1
     run "$tree" "$out" linearize linearize --epsilon -1
+    run "$tree" "$out" linearize-complex linearize --epsilon=-0.525,0.16
     run "$tree" "$out" collinearity collinearity --epsilon -3
+    run "$tree" "$out" collinearity-full collinearity --epsilon -1
     run "$tree" "$out" julia julia --epsilon -1 --seed 7
     run "$tree" "$out" b-epsilon b-epsilon --epsilon 0.1 --seed 7 --tol 1e-9
     run "$tree" "$out" excursions excursions --epsilon 0.1 --word=- --seed 7
@@ -54,6 +60,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
+    run "$tree" "$out" mobius-linearize linearize --map "$tmp/mobius.json"
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
