@@ -25,8 +25,10 @@ from .cocycle import (
     cocycle_field,
     cocycle_vs_fixed,
     field_mean_value,
+    fixed_orbit,
     height_set,
     semigroup_convergence,
+    values_vs_fixed,
 )
 from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
@@ -365,7 +367,7 @@ def cmd_heights(cfg: RunConfig) -> dict:
     eps = cfg.epsilon
     n_words, m_span = cfg.keys["n_words"], cfg.keys["m_span"]
     words = sample_words(eps, n_words, cfg.seed, cfg.keys["max_len"])
-    betas = [cocycle_vs_fixed(w, cfg.tol) for w in words]
+    betas = values_vs_fixed(words, cfg.tol)
     rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span), window=(0.0, 1.0))
     write_csv(
         cfg.out / "height_values.csv",
@@ -467,7 +469,8 @@ def cmd_bound_528(cfg: RunConfig) -> dict:
     n_words = cfg.keys["n_words"]
     sd = default_sigma_delta(complex(cfg.epsilon.real, 0.0), cfg.seed)
     words = sample_words(cfg.epsilon, n_words, cfg.seed, cfg.keys["max_len"])
-    checks = [cocycle_lower_bound_check(w, sd, cfg.tol) for w in words]
+    fixed = fixed_orbit(words)
+    checks = [cocycle_lower_bound_check(w, sd, cfg.tol, fixed) for w in words]
     write_csv(
         cfg.out / "bound_checks.csv",
         ["prefix", "beta", "tail_bound", "excursion_length", "margin", "ok"],

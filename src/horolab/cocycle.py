@@ -9,10 +9,15 @@ Lipschitz constant of ln|f'| and the measured contraction rate, which
 gives an explicit geometric tail bound.  Every returned value carries
 that bound.
 
-The orbits come from orbits.realize, a one-pass closed-form kernel; the
-field's own backward orbits (_follow) pick preimages by the same
-nearest-preimage rule.  Callers compute each word's value once and hand
-the CocycleValues on: height_set takes values, not words.
+The engine takes realized orbits (RealizedOrbit.at): a word's orbit,
+typically the one its membership check made, is continued to the series
+start depth SERIES_DEPTH past the prefix and continued again on a depth
+restart, never realized afresh.  A batch of values against the fixed
+orbit realizes that orbit once, at the deepest start depth the batch
+needs (fixed_orbit), and cuts it back for each word.  The field's own
+backward orbits (_follow) pick preimages by the same nearest-preimage
+rule.  Callers compute each word's value once and hand the CocycleValues
+on: height_set takes values, not words.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .maps import quadratic_epsilon
 from .orbits import (
     CRITICAL_PROXIMITY,
     OrbitWord,
+    RealizedOrbit,
+    _distances,
     _entry_index,
     _nearer,
     concatenate,
@@ -47,6 +54,7 @@ from .orbits import (
 
 MIN_TOL = 1e-12
 DEPTH_BUDGET = 4000
+SERIES_DEPTH = 120  # a series starts this far past the longer prefix
 
 
 @dataclass(frozen=True)
@@ -113,26 +121,25 @@ def _check_tol(tol: float) -> None:
         raise ConfigError(f"tol must be finite and >= {MIN_TOL:g}, got {tol!r}")
 
 
-def _certified_series(a: complex, sigma: float, tol: float, make_pair, depth0: int) -> CocycleValue:
+def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int) -> CocycleValue:
     """Sum sum_j [ln|f'(y_j)| - ln|f'(x_j)|] with a certified tail.
 
-    make_pair(depth) -> (x_points, y_points), aligned backward orbits
-    starting at index 0.  The truncation depth k is the first index,
-    past both entries, where L * rho/(1-rho) * (|x_k - a| + |y_k - a|)
-    drops below tol; that expression bounds the discarded tail.  rho is
-    1.1 times the larger measured tail contraction, or the local
-    theoretical rate 1/|f'(a)| = 1/|2a| (plus 0.05) when both tails sit
-    at rounding scale.
+    pair_at(depth) -> ((x_points, x_dists, x_entry), (y_points, ...)),
+    aligned backward orbits starting at index 0, with their distances to
+    a and their entry indices into the disk (orbits._entry_index).  The
+    truncation depth k is the first index, past both entries, where
+    L * rho/(1-rho) * (|x_k - a| + |y_k - a|) drops below tol; that
+    expression bounds the discarded tail.  rho is 1.1 times the larger
+    measured tail contraction, or the local theoretical rate
+    1/|f'(a)| = 1/|2a| (plus 0.05) when both tails sit at rounding scale.
+    Without such a k the depth doubles, up to DEPTH_BUDGET.
     """
     L = _log_deriv_lipschitz(a, sigma)
     fallback_rho = 1.0 / abs(2 * a) + 0.05
-    depth = depth0
     while True:
-        px, py = make_pair(depth)
-        ex = _entry_index(px, a, sigma)
-        ey = _entry_index(py, a, sigma)
+        (px, dx, ex), (py, dy, ey) = pair_at(depth)
         if ex is not None and ey is not None:
-            measured = [r for r in (tail_contraction(px, a, ex), tail_contraction(py, a, ey)) if r is not None]
+            measured = [r for r in (tail_contraction(dx, ex), tail_contraction(dy, ey)) if r is not None]
             rho = 1.1 * max(measured) if measured else fallback_rho
             if rho >= 0.999:
                 raise DivergentWordError(
@@ -143,7 +150,7 @@ def _certified_series(a: complex, sigma: float, tol: float, make_pair, depth0: i
             k = None
             bound = math.inf
             for j in range(start, depth + 1):
-                bound = coef * (abs(px[j] - a) + abs(py[j] - a))
+                bound = coef * (dx[j] + dy[j])
                 if bound <= tol:
                     k = j
                     break
@@ -165,7 +172,7 @@ def _certified_series(a: complex, sigma: float, tol: float, make_pair, depth0: i
         depth = min(DEPTH_BUDGET, 2 * depth)
 
 
-def _common_base(x: OrbitWord, y: OrbitWord):
+def _common_base(x, y):
     if x.map != y.map or x.base.location != y.base.location or x.sigma != y.sigma:
         raise PreconditionError("cocycle arguments must share map, base, and sigma")
 
@@ -174,34 +181,66 @@ def _common_base(x: OrbitWord, y: OrbitWord):
 # cocycle operations
 
 
-def basic_cocycle(x: OrbitWord, y: OrbitWord, tol: float) -> CocycleValue:
-    """Certified value of the series between the two backward orbits."""
+def basic_cocycle(x: OrbitWord | RealizedOrbit, y: OrbitWord | RealizedOrbit, tol: float) -> CocycleValue:
+    """Certified value of the series between the two backward orbits.
+
+    The series starts SERIES_DEPTH past the longer prefix.  Realized
+    arguments are cut back or continued to that depth (RealizedOrbit.at), and a
+    depth restart continues both orbits, so no step is taken twice.
+    """
     _check_tol(tol)
     _common_base(x, y)
-    if x == y:
+    if x.word == y.word:
         return CocycleValue(0.0, 0.0, 0)
-    depth0 = max(len(x.prefix), len(y.prefix)) + 120
+    orbs = [x, y]
 
-    def make_pair(depth):
-        return realize(x, depth).points, realize(y, depth).points
+    def pair_at(depth):
+        orbs[:] = [o.at(depth) for o in orbs]
+        return [(o.points, _distances(o.points, x.base.location), o.entry_index) for o in orbs]
 
-    return _certified_series(x.base.location, x.sigma, tol, make_pair, depth0)
-
-
-def cocycle_vs_fixed(y: OrbitWord, tol: float) -> CocycleValue:
-    """Cocycle of y against the fixed orbit at the base point."""
-    return basic_cocycle(fixed_word(y), y, tol)
+    depth0 = max(len(x.prefix), len(y.prefix)) + SERIES_DEPTH
+    return _certified_series(x.base.location, x.sigma, tol, pair_at, depth0)
 
 
-def series_terms(y: OrbitWord, depth: int) -> list[float]:
+def fixed_orbit(words: list[OrbitWord | RealizedOrbit], longest_prefix: int = 0) -> RealizedOrbit:
+    """The fixed orbit at the words' common base, realized once to the
+    series start depth of the longest of their prefixes (or of
+    longest_prefix, for words still to be made), for cocycle_vs_fixed to
+    cut back for each word."""
+    longest = max([longest_prefix] + [len(w.prefix) for w in words])
+    return realize(fixed_word(words[0]), longest + SERIES_DEPTH)
+
+
+def cocycle_vs_fixed(
+    y: OrbitWord | RealizedOrbit, tol: float, fixed: RealizedOrbit | None = None
+) -> CocycleValue:
+    """Cocycle of y against the fixed orbit at the base point.
+
+    fixed, from fixed_orbit, saves realizing the fixed orbit for each of
+    many words; without it the fixed orbit is realized here.
+    """
+    _check_tol(tol)  # before any realization, as in basic_cocycle
+    depth0 = len(y.prefix) + SERIES_DEPTH
+    x = realize(fixed_word(y), depth0) if fixed is None else fixed.at(depth0)
+    return basic_cocycle(x, y.at(depth0), tol)
+
+
+def values_vs_fixed(ys: list[OrbitWord | RealizedOrbit], tol: float) -> list[CocycleValue]:
+    """cocycle_vs_fixed of each word over one base, with the fixed orbit
+    realized once for all of them."""
+    fixed = fixed_orbit(ys)
+    return [cocycle_vs_fixed(y, tol, fixed) for y in ys]
+
+
+def series_terms(y: OrbitWord | RealizedOrbit, depth: int) -> list[float]:
     """The individual series terms ln|f'(y_{-j})| - ln|f'(a)| to the
     given depth (diagnostic; the certified sum is cocycle_vs_fixed)."""
-    orb = realize(y, depth)
+    orb = y.at(depth)
     base = math.log(abs(2 * y.base.location))
     return [math.log(abs(2 * p)) - base for p in orb.points[1:]]
 
 
-def cocycle_field(c: OrbitWord, z: complex, tol: float) -> float:
+def cocycle_field(c: OrbitWord | RealizedOrbit, z: complex, tol: float) -> float:
     """The cocycle field at z inside the certified disk.
 
     The series runs between the backward orbit of z along the a-fixing
@@ -215,18 +254,26 @@ def cocycle_field(c: OrbitWord, z: complex, tol: float) -> float:
     if abs(z - a) >= sigma:
         raise DomainError("field evaluation point must lie inside the sigma-disk")
     eps = quadratic_epsilon(c.map)
+    guide = [c]
 
-    def make_pair(depth):
-        guide = realize(c, depth).points[1:]
-        return _follow(z, eps, [a] * depth, sigma), _follow(z, eps, guide)
+    def pair_at(depth):
+        guide[0] = guide[0].at(depth)
+        pair = []
+        for pts in (_follow(z, eps, [a] * depth, sigma), _follow(z, eps, guide[0].points[1:])):
+            d = _distances(pts, a)
+            pair.append((pts, d, _entry_index(d, sigma)))
+        return pair
 
-    return _certified_series(a, sigma, tol, make_pair, len(c.prefix) + 120).value
+    return _certified_series(a, sigma, tol, pair_at, len(c.prefix) + SERIES_DEPTH).value
 
 
-def field_mean_value(c: OrbitWord, tol: float) -> tuple[float, float]:
+def field_mean_value(c: OrbitWord | RealizedOrbit, tol: float) -> tuple[float, float]:
     """The field at z0 = a + 0.3*sigma and its mean-value residual, the
     distance to its average over 16 equally spaced points on the circle
-    of radius sigma/10 about z0 (zero for a harmonic field)."""
+    of radius sigma/10 about z0 (zero for a harmonic field).  c is
+    realized once for all 17 values."""
+    _check_tol(tol)
+    c = c.at(len(c.prefix) + SERIES_DEPTH)
     z0 = c.base.location + 0.3 * c.sigma
     center = cocycle_field(c, z0, tol)
     r = c.sigma / 10.0
@@ -302,24 +349,29 @@ def height_set(
 
 
 def semigroup_convergence(
-    y: OrbitWord, c: OrbitWord, junctions: list[int], tol: float
+    y: OrbitWord | RealizedOrbit, c: OrbitWord | RealizedOrbit, junctions: list[int], tol: float
 ) -> SemigroupTable:
     """Defect of beta under concatenation, per junction depth.
 
     The defect |beta(concat(y,c,j)) - beta(y) - beta(c)| decays like the
     distance from y's depth-j point to a; the fitted geometric rate is
     reported as a diagnostic where the defect is above rounding scale.
+    y is realized once, for its value and every junction, and the fixed
+    orbit once, for every value.
     """
     if list(junctions) != sorted(junctions) or len(set(junctions)) != len(junctions):
         raise PreconditionError("junctions must be strictly increasing")
-    beta_y = cocycle_vs_fixed(y, tol)
-    beta_c = cocycle_vs_fixed(c, tol)
+    _check_tol(tol)
+    fixed = fixed_orbit([y, c], max(junctions, default=0) + len(c.prefix))
+    y = y.at(len(y.prefix) + SERIES_DEPTH)
+    beta_y = cocycle_vs_fixed(y, tol, fixed)
+    beta_c = cocycle_vs_fixed(c, tol, fixed)
     expected = beta_y.value + beta_c.value
     betas = []
     defects = []
     for j in junctions:
         w = concatenate(y, c, j)
-        b = cocycle_vs_fixed(w, tol)
+        b = cocycle_vs_fixed(w, tol, fixed)
         betas.append(b)
         defects.append(abs(b.value - expected))
     rate = _fit_rate(junctions, defects)

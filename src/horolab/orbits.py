@@ -15,13 +15,20 @@ realize takes each step in one closed-form pass, and its tail rule
 field.  Words exist for the quadratic family only (f'(z) = 2z, critical
 point 0); RationalMap and the Aberth solver serve the --map commands
 (fixed-points, classify, linearize, collinearity) instead.
+
+A word is realized once and then extended: realize continues a
+shallower realization of the word (resume), and RealizedOrbit.at also
+cuts a deeper one back, each bitwise equal to realizing from scratch
+because the steps are deterministic.  A RealizedOrbit reads like its word, so
+the membership check, concatenation, the series engine and the
+excursion count take realizations and pass them on.
 """
 
 from __future__ import annotations
 
 import cmath
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ConfigError,
@@ -64,6 +71,15 @@ class OrbitWord:
         if bad:
             raise ConfigError(f"quadratic-family symbols are '+'/'-', got {bad}")
 
+    @property
+    def word(self) -> OrbitWord:
+        """The word itself, as RealizedOrbit.word is its word."""
+        return self
+
+    def at(self, depth: int) -> RealizedOrbit:
+        """The word's realization to the given depth (realize)."""
+        return realize(self, depth)
+
     def to_json(self) -> dict:
         eps = quadratic_epsilon(self.map)
         return {"epsilon": [eps.real, eps.imag], "prefix": self.prefix, "sigma": self.sigma}
@@ -71,7 +87,12 @@ class OrbitWord:
 
 @dataclass(frozen=True)
 class RealizedOrbit:
-    """A realized backward orbit: points[j] approximates y_{-j}."""
+    """A realized backward orbit: points[j] approximates y_{-j}.
+
+    It reads like its word (prefix, map, base, sigma, at), so the
+    functions that take a word take its realization as well, and
+    continue or cut it rather than realize the word again.
+    """
 
     word: OrbitWord
     depth: int
@@ -79,18 +100,41 @@ class RealizedOrbit:
     choices: str
     entry_index: int | None  # first depth from which every point stays in the disk
 
+    prefix = property(lambda self: self.word.prefix)
+    map = property(lambda self: self.word.map)
+    base = property(lambda self: self.word.base)
+    sigma = property(lambda self: self.word.sigma)
+
+    def at(self, depth: int) -> RealizedOrbit:
+        """The word's realization to the given depth: this one continued
+        (realize with resume) when deeper, cut back when shallower.  A
+        cut reruns the closing checks on the shorter orbit, so either way
+        the result, or the error, is that of realize(word, depth)."""
+        if depth > self.depth:
+            return realize(self.word, depth, self)
+        if depth == self.depth:
+            return self
+        _check_depth(self.word, depth)
+        return _settle(self.word, depth, self.points[: depth + 1], self.choices[:depth])
+
     def tail_contraction(self) -> float | None:
         """Largest measured tail step ratio past entry, or None before entry."""
         if self.entry_index is None:
             return None
-        return tail_contraction(self.points, self.word.base.location, self.entry_index)
+        return tail_contraction(_distances(self.points, self.word.base.location), self.entry_index)
 
 
-def tail_contraction(pts, a: complex, entry: int) -> float | None:
+def _distances(points, a: complex) -> list[float]:
+    """|p - a| for each point."""
+    return [abs(p - a) for p in points]
+
+
+def tail_contraction(dists, entry: int) -> float | None:
     """Largest step ratio |p_{j+1} - a| / |p_j - a| from the entry index
-    on, over steps still above the double-precision noise floor."""
-    d = [abs(p - a) for p in pts]
-    ratios = [d[j + 1] / d[j] for j in range(max(entry, 1), len(d) - 1) if d[j] > RHO_SIGNAL_FLOOR]
+    on, over steps still above the double-precision noise floor; dists
+    holds the distances |p_j - a|."""
+    steps = range(max(entry, 1), len(dists) - 1)
+    ratios = [dists[j + 1] / dists[j] for j in steps if dists[j] > RHO_SIGNAL_FLOOR]
     return max(ratios) if ratios else None
 
 
@@ -99,14 +143,21 @@ def _nearer(s: complex, target: complex) -> bool:
     and cocycle_field share this rule).  A near-tie, distances within
     1e-12*(1+d), goes to the larger imaginary part, then real part."""
     dp, dm = abs(s - target), abs(-s - target)
-    d = min(dp, dm)
+    d = dm if dm < dp else dp
     slack = d + 1e-12 * (1.0 + d)
     if dp <= slack and dm <= slack:
         return (s.imag, s.real) >= (-s.imag, -s.real)
     return dp < dm
 
 
-def realize(word: OrbitWord, depth: int) -> RealizedOrbit:
+def _check_depth(word: OrbitWord, depth: int) -> None:
+    if depth < len(word.prefix):
+        raise PreconditionError(
+            f"depth {depth} is shorter than the prefix ({len(word.prefix)} symbols)"
+        )
+
+
+def realize(word: OrbitWord, depth: int, resume: RealizedOrbit | None = None) -> RealizedOrbit:
     """Realize the word to the given depth in one pass.
 
     Each step takes s = sqrt(w - epsilon) once, picks its sign by the
@@ -115,60 +166,76 @@ def realize(word: OrbitWord, depth: int) -> RealizedOrbit:
     must stay below 1e-12 (relative).  Once the orbit has had room to
     settle it must enter D_sigma(a) and contract monotonically, else the
     word is reported divergent.
+
+    With resume, a shallower realization of the same word, the pass
+    continues from its last point instead of starting over.  The steps
+    are deterministic, so the result, or the error raised, is bitwise
+    that of realizing from scratch.
     """
+    _check_depth(word, depth)
     prefix = word.prefix
-    if depth < len(prefix):
-        raise PreconditionError(
-            f"depth {depth} is shorter than the prefix ({len(prefix)} symbols)"
-        )
     eps = quadratic_epsilon(word.map)
     a = word.base.location
-    pts: list[complex] = [a]
-    choices: list[str] = []
-    w = a
-    for j in range(depth):
+    if resume is None:
+        pts, choices = [a], []
+    elif resume.word != word or resume.depth > depth:
+        raise PreconditionError("resume needs a shallower realization of the same word")
+    else:
+        pts, choices = list(resume.points), list(resume.choices)
+    n = len(prefix)
+    w = pts[-1]
+    rw = abs(w)
+    for j in range(len(choices), depth):
         s = cmath.sqrt(w - eps)
-        if 2.0 * abs(s) < COLLISION_TOL * max(1.0, abs(s)):
+        r = abs(s)  # also |z|, the next step's |w|
+        if 2.0 * r < COLLISION_TOL * (r if r > 1.0 else 1.0):
             raise DegenerateBranchError(
                 f"inverse branches collide at depth {j + 1}: both preimages of"
                 f" {w!r} coincide at {s!r}"
             )
-        plus = prefix[j] == "+" if j < len(prefix) else _nearer(s, a)
+        plus = prefix[j] == "+" if j < n else _nearer(s, a)
         z = s if plus else -s
         res = abs(z * z + eps - w)
-        if res > RESIDUAL_TOL * max(1.0, abs(w)):
+        if res > RESIDUAL_TOL * (rw if rw > 1.0 else 1.0):
             raise ConstructionError(
                 f"backward step at depth {j + 1} fails the residual check:"
                 f" {res:.3e}"
             )
         pts.append(z)
         choices.append("+" if plus else "-")
-        w = z
-    entry = _entry_index(pts, a, word.sigma)
-    if entry is None and depth - len(prefix) >= DIVERGENCE_GRACE:
+        w, rw = z, r
+    return _settle(word, depth, tuple(pts), "".join(choices))
+
+
+def _settle(word: OrbitWord, depth: int, pts: tuple[complex, ...], choices: str) -> RealizedOrbit:
+    """The checks that close a realization: the tail must have entered
+    the disk once it had room to, and contract from the entry on."""
+    dists = _distances(pts, word.base.location)
+    entry = _entry_index(dists, word.sigma)
+    if entry is None and depth - len(word.prefix) >= DIVERGENCE_GRACE:
         raise DivergentWordError(
             f"tail did not settle into the sigma-disk within depth {depth}"
         )
     if entry is not None:
-        _check_tail_monotone(pts, a, entry, depth)
-    return RealizedOrbit(word, depth, tuple(pts), "".join(choices), entry)
+        _check_tail_monotone(dists, entry, depth)
+    return RealizedOrbit(word, depth, pts, choices, entry)
 
 
-def _entry_index(pts, a, sigma) -> int | None:
-    last_outside = -1
-    for j, p in enumerate(pts):
-        if abs(p - a) >= sigma:
-            last_outside = j
-    entry = last_outside + 1
-    if len(pts) - entry < TAIL_CONFIRM + 1:
+def _entry_index(dists, sigma) -> int | None:
+    """First index from which every distance to a stays below sigma, or
+    None when fewer than TAIL_CONFIRM + 1 points confirm it."""
+    entry = len(dists)
+    while entry > 0 and not dists[entry - 1] >= sigma:
+        entry -= 1
+    if len(dists) - entry < TAIL_CONFIRM + 1:
         return None
     return entry
 
 
-def _check_tail_monotone(pts, a, entry, depth):
-    for j in range(max(entry, 1), depth):
-        d0, d1 = abs(pts[j] - a), abs(pts[j + 1] - a)
-        if d1 > max(d0 * (1.0 + 1e-9), 1e-14):
+def _check_tail_monotone(dists, entry, depth):
+    start = max(entry, 1)
+    for j, d0, d1 in zip(range(start, depth), dists[start:depth], dists[start + 1 :]):
+        if d1 > d0 * (1.0 + 1e-9) and d1 > 1e-14:
             raise DivergentWordError(
                 f"in-disk tail fails to contract at depth {j + 1}:"
                 f" {d0:.3e} -> {d1:.3e}"
@@ -179,19 +246,21 @@ def _check_tail_monotone(pts, a, entry, depth):
 class PiMembership:
     member: bool
     reason: str  # "ok" | "fixed-orbit" | "critical-hit" | "no-tail-convergence"
+    orbit: RealizedOrbit | None = field(default=None, repr=False, compare=False)  # the realization checked
 
 
-def is_in_Pi_a(word: OrbitWord, depth: int) -> PiMembership:
+def is_in_Pi_a(word: OrbitWord | RealizedOrbit, depth: int) -> PiMembership:
     """Does the word define an admissible backward orbit distinct from
     the fixed orbit, avoiding critical points, with a convergent tail?
 
     The all-principal word realizes the constant orbit at a and is
     excluded.  A realized point within 1e-8 of the critical point 0 (or
     a branch collision while realizing, which is the same event seen one
-    step earlier) rejects with reason "critical-hit".
+    step earlier) rejects with reason "critical-hit".  The verdict
+    carries the realization it checked, for callers to continue.
     """
     try:
-        orb = realize(word, depth)
+        orb = word.at(depth)
     except DegenerateBranchError:
         return PiMembership(False, "critical-hit")
     except DivergentWordError:
@@ -199,18 +268,19 @@ def is_in_Pi_a(word: OrbitWord, depth: int) -> PiMembership:
     a = word.base.location
     scale = 1.0 + abs(a)
     if all(abs(p - a) <= 1e-12 * scale for p in orb.points):
-        return PiMembership(False, "fixed-orbit")
+        return PiMembership(False, "fixed-orbit", orb)
     if any(abs(p) <= CRITICAL_PROXIMITY for p in orb.points):
-        return PiMembership(False, "critical-hit")
+        return PiMembership(False, "critical-hit", orb)
     if orb.entry_index is None:
-        return PiMembership(False, "no-tail-convergence")
-    return PiMembership(True, "ok")
+        return PiMembership(False, "no-tail-convergence", orb)
+    return PiMembership(True, "ok", orb)
 
 
-def shift(word: OrbitWord, n: int) -> OrbitWord:
+def shift(word: OrbitWord | RealizedOrbit, n: int) -> OrbitWord:
     """Shift the word n steps (positive: deeper, prepending principal
     symbols; negative: toward the root, which must only consume
     principal symbols or the shifted word would leave the leaf of a)."""
+    word = word.word
     if n == 0:
         return word
     if n > 0:
@@ -225,33 +295,39 @@ def shift(word: OrbitWord, n: int) -> OrbitWord:
     return dataclasses.replace(word, prefix=word.prefix[k:])
 
 
-def fixed_word(word: OrbitWord) -> OrbitWord:
+def fixed_word(word: OrbitWord | RealizedOrbit) -> OrbitWord:
     """The all-principal word over the same base (realizes the fixed orbit)."""
-    return dataclasses.replace(word, prefix="")
+    return dataclasses.replace(word.word, prefix="")
 
 
-def concatenate(y: OrbitWord, c: OrbitWord, junction_depth: int) -> OrbitWord:
+def concatenate(
+    y: OrbitWord | RealizedOrbit, c: OrbitWord | RealizedOrbit, junction_depth: int
+) -> RealizedOrbit:
     """Graft c onto y at a depth where y has already settled at a.
 
     The new word replays y's realized choices through the junction and
     then follows c's prefix; because y is in the disk at the junction,
     the grafted branches track c's orbit.  Requires both words to share
-    the base and the junction to sit at or past y's entry index.
+    the base and the junction to sit at or past y's entry index.  A
+    realized y is cut back, not realized again; the new word comes with
+    the realization its membership check made.
     """
     if y.map != c.map or y.sigma != c.sigma or y.base.location != c.base.location:
         raise PreconditionError("concatenation requires words over the same base")
     if junction_depth < 0:
         raise PreconditionError("junction depth must be nonnegative")
-    probe_depth = max(junction_depth, len(y.prefix)) + TAIL_CONFIRM + 1
-    orb = realize(y, probe_depth)
-    if orb.entry_index is None or orb.entry_index > junction_depth:
+    probe = y.at(max(junction_depth, len(y.prefix)) + TAIL_CONFIRM + 1)
+    if probe.entry_index is None or probe.entry_index > junction_depth:
+        # the probe can stop short of confirming an entry; at the divergence
+        # grace past the prefix a realization either confirms one or raises
+        confirm = max(probe.depth, len(y.prefix) + DIVERGENCE_GRACE + TAIL_CONFIRM)
         raise PreconditionError(
             f"junction depth {junction_depth} is above y's certified entry"
-            f" index ({orb.entry_index})"
+            f" index ({y.at(confirm).entry_index})"
         )
-    new = dataclasses.replace(y, prefix=orb.choices[:junction_depth] + c.prefix)
+    new = dataclasses.replace(y.word, prefix=probe.choices[:junction_depth] + c.prefix)
     check_depth = junction_depth + len(c.prefix) + DIVERGENCE_GRACE + TAIL_CONFIRM
     mem = is_in_Pi_a(new, check_depth)
     if not mem.member:
         raise DomainError(f"concatenated word fails membership: {mem.reason}")
-    return new
+    return mem.orbit

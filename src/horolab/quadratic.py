@@ -10,6 +10,11 @@ the first three backward disks pairwise disjoint, and delta, half the
 smallest log-derivative gap to |f'(a)| over sampled Julia points away
 from those disks.  Certificates are dense boundary samples with
 recorded margins, not interval arithmetic.
+
+sample_words hands each admitted word on as the realization its
+membership check made (MEMBERSHIP_DEPTH past the prefix); the value,
+the excursion count and the decomposition checks continue it rather
+than realize the word again.
 """
 
 from __future__ import annotations
@@ -22,7 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import CocycleValue, DensityReport, cocycle_vs_fixed, make_density_report
+from .cocycle import (
+    SERIES_DEPTH,
+    CocycleValue,
+    DensityReport,
+    _check_tol,
+    cocycle_vs_fixed,
+    fixed_orbit,
+    make_density_report,
+    values_vs_fixed,
+)
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -48,6 +62,7 @@ SIGMA_FLOOR_FACTOR = 1e-4
 NEAR_BOUNDARY_PROXIMITY = 1e-3
 NORMALIZED_TOL = 1e-9
 DEFAULT_MAX_PREFIX = 10
+MEMBERSHIP_DEPTH = 80  # a word's membership is checked this far past its prefix
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +139,14 @@ def sample_words(
     max_len: int = DEFAULT_MAX_PREFIX,
     require_normalized: bool = True,
     sigma: float | None = None,
-) -> list[OrbitWord]:
+) -> list[RealizedOrbit]:
     """n distinct admissible words with seeded random prefixes.
 
     Normalized words start with '-' (first backward step to -a), the
-    hypothesis under which excursion statistics are defined.
+    hypothesis under which excursion statistics are defined.  Each word
+    comes as the realization its membership check made (MEMBERSHIP_DEPTH
+    past the prefix), which reads like the word; the series engine and
+    the excursion count continue it instead of realizing the word again.
     """
     if n < 1 or max_len < 1:
         raise ConfigError(f"need n >= 1 words of max_len >= 1, got n={n}, max_len={max_len}")
@@ -146,9 +164,9 @@ def sample_words(
         if prefix in seen:
             continue
         seen.add(prefix)
-        w = family_word(epsilon, prefix, sigma)
-        if is_in_Pi_a(w, len(prefix) + 80).member:
-            out.append(w)
+        mem = is_in_Pi_a(family_word(epsilon, prefix, sigma), len(prefix) + MEMBERSHIP_DEPTH)
+        if mem.member:
+            out.append(mem.orbit)
     if len(out) < n:
         raise ConfigError(
             f"only {len(out)} of {n} admissible words found within the attempt budget"
@@ -431,21 +449,24 @@ class ExcursionStats:
     d: int  # total time spent outside the disk (depth indices >= 1)
 
 
-def excursion_stats(word: OrbitWord, sd: SigmaDelta) -> ExcursionStats:
+def excursion_stats(word: OrbitWord | RealizedOrbit, sd: SigmaDelta | None = None) -> ExcursionStats:
     """Leaving/return indices of the realized orbit against the
-    certified disk.  Requires the normalized form (first backward point
-    at -a); normalize_word performs the shift."""
-    orb = realize(word, len(word.prefix) + 120)
+    certified disk of sd, or the word's own disk (radius word.sigma)
+    when sd is None.  The orbit is the one the series is summed along,
+    SERIES_DEPTH past the prefix.  Requires the normalized form (first
+    backward point at -a); normalize_word performs the shift."""
+    orb = word.at(len(word.prefix) + SERIES_DEPTH)
     a = word.base.location
     if abs(orb.points[1] + a) > NORMALIZED_TOL * (1.0 + abs(a)):
         raise PreconditionError(
             "word is not normalized (y_{-1} != -a); apply normalize_word first"
         )
-    inside = [abs(p - a) < sd.sigma for p in orb.points]
+    sigma = word.sigma if sd is None else sd.sigma
+    inside = [abs(p - a) < sigma for p in orb.points]
     J = [j for j in range(orb.depth) if inside[j] and not inside[j + 1]]
     K = [j for j in range(1, orb.depth + 1) if not inside[j - 1] and inside[j]]
     d = sum(1 for j in range(1, orb.depth + 1) if not inside[j])
-    return ExcursionStats(word, tuple(J), tuple(K), len(J), d)
+    return ExcursionStats(word.word, tuple(J), tuple(K), len(J), d)
 
 
 @dataclass(frozen=True)
@@ -457,16 +478,28 @@ class BoundCheck:
     delta_used: float
 
 
-def cocycle_lower_bound_check(word: OrbitWord, sd: SigmaDelta, tol: float) -> BoundCheck:
+def cocycle_lower_bound_check(
+    word: OrbitWord | RealizedOrbit, sd: SigmaDelta, tol: float, fixed: RealizedOrbit | None = None
+) -> BoundCheck:
     """Certified check of |beta| > delta * d.
+
+    The excursions and the value come from one realization of the
+    word; fixed is passed on to cocycle_vs_fixed.
+    """
+    orb = word.at(len(word.prefix) + SERIES_DEPTH)
+    stats = excursion_stats(orb, sd)
+    return lower_bound(cocycle_vs_fixed(orb, tol, fixed), stats, sd)
+
+
+def lower_bound(beta: CocycleValue, stats: ExcursionStats, sd: SigmaDelta) -> BoundCheck:
+    """The check of |beta| > delta * d for a value and excursion count
+    already computed.
 
     When the word's parameter differs from the one delta was computed
     at (the complex-perturbation regime, where sigma/delta come from
     the nearby real parameter), the floor is delta/2.
     """
-    stats = excursion_stats(word, sd)
-    beta = cocycle_vs_fixed(word, tol)
-    eps_word = quadratic_epsilon(word.map)
+    eps_word = quadratic_epsilon(stats.word.map)
     delta_used = sd.delta if eps_word == sd.epsilon else 0.5 * sd.delta
     margin = abs(beta.value) - beta.tail_bound - delta_used * stats.d
     return BoundCheck(margin > 0.0, margin, beta, stats, delta_used)
@@ -498,8 +531,11 @@ def build_B_epsilon(
     total = sum(math.comb(word_budget + l - 1, l) for l in range(1, l_max + 1))
     if total > sum_cap:
         raise ConfigError(f"{total} sums exceed the enumeration cap {sum_cap}")
-    words = sample_words(eps, word_budget, seed, max_len)
-    betas = [cocycle_vs_fixed(w, tol) for w in words]
+    return value_sums(values_vs_fixed(sample_words(eps, word_budget, seed, max_len), tol), l_max)
+
+
+def value_sums(betas: list[CocycleValue], l_max: int) -> DensityReport:
+    """The density report of build_B_epsilon over values already computed."""
     pairs: list[tuple[float, float]] = []
     for l in range(1, l_max + 1):
         for combo in itertools.combinations_with_replacement(range(len(betas)), l):
@@ -546,8 +582,8 @@ def _decreasing(xs: tuple[float, ...]) -> bool:
 
 
 def limit_decomposition_check(
-    y: OrbitWord,
-    c: OrbitWord,
+    y: OrbitWord | RealizedOrbit,
+    c: OrbitWord | RealizedOrbit,
     junction_sequence: list[int],
     tol: float,
     window_depth: int = 8,
@@ -557,34 +593,39 @@ def limit_decomposition_check(
     limit: beta values must converge to beta(y) + beta(c), the junction
     points must fall into a geometrically, and the post-junction window
     must track c's realized orbit.  A fixed-orbit c degenerates to the
-    one-component decomposition with limit beta(y)."""
+    one-component decomposition with limit beta(y).  y, c and each
+    concatenated word are realized once, and the fixed orbit once."""
     junctions = list(junction_sequence)
     if junctions != sorted(junctions) or len(set(junctions)) != len(junctions):
         raise PreconditionError("junction sequence must be strictly increasing")
-    mem_c = is_in_Pi_a(c, len(c.prefix) + 80)
+    mem_c = is_in_Pi_a(c, len(c.prefix) + MEMBERSHIP_DEPTH)
     degenerate = mem_c.reason == "fixed-orbit"
-    beta_y = cocycle_vs_fixed(y, tol)
-    beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else cocycle_vs_fixed(c, tol)
+    c = mem_c.orbit or c
+    _check_tol(tol)
+    fixed = fixed_orbit([y, c], max(junctions, default=0) + len(c.prefix))
+    y = y.at(len(y.prefix) + SERIES_DEPTH)
+    beta_y = cocycle_vs_fixed(y, tol, fixed)
+    beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else cocycle_vs_fixed(c, tol, fixed)
     expected = beta_y.value + beta_c.value
     a = y.base.location
-    guide = realize(c, window_depth + 2)
+    guide = realize(c.word, window_depth + 2)  # as cheap as cutting c's orbit back
     betas = []
     defects = []
     nu_dist = []
     wsup = []
     for j in junctions:
         w = concatenate(y, c, j)
-        b = cocycle_vs_fixed(w, tol)
-        worb = realize(w, j + len(c.prefix) + window_depth + 20)
+        b = cocycle_vs_fixed(w, tol, fixed)
+        worb = w.at(j + len(c.prefix) + window_depth + 20)
         betas.append(b)
         defects.append(abs(b.value - expected))
         nu_dist.append(abs(worb.points[j] - a))
         wsup.append(_window_sup(worb, j, guide, window_depth))
     if degenerate:
-        l, comps, comp_betas = 1, (y,), (beta_y,)
+        l, comps, comp_betas = 1, (y.word,), (beta_y,)
         nus = tuple((0,) for _ in junctions)
     else:
-        l, comps, comp_betas = 2, (y, c), (beta_y, beta_c)
+        l, comps, comp_betas = 2, (y.word, c.word), (beta_y, beta_c)
         nus = tuple((0, j) for j in junctions)
     return LimitDecomposition(
         sequence_id=f"concat({y.prefix!r},{c.prefix!r})@{junctions}",
@@ -605,30 +646,31 @@ def limit_decomposition_check(
 
 
 def nested_decomposition_check(
-    y: OrbitWord,
-    c: OrbitWord,
+    y: OrbitWord | RealizedOrbit,
+    c: OrbitWord | RealizedOrbit,
     junction: int,
     tol: float,
     window_depth: int = 8,
     defect_target: float = 1e-6,
 ) -> LimitDecomposition:
     """Three-component variant: concat(concat(y, c, j), c, 2j) against
-    beta(y) + 2*beta(c)."""
+    beta(y) + 2*beta(c).  The fixed orbit is realized once, and w2 once."""
     w1 = concatenate(y, c, junction)
     w2 = concatenate(w1, c, 2 * junction)
-    beta_y = cocycle_vs_fixed(y, tol)
-    beta_c = cocycle_vs_fixed(c, tol)
+    fixed = fixed_orbit([y, c, w2])
+    beta_y = cocycle_vs_fixed(y, tol, fixed)
+    beta_c = cocycle_vs_fixed(c, tol, fixed)
     expected = beta_y.value + 2.0 * beta_c.value
-    b2 = cocycle_vs_fixed(w2, tol)
+    b2 = cocycle_vs_fixed(w2, tol, fixed)
     defect = abs(b2.value - expected)
     a = y.base.location
-    guide = realize(c, window_depth + 2)
-    worb = realize(w2, 2 * junction + len(c.prefix) + window_depth + 20)
+    guide = realize(c.word, window_depth + 2)
+    worb = w2.at(2 * junction + len(c.prefix) + window_depth + 20)
     return LimitDecomposition(
         sequence_id=f"nested({y.prefix!r},{c.prefix!r})@{junction}",
         l=3,
         nu_indices=((0, junction, 2 * junction),),
-        component_words=(y, c, c),
+        component_words=(y.word, c.word, c.word),
         component_betas=(beta_y, beta_c, beta_c),
         sequence_betas=(b2,),
         defects=(defect,),

@@ -21,18 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
+    SERIES_DEPTH,
+    CocycleValue,
     basic_cocycle,
     cocycle_field,
     cocycle_vs_fixed,
     field_mean_value,
+    fixed_orbit,
     height_set,
     progression_density_check,
     semigroup_convergence,
     series_terms,
+    values_vs_fixed,
 )
 from .julia import inverse_iteration_sample
 from .maps import evaluate
-from .orbits import is_in_Pi_a, realize, shift
+from .orbits import is_in_Pi_a, shift
 from .periodic import (
     build_linearizer,
     collinearity_in_linearizer,
@@ -40,17 +44,21 @@ from .periodic import (
     make_periodic_point,
 )
 from .quadratic import (
+    DEFAULT_MAX_PREFIX,
+    ExcursionStats,
     branch_exceptional,
-    build_B_epsilon,
     cocycle_lower_bound_check,
     default_sigma_delta,
     derivative_extremality_check,
     disk_containment_check,
+    excursion_stats,
     family_word,
     fixed_point_a,
+    lower_bound,
     nested_decomposition_check,
     quadratic_map,
     sample_words,
+    value_sums,
 )
 from .reports import to_json_text
 
@@ -64,11 +72,21 @@ class CriterionResult:
     ok: bool
     details: dict
     elapsed: float
-    artifacts: dict  # raw tables/points for plot emission; not serialized
+    artifacts: dict  # raw tables/points for plot emission and values later criteria reuse; not serialized
 
 
 def _result(index, name, ok, details, t0, artifacts=None) -> CriterionResult:
     return CriterionResult(index, name, bool(ok), details, time.perf_counter() - t0, artifacts or {})
+
+
+def _fixed_values(
+    eps: complex, n: int, seed: int, max_len: int = DEFAULT_MAX_PREFIX
+) -> tuple[list[CocycleValue], float]:
+    """Values of n seeded words against the fixed orbit, and the height
+    step ln|multiplier|.  The sampled orbits go when this returns, before
+    the caller builds its height set."""
+    words = sample_words(eps, n, seed, max_len)
+    return values_vs_fixed(words, 1e-12), math.log(abs(words[0].base.multiplier))
 
 
 def criterion_1(seed: int) -> CriterionResult:
@@ -132,10 +150,9 @@ def criterion_2(seed: int) -> CriterionResult:
 def criterion_3(seed: int) -> CriterionResult:
     """Degenerate parameter: vanishing cocycle, ln-2 ladder."""
     t0 = time.perf_counter()
-    words = sample_words(0.0, 200, seed)
-    betas = [cocycle_vs_fixed(w, 1e-12) for w in words]
+    betas, step = _fixed_values(0.0, 200, seed)
     max_beta = max(abs(b.value) for b in betas)
-    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-40, 40), window=(0.0, 1.0))
+    rep = height_set(betas, step, (-40, 40), window=(0.0, 1.0))
     gap_err = abs(rep.max_gap - math.log(2.0))
     ok = max_beta < 1e-10 and gap_err < 1e-9
     return _result(
@@ -154,33 +171,47 @@ def criterion_3(seed: int) -> CriterionResult:
     )
 
 
+def _sign_law_sample(
+    eps: float, seed: int
+) -> tuple[list[CocycleValue], list[ExcursionStats], set[bool]]:
+    """The 200 seeded words of criteria 4 and 6 at eps, each realized
+    once: their values, their excursions from their own disk (radius
+    find_sigma(eps)), and the signs (term > 0) of their series terms
+    above TERM_ZERO_FLOOR."""
+    words = sample_words(eps, 200, seed)
+    fixed = fixed_orbit(words)
+    betas, excursions, signs = [], [], set()
+    for w in words:
+        orb = w.at(len(w.prefix) + SERIES_DEPTH)
+        beta = cocycle_vs_fixed(orb, 1e-12, fixed)
+        signs.update(t > 0 for t in series_terms(orb, beta.depth_used) if not abs(t) <= TERM_ZERO_FLOOR)
+        betas.append(beta)
+        excursions.append(excursion_stats(orb))
+    return betas, excursions, signs
+
+
 def criterion_4(seed: int) -> CriterionResult:
     """Sign law with term-level agreement."""
     t0 = time.perf_counter()
     details = {}
+    samples = {}
     ok = True
     for eps, want_pos in ((0.1, True), (-1.0, False)):
-        words = sample_words(eps, 200, seed)
-        betas = [cocycle_vs_fixed(w, 1e-12) for w in words]
+        betas, excursions, term_signs = _sign_law_sample(eps, seed)
+        samples[eps] = betas, excursions
         signs_ok = all((b.value > 0) == want_pos and b.value != 0 for b in betas)
-        terms_ok = True
-        for w, b in zip(words, betas):
-            for term in series_terms(w, b.depth_used):
-                if abs(term) <= TERM_ZERO_FLOOR:
-                    continue
-                if (term > 0) != want_pos:
-                    terms_ok = False
+        terms_ok = term_signs <= {want_pos}
         ok = ok and signs_ok and terms_ok
         key = "pos" if want_pos else "neg"
         details[f"{key}_epsilon"] = eps
-        details[f"{key}_n_words"] = len(words)
+        details[f"{key}_n_words"] = len(betas)
         details[f"{key}_sign_ok"] = signs_ok
         details[f"{key}_terms_ok"] = terms_ok
         details[f"{key}_extreme_beta"] = (
             min(b.value for b in betas) if want_pos else max(b.value for b in betas)
         )
     details["term_zero_floor"] = TERM_ZERO_FLOOR
-    return _result(4, "cocycle sign law", ok, details, t0)
+    return _result(4, "cocycle sign law", ok, details, t0, {"samples": samples})
 
 
 def criterion_5(seed: int) -> CriterionResult:
@@ -214,17 +245,26 @@ def criterion_5(seed: int) -> CriterionResult:
     )
 
 
-def criterion_6(seed: int) -> CriterionResult:
-    """Certified sigma/delta and the excursion lower bound."""
+def criterion_6(seed: int, sign_law: CriterionResult | None = None) -> CriterionResult:
+    """Certified sigma/delta and the excursion lower bound.
+
+    The words, values and excursions are criterion 4's (sign_law) when
+    given: the same seeded sample, and sd.sigma is find_sigma(eps), the
+    radius the words carry.  B is built from the first 15 of them, the
+    words sample_words(eps, 15, seed) draws.
+    """
     t0 = time.perf_counter()
     details = {}
     ok = True
     for eps in (0.1, -1.0):
         sd = default_sigma_delta(eps, seed)
-        words = sample_words(eps, 200, seed)
-        checks = [cocycle_lower_bound_check(w, sd, 1e-12) for w in words]
+        if sign_law is None:
+            betas, excursions, _ = _sign_law_sample(eps, seed)
+        else:
+            betas, excursions = sign_law.artifacts["samples"][eps]
+        checks = [lower_bound(b, st, sd) for b, st in zip(betas, excursions)]
         bound_ok = all(c.ok for c in checks)
-        brep = build_B_epsilon(eps, 15, 2, 1e-12, seed)
+        brep = value_sums(betas[:15], 2)
         min_B = min(abs(v) for v, _ in brep.values)
         ok = ok and sd.delta > 0 and bound_ok and min_B > sd.delta
         key = "pos" if eps > 0 else "neg"
@@ -245,7 +285,7 @@ def _paired_words(eps: float, seed: int, n_pairs: int, junction_floor: int):
     ys = []
     cs = []
     for w in words:
-        orb = realize(w, len(w.prefix) + 30)
+        orb = w.at(len(w.prefix) + 30)
         if len(ys) < n_pairs and orb.entry_index is not None and orb.entry_index <= junction_floor:
             ys.append(w)
         else:
@@ -267,6 +307,8 @@ def criterion_7(seed: int) -> CriterionResult:
     worst_final = 0.0
     worst_nested = 0.0
     for y, c in pairs:
+        # continued once to the series start, for both checks below
+        y, c = (w.at(len(w.prefix) + SERIES_DEPTH) for w in (y, c))
         tab = semigroup_convergence(y, c, junctions, 1e-12)
         mono = all(b < a for a, b in zip(tab.defects, tab.defects[1:]))
         all_monotone = all_monotone and mono
@@ -299,11 +341,17 @@ def criterion_8(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     tol = 1e-12
     words = sample_words(0.1, 30, seed, max_len=8)
+    # each series starts SERIES_DEPTH past the longer prefix, one symbol
+    # more for shifted words: realize every word and shifted word once to
+    # the deepest start, for basic_cocycle to cut back
+    deepest = max(len(w.prefix) for w in words) + 1 + SERIES_DEPTH
+    orbs = [w.at(deepest) for w in words]
+    shifted = [shift(w, 1).at(deepest) for w in words]
     rng = np.random.default_rng(seed + 1)
     worst_anti = worst_ident = worst_shift = 0.0
     for _ in range(100):
         i, j, k = (int(v) for v in rng.integers(0, len(words), size=3))
-        x, y, z = words[i], words[j], words[k]
+        x, y, z = orbs[i], orbs[j], orbs[k]
         bxy = basic_cocycle(x, y, tol).value
         worst_anti = max(worst_anti, abs(bxy + basic_cocycle(y, x, tol).value))
         worst_ident = max(
@@ -311,7 +359,7 @@ def criterion_8(seed: int) -> CriterionResult:
             abs(bxy + basic_cocycle(y, z, tol).value - basic_cocycle(x, z, tol).value),
         )
         worst_shift = max(
-            worst_shift, abs(basic_cocycle(shift(x, 1), shift(y, 1), tol).value - bxy)
+            worst_shift, abs(basic_cocycle(shifted[i], shifted[j], tol).value - bxy)
         )
     ok = worst_anti <= 3 * tol and worst_ident <= 3 * tol and worst_shift <= 3 * tol
     return _result(
@@ -333,7 +381,8 @@ def criterion_9(seed: int) -> CriterionResult:
     """Field harmonicity (mean value) and nonconstance (variance)."""
     t0 = time.perf_counter()
     eps = 0.1
-    c = family_word(eps, "-")
+    w = family_word(eps, "-")
+    c = w.at(len(w.prefix) + SERIES_DEPTH)  # realized once for all 67 field values
     _, residual = field_mean_value(c, 1e-12)
     rng = np.random.default_rng(seed)
     pts = []
@@ -364,9 +413,8 @@ def criterion_10(seed: int) -> CriterionResult:
     """Height-set density and the two-value progression."""
     t0 = time.perf_counter()
     eps = -1.0
-    words = sample_words(eps, 500, seed, max_len=12)
-    values = [cocycle_vs_fixed(w, 1e-12) for w in words]
-    rep = height_set(values, math.log(abs(words[0].base.multiplier)), (-40, 40), window=(0.0, 1.0))
+    values, step = _fixed_values(eps, 500, seed, max_len=12)
+    rep = height_set(values, step, (-40, 40), window=(0.0, 1.0))
     betas = sorted(set(round(b.value, 14) for b in values))
     b1, b2 = min(zip(betas, betas[1:]), key=lambda p: p[1] - p[0])
     lam = abs(2.0 * fixed_point_a(eps))
@@ -429,11 +477,12 @@ def criterion_12(seed: int) -> CriterionResult:
     for eps_c, eps_r in ((0.1 + 0.02j, 0.1), (-1.0 + 0.02j, -1.0)):
         sd = default_sigma_delta(eps_r, seed)
         words = sample_words(eps_c, 200, seed, max_len=8)
+        fixed = fixed_orbit(words)
         signs_ok = True
         bounds_ok = True
         min_margin = math.inf
         for w in words:
-            bc = cocycle_lower_bound_check(w, sd, 1e-12)
+            bc = cocycle_lower_bound_check(w, sd, 1e-12, fixed)
             if (bc.beta.value > 0) != (eps_r > 0):
                 signs_ok = False
             bounds_ok = bounds_ok and bc.ok
@@ -512,8 +561,16 @@ RUNTIME_CAPS = {
 }
 
 
+# criterion -> the earlier criterion whose result it takes: criterion 6
+# checks its bound on criterion 4's words and values
+REUSES = {6: 4}
+
+
 def run_battery(seed: int) -> list[CriterionResult]:
     """All thirteen checks, in registry order."""
-    results = [fn(seed) for fn in CRITERIA]
+    results = []
+    for index, fn in enumerate(CRITERIA, 1):
+        source = REUSES.get(index)
+        results.append(fn(seed, results[source - 1]) if source else fn(seed))
     results.append(criterion_13(seed, results))
     return results

@@ -314,6 +314,18 @@ def test_rejected_junction_exits_2(tmp_path, capsys, command, text, key):
     assert payload["message"].startswith(key + ":")
 
 
+def test_nested_junction_rejection_names_the_entry_index(tmp_path, capsys):
+    # the probe at depth 11 is too shallow to confirm y = "-"'s entry; the
+    # message names the index y's realization confirms
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nested_junction = 2\n")
+    argv = ("limit-decomp", "--epsilon", "0.1", "--config", str(cfg), "--out", str(tmp_path))
+    code, payload = run(capsys, *argv)
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert payload["message"].endswith("certified entry index (6)")
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, horolab.cli; print('mpmath' in sys.modules)"],

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from horolab.errors import (
     ConfigError,
     DegenerateBranchError,
+    DivergentWordError,
     DomainError,
+    HorolabError,
     PreconditionError,
 )
 from horolab.maps import RationalMap, evaluate
@@ -21,7 +23,7 @@ from horolab.orbits import (
     shift,
 )
 from horolab.periodic import make_periodic_point
-from horolab.quadratic import family_word, fixed_point_a
+from horolab.quadratic import family_word, fixed_point_a, sample_words
 
 
 def test_realize_first_step_is_exact_negative_branch():
@@ -117,6 +119,77 @@ def test_realize_frozen_near_tie():
     assert orb.points == FROZEN_ORBIT_EPS_01
     assert orb.choices == "--" + "+" * 10
     assert orb.entry_index is None
+
+
+def outcome(make):
+    """points, choices and entry index of a realization, or the type and
+    message of the error it raised."""
+    try:
+        orb = make()
+    except HorolabError as exc:
+        return type(exc), str(exc)
+    return orb.points, orb.choices, orb.entry_index
+
+
+def assert_continues_like_scratch(word, d1, d2):
+    """Continuing realize(word, d1) to d2 gives what realizing to d2 from
+    scratch gives, the error included when there is one."""
+    short = realize(word, d1)
+    scratch = outcome(lambda: realize(word, d2))
+    assert outcome(lambda: realize(word, d2, short)) == scratch
+    assert outcome(lambda: short.at(d2)) == scratch
+    return scratch
+
+
+def assert_cuts_like_scratch(word, d2, d1):
+    """Cutting realize(word, d2) back to d1 gives realize(word, d1)."""
+    deep = realize(word, d2)
+    assert outcome(lambda: deep.at(d1)) == outcome(lambda: realize(word, d1))
+
+
+@pytest.mark.parametrize("eps", [0.1, -1.0, complex(-1.0, 0.02), complex(-0.525, 0.16)])
+def test_resumed_realization_matches_scratch(eps):
+    for w in sample_words(eps, 8, seed=5, max_len=8):
+        n = len(w.prefix)
+        for d1, d2 in ((n, n + 12), (n + 3, n + 80), (n + 80, n + 120), (n + 120, n + 240)):
+            assert_continues_like_scratch(w.word, d1, d2)
+            assert_cuts_like_scratch(w.word, d2, d1)
+
+
+@pytest.mark.parametrize(
+    "eps, prefix, sigma, d1, d2, error",
+    [
+        # criterion 2's critical hits
+        (-2.0, "-", 0.5, 1, 3, DegenerateBranchError("inverse branches collide at depth 2")),
+        (-2.0, "+-", 0.5, 2, 3, DegenerateBranchError("inverse branches collide at depth 3")),
+        # a disk wide enough to hold -a: the monotone-tail check fails
+        (-1.0, "+-", 5.0, 5, 20, DivergentWordError("in-disk tail fails to contract at depth 2")),
+        # no point comes within 1e-30 of a
+        (0.1, "-", 1e-30, 30, 100, DivergentWordError("tail did not settle")),
+    ],
+)
+def test_resumed_realization_raises_like_scratch(eps, prefix, sigma, d1, d2, error):
+    kind, message = assert_continues_like_scratch(family_word(eps, prefix, sigma=sigma), d1, d2)
+    assert kind is type(error)
+    assert message.startswith(str(error))
+
+
+def test_cut_realization_raises_like_scratch():
+    # eps = -1: the orbit of "-" lands on a exactly at depth 62, so a
+    # 1e-30 disk confirms entry at depth 100 but not at depth 65
+    w = family_word(-1.0, "-", sigma=1e-30)
+    assert realize(w, 100).entry_index == 62
+    with pytest.raises(DivergentWordError, match="within depth 65"):
+        realize(w, 65)
+    assert_cuts_like_scratch(w, 100, 65)
+
+
+def test_resume_requires_a_shallower_realization_of_the_word():
+    w = family_word(0.1, "-")
+    with pytest.raises(PreconditionError):
+        realize(w, 10, realize(w, 20))
+    with pytest.raises(PreconditionError):
+        realize(family_word(0.1, "--"), 30, realize(w, 20))
 
 
 def test_depth_shorter_than_prefix_rejected():
