@@ -453,7 +453,7 @@ def cmd_sigma_delta(cfg: RunConfig) -> dict:
 def cmd_excursions(cfg: RunConfig) -> dict:
     sd = default_sigma_delta(cfg.epsilon, cfg.seed)
     w = normalize_word(family_word(cfg.epsilon, cfg.word))
-    st = excursion_stats(w, sd)
+    st = excursion_stats(w, sd.sigma)
     return _payload(
         cfg,
         word=w.prefix,

@@ -157,7 +157,9 @@ def _check_depth(word: OrbitWord, depth: int) -> None:
         )
 
 
-def realize(word: OrbitWord, depth: int, resume: RealizedOrbit | None = None) -> RealizedOrbit:
+def realize(
+    word: OrbitWord | RealizedOrbit, depth: int, resume: RealizedOrbit | None = None
+) -> RealizedOrbit:
     """Realize the word to the given depth in one pass.
 
     Each step takes s = sqrt(w - epsilon) once, picks its sign by the
@@ -170,8 +172,10 @@ def realize(word: OrbitWord, depth: int, resume: RealizedOrbit | None = None) ->
     With resume, a shallower realization of the same word, the pass
     continues from its last point instead of starting over.  The steps
     are deterministic, so the result, or the error raised, is bitwise
-    that of realizing from scratch.
+    that of realizing from scratch.  A realization passed as the word
+    stands for its word, so RealizedOrbit.word is always an OrbitWord.
     """
+    word = word.word
     _check_depth(word, depth)
     prefix = word.prefix
     eps = quadratic_epsilon(word.map)

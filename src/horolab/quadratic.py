@@ -443,30 +443,30 @@ def default_sigma_delta(
 @dataclass(frozen=True)
 class ExcursionStats:
     word: OrbitWord
+    sigma: float  # radius of the disk the excursions leave
     J_indices: tuple[int, ...]  # last in-disk index before each exit
     K_indices: tuple[int, ...]  # first in-disk index after each excursion
     s: int  # excursion count
     d: int  # total time spent outside the disk (depth indices >= 1)
 
 
-def excursion_stats(word: OrbitWord | RealizedOrbit, sd: SigmaDelta | None = None) -> ExcursionStats:
-    """Leaving/return indices of the realized orbit against the
-    certified disk of sd, or the word's own disk (radius word.sigma)
-    when sd is None.  The orbit is the one the series is summed along,
-    SERIES_DEPTH past the prefix.  Requires the normalized form (first
-    backward point at -a); normalize_word performs the shift."""
+def excursion_stats(word: OrbitWord | RealizedOrbit, sigma: float) -> ExcursionStats:
+    """Leaving/return indices of the realized orbit against the disk of
+    radius sigma at a (a certified one: SigmaDelta.sigma).  The orbit is
+    the one the series is summed along, SERIES_DEPTH past the prefix.
+    Requires the normalized form (first backward point at -a);
+    normalize_word performs the shift."""
     orb = word.at(len(word.prefix) + SERIES_DEPTH)
     a = word.base.location
     if abs(orb.points[1] + a) > NORMALIZED_TOL * (1.0 + abs(a)):
         raise PreconditionError(
             "word is not normalized (y_{-1} != -a); apply normalize_word first"
         )
-    sigma = word.sigma if sd is None else sd.sigma
     inside = [abs(p - a) < sigma for p in orb.points]
     J = [j for j in range(orb.depth) if inside[j] and not inside[j + 1]]
     K = [j for j in range(1, orb.depth + 1) if not inside[j - 1] and inside[j]]
     d = sum(1 for j in range(1, orb.depth + 1) if not inside[j])
-    return ExcursionStats(word.word, tuple(J), tuple(K), len(J), d)
+    return ExcursionStats(word.word, sigma, tuple(J), tuple(K), len(J), d)
 
 
 @dataclass(frozen=True)
@@ -487,18 +487,22 @@ def cocycle_lower_bound_check(
     word; fixed is passed on to cocycle_vs_fixed.
     """
     orb = word.at(len(word.prefix) + SERIES_DEPTH)
-    stats = excursion_stats(orb, sd)
+    stats = excursion_stats(orb, sd.sigma)
     return lower_bound(cocycle_vs_fixed(orb, tol, fixed), stats, sd)
 
 
 def lower_bound(beta: CocycleValue, stats: ExcursionStats, sd: SigmaDelta) -> BoundCheck:
     """The check of |beta| > delta * d for a value and excursion count
-    already computed.
+    already computed; the excursions must leave sd's disk.
 
     When the word's parameter differs from the one delta was computed
     at (the complex-perturbation regime, where sigma/delta come from
     the nearby real parameter), the floor is delta/2.
     """
+    if stats.sigma != sd.sigma:
+        raise PreconditionError(
+            f"excursions counted against radius {stats.sigma!r}, not sd.sigma {sd.sigma!r}"
+        )
     eps_word = quadratic_epsilon(stats.word.map)
     delta_used = sd.delta if eps_word == sd.epsilon else 0.5 * sd.delta
     margin = abs(beta.value) - beta.tail_bound - delta_used * stats.d

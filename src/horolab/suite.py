@@ -176,8 +176,8 @@ def _sign_law_sample(
 ) -> tuple[list[CocycleValue], list[ExcursionStats], set[bool]]:
     """The 200 seeded words of criteria 4 and 6 at eps, each realized
     once: their values, their excursions from their own disk (radius
-    find_sigma(eps)), and the signs (term > 0) of their series terms
-    above TERM_ZERO_FLOOR."""
+    find_sigma(eps), which lower_bound checks against sd.sigma), and the
+    signs (term > 0) of their series terms above TERM_ZERO_FLOOR."""
     words = sample_words(eps, 200, seed)
     fixed = fixed_orbit(words)
     betas, excursions, signs = [], [], set()
@@ -186,7 +186,7 @@ def _sign_law_sample(
         beta = cocycle_vs_fixed(orb, 1e-12, fixed)
         signs.update(t > 0 for t in series_terms(orb, beta.depth_used) if not abs(t) <= TERM_ZERO_FLOOR)
         betas.append(beta)
-        excursions.append(excursion_stats(orb))
+        excursions.append(excursion_stats(orb, orb.sigma))
     return betas, excursions, signs
 
 
@@ -249,9 +249,10 @@ def criterion_6(seed: int, sign_law: CriterionResult | None = None) -> Criterion
     """Certified sigma/delta and the excursion lower bound.
 
     The words, values and excursions are criterion 4's (sign_law) when
-    given: the same seeded sample, and sd.sigma is find_sigma(eps), the
-    radius the words carry.  B is built from the first 15 of them, the
-    words sample_words(eps, 15, seed) draws.
+    given: the same seeded sample, with excursions counted against the
+    words' own disk of radius find_sigma(eps), which lower_bound checks
+    is sd.sigma.  B is built from the first 15 of them, the words
+    sample_words(eps, 15, seed) draws.
     """
     t0 = time.perf_counter()
     details = {}
@@ -561,16 +562,11 @@ RUNTIME_CAPS = {
 }
 
 
-# criterion -> the earlier criterion whose result it takes: criterion 6
-# checks its bound on criterion 4's words and values
-REUSES = {6: 4}
-
-
 def run_battery(seed: int) -> list[CriterionResult]:
     """All thirteen checks, in registry order."""
     results = []
     for index, fn in enumerate(CRITERIA, 1):
-        source = REUSES.get(index)
-        results.append(fn(seed, results[source - 1]) if source else fn(seed))
+        # criterion 6 checks its bound on criterion 4's words and values
+        results.append(fn(seed, results[3]) if index == 6 else fn(seed))
     results.append(criterion_13(seed, results))
     return results

@@ -192,6 +192,22 @@ def test_resume_requires_a_shallower_realization_of_the_word():
         realize(family_word(0.1, "--"), 30, realize(w, 20))
 
 
+def test_realizing_a_realization_realizes_its_word():
+    # sample_words hands on realizations; realizing one again must give a
+    # realization of the word itself, usable wherever a word is
+    from horolab.cocycle import cocycle_vs_fixed
+
+    y, c = sample_words(0.1, 2, seed=7)
+    r = realize(y, len(y.prefix) + 100)
+    assert type(r.word) is OrbitWord
+    assert r.word == y.word
+    assert r.points == realize(y.word, len(y.prefix) + 100).points
+    assert fixed_word(r) == fixed_word(y)
+    assert shift(r, 1) == shift(y.word, 1)
+    assert cocycle_vs_fixed(r, 1e-12) == cocycle_vs_fixed(y.word, 1e-12)
+    assert concatenate(r, c, 10).word == concatenate(y.word, c.word, 10).word
+
+
 def test_depth_shorter_than_prefix_rejected():
     with pytest.raises(PreconditionError):
         realize(family_word(0.1, "-+-"), 2)

@@ -35,6 +35,7 @@ from horolab.quadratic import (
     fixed_point_a,
     limit_decomposition_check,
     list_1_1_member,
+    lower_bound,
     nested_decomposition_check,
     normalize_word,
     quadratic_map,
@@ -148,7 +149,7 @@ def brute_excursion_counts(eps, prefix, sigma, depth):
 def test_excursion_stats_match_independent_recount():
     sd = default_sigma_delta(0.1, seed=7)
     w = family_word(0.1, "-")
-    stats = excursion_stats(w, sd)
+    stats = excursion_stats(w, sd.sigma)
     J, K, d = brute_excursion_counts(0.1, "-", sd.sigma, len(w.prefix) + 120)
     assert stats.J_indices == J == (0,)
     assert stats.K_indices == K == (6,)
@@ -159,8 +160,8 @@ def test_excursion_stats_match_independent_recount():
 def test_excursion_requires_normalized_word():
     sd = default_sigma_delta(0.1, seed=7)
     with pytest.raises(PreconditionError):
-        excursion_stats(family_word(0.1, "+-"), sd)
-    assert excursion_stats(normalize_word(family_word(0.1, "++-")), sd).s == 1
+        excursion_stats(family_word(0.1, "+-"), sd.sigma)
+    assert excursion_stats(normalize_word(family_word(0.1, "++-")), sd.sigma).s == 1
 
 
 def test_normalize_word():
@@ -187,6 +188,15 @@ def test_lower_bound_check_perturbed_parameter_halves_delta():
     bc = cocycle_lower_bound_check(normalize_word(w), sd, TOL)
     assert bc.delta_used == 0.5 * sd.delta
     assert bc.ok
+
+
+def test_lower_bound_rejects_excursions_from_another_disk():
+    sd = default_sigma_delta(0.1, seed=7)
+    w = family_word(0.1, "-")
+    beta = cocycle_lower_bound_check(w, sd, TOL).beta
+    assert lower_bound(beta, excursion_stats(w, sd.sigma), sd).ok
+    with pytest.raises(PreconditionError, match="radius"):
+        lower_bound(beta, excursion_stats(w, 0.5 * sd.sigma), sd)
 
 
 def test_negative_parameter_gives_negative_cocycle():

@@ -59,3 +59,21 @@ def test_bound_check_takes_the_sign_law_values(monkeypatch):
     assert bound.ok
     assert values == []
     assert bound.details == suite.criterion_6(7).details
+
+
+def test_battery_hands_criterion_4s_result_to_criterion_6(monkeypatch):
+    """By position in CRITERIA, so it holds when the entries are wrapped,
+    as the benchmark's tracer wraps them."""
+    calls = []
+
+    def stand_in(index):
+        def criterion(seed, *earlier):
+            calls.append((index, earlier))
+            return index
+
+        return criterion
+
+    monkeypatch.setattr(suite, "CRITERIA", [stand_in(i) for i in range(1, 13)])
+    monkeypatch.setattr(suite, "criterion_13", lambda seed, results: 13)
+    assert suite.run_battery(7) == list(range(1, 14))
+    assert calls == [(i, (4,) if i == 6 else ()) for i in range(1, 13)]

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Benchmark git revision REF against the working tree, in alternating pairs.
 #
-#   tools/bench_pair.sh REF OUT [PAIRS]     (e.g. tools/bench_pair.sh HEAD~ BENCH.json)
+#   tools/bench_pair.sh REF OUT     (e.g. tools/bench_pair.sh HEAD~ BENCH.json)
 #
 # Extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs
-# `python3 perfbench/run.py --workload all --seed 11` PAIRS times (default
-# 5) in each tree, each tree with its own perfbench/ and src/.  The tree
+# `python3 perfbench/run.py --workload all --seed 11` 10 times in each
+# tree, each tree with its own perfbench/ and src/.  The tree
 # that goes first alternates from pair to pair, so a drift in host speed
 # falls on both sides.  OUT gets one JSON object: every run's metric
 # lines, record lines and result line, and per workload and end-to-end
@@ -14,10 +14,10 @@
 # working tree did better.
 set -euo pipefail
 
-usage="usage: tools/bench_pair.sh REF OUT [PAIRS]"
+usage="usage: tools/bench_pair.sh REF OUT"
 ref=${1:?$usage}
 out=${2:?$usage}
-pairs=${3:-5}
+pairs=10
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse "$ref")
 tmp=$(mktemp -d)
