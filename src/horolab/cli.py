@@ -27,7 +27,6 @@ from .cocycle import (
     field_mean_value,
     fixed_orbit,
     height_set,
-    semigroup_convergence,
     values_vs_fixed,
 )
 from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
@@ -368,7 +367,7 @@ def cmd_heights(cfg: RunConfig) -> dict:
     n_words, m_span = cfg.keys["n_words"], cfg.keys["m_span"]
     words = sample_words(eps, n_words, cfg.seed, cfg.keys["max_len"])
     betas = values_vs_fixed(words, cfg.tol)
-    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span), window=(0.0, 1.0))
+    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span))
     write_csv(
         cfg.out / "height_values.csv",
         ["value", "bound"],
@@ -393,28 +392,29 @@ def cmd_heights(cfg: RunConfig) -> dict:
 def cmd_semigroup(cfg: RunConfig) -> dict:
     y = family_word(cfg.epsilon, cfg.keys["word_y"])
     c = family_word(cfg.epsilon, cfg.keys["word_c"])
+    junctions = list(cfg.keys["junctions"])
     with _junction_key("junctions"):
-        tab = semigroup_convergence(y, c, cfg.keys["junctions"], cfg.tol)
+        ld = limit_decomposition_check(y, c, junctions, cfg.tol)
     write_csv(
         cfg.out / "semigroup_defects.csv",
         ["junction", "defect", "beta_concat"],
-        [(j, d, b.value) for j, d, b in zip(tab.junctions, tab.defects, tab.betas)],
+        [(j, d, b.value) for j, d, b in zip(junctions, ld.defects, ld.sequence_betas)],
     )
     svg_defect_decay(
         cfg.out / "defect_decay.svg",
-        list(tab.junctions),
-        list(tab.defects),
+        junctions,
+        list(ld.defects),
         f"semigroup defect decay, words {y.prefix!r} + {c.prefix!r}",
     )
     return _payload(
         cfg,
         word_y=y.prefix,
         word_c=c.prefix,
-        junctions=list(tab.junctions),
-        defects=list(tab.defects),
-        beta_y=tab.beta_y.value,
-        beta_c=tab.beta_c.value,
-        fitted_rate=tab.rate,
+        junctions=junctions,
+        defects=list(ld.defects),
+        beta_y=ld.component_betas[0].value,
+        beta_c=ld.beta_c.value,
+        fitted_rate=ld.rate,
     )
 
 
@@ -510,7 +510,7 @@ def cmd_limit_decomp(cfg: RunConfig) -> dict:
     nested_at = cfg.keys["nested_junction"]
     if nested_at is not None:
         with _junction_key("nested_junction"):
-            nd = nested_decomposition_check(y, c, nested_at, cfg.tol)
+            nd = nested_decomposition_check(ld, nested_at)
         body["nested"] = {
             "junction": nested_at,
             "limit_value": nd.limit_value,
@@ -552,20 +552,21 @@ def cmd_suite(cfg: RunConfig) -> dict:
                 f"height set ({tag})",
             )
         if r.index == 7 and "tables" in r.artifacts:
+            junctions = r.details["junctions"]
             rows = []
-            for py, pc, tab in r.artifacts["tables"]:
-                for j, d in zip(tab.junctions, tab.defects):
+            for py, pc, ld in r.artifacts["tables"]:
+                for j, d in zip(junctions, ld.defects):
                     rows.append((py, pc, j, d))
             write_csv(
                 cfg.out / "semigroup_defects.csv",
                 ["word_y", "word_c", "junction", "defect"],
                 rows,
             )
-            _, _, tab0 = r.artifacts["tables"][0]
+            _, _, ld0 = r.artifacts["tables"][0]
             svg_defect_decay(
                 cfg.out / "defect_decay.svg",
-                list(tab0.junctions),
-                list(tab0.defects),
+                junctions,
+                list(ld0.defects),
                 "semigroup defect decay (first pair)",
             )
     payload = _payload(

@@ -17,7 +17,9 @@ orbit realizes that orbit once, at the deepest start depth the batch
 needs (fixed_orbit), and cuts it back for each word.  The field's own
 backward orbits (_follow) pick preimages by the same nearest-preimage
 rule.  Callers compute each word's value once and hand the CocycleValues
-on: height_set takes values, not words.
+on: height_set takes values, not words.  Semigroup convergence under
+concatenation is checked in the family layer
+(quadratic.limit_decomposition_check).
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -45,7 +45,6 @@ from .orbits import (
     _distances,
     _entry_index,
     _nearer,
-    concatenate,
     fixed_word,
     realize,
     shift,
@@ -55,6 +54,9 @@ from .orbits import (
 MIN_TOL = 1e-12
 DEPTH_BUDGET = 4000
 SERIES_DEPTH = 120  # a series starts this far past the longer prefix
+HEIGHT_WINDOW = (0.0, 1.0)  # the window height_set clips its heights to
+SUM_BUDGET = 200  # progression_density_check sums at most this many sample values
+ENUMERATION_CAP = 500_000  # most sums a semigroup shadow enumerates (here and build_B_epsilon)
 
 
 @dataclass(frozen=True)
@@ -79,16 +81,6 @@ class DensityReport:
     window: tuple[float, float]
     max_gap: float
     count: int
-
-
-@dataclass(frozen=True)
-class SemigroupTable:
-    junctions: tuple[int, ...]
-    defects: tuple[float, ...]
-    beta_y: CocycleValue
-    beta_c: CocycleValue
-    betas: tuple[CocycleValue, ...]
-    rate: float | None  # fitted geometric decay of the defect, where measurable
 
 
 @dataclass(frozen=True)
@@ -333,61 +325,15 @@ def make_density_report(
     return DensityReport(tuple(kept), (lo, hi), max_gap, len(kept))
 
 
-def height_set(
-    betas: list[CocycleValue],
-    step: float,
-    m_range: tuple[int, int],
-    window: tuple[float, float] = (0.0, 1.0),
-) -> DensityReport:
+def height_set(betas: list[CocycleValue], step: float, m_range: tuple[int, int]) -> DensityReport:
     """All heights beta + m*step over the cocycle values, clipped to the
-    window; step is ln|lambda| of the words' common base point."""
+    unit window HEIGHT_WINDOW; step is ln|lambda| of the words' common
+    base point."""
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ConfigError("empty m_range")
     pairs = [(b.value + m * step, b.tail_bound) for b in betas for m in range(m_lo, m_hi + 1)]
-    return make_density_report(pairs, window)
-
-
-def semigroup_convergence(
-    y: OrbitWord | RealizedOrbit, c: OrbitWord | RealizedOrbit, junctions: list[int], tol: float
-) -> SemigroupTable:
-    """Defect of beta under concatenation, per junction depth.
-
-    The defect |beta(concat(y,c,j)) - beta(y) - beta(c)| decays like the
-    distance from y's depth-j point to a; the fitted geometric rate is
-    reported as a diagnostic where the defect is above rounding scale.
-    y is realized once, for its value and every junction, and the fixed
-    orbit once, for every value.
-    """
-    if list(junctions) != sorted(junctions) or len(set(junctions)) != len(junctions):
-        raise PreconditionError("junctions must be strictly increasing")
-    _check_tol(tol)
-    fixed = fixed_orbit([y, c], max(junctions, default=0) + len(c.prefix))
-    y = y.at(len(y.prefix) + SERIES_DEPTH)
-    beta_y = cocycle_vs_fixed(y, tol, fixed)
-    beta_c = cocycle_vs_fixed(c, tol, fixed)
-    expected = beta_y.value + beta_c.value
-    betas = []
-    defects = []
-    for j in junctions:
-        w = concatenate(y, c, j)
-        b = cocycle_vs_fixed(w, tol, fixed)
-        betas.append(b)
-        defects.append(abs(b.value - expected))
-    rate = _fit_rate(junctions, defects)
-    return SemigroupTable(
-        tuple(junctions), tuple(defects), beta_y, beta_c, tuple(betas), rate
-    )
-
-
-def _fit_rate(junctions, defects, floor: float = 1e-11) -> float | None:
-    pts = [(j, math.log(d)) for j, d in zip(junctions, defects) if d > floor]
-    if len(pts) < 2:
-        return None
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return math.exp(slope)
+    return make_density_report(pairs, HEIGHT_WINDOW)
 
 
 def progression_density_check(
@@ -395,13 +341,11 @@ def progression_density_check(
     M: float,
     window: tuple[float, float],
     epsilon_net: float,
-    sum_budget: int = 200,
-    term_cap: int = 500_000,
 ) -> ProgressionReport:
     """Does the finite shadow of the semigroup B + Z*M fill the window
     to within epsilon_net?
 
-    Enumerates all nonempty sums of at most sum_budget sample values
+    Enumerates all nonempty sums of at most SUM_BUDGET sample values
     (with repetition), shifts each by every integer multiple of M that
     lands in the window, and measures the largest gap (window edges
     included).
@@ -411,9 +355,9 @@ def progression_density_check(
     if M == 0:
         raise PreconditionError("M must be nonzero")
     k = len(B_sample)
-    if math.comb(sum_budget + k, k) > term_cap:
+    if math.comb(SUM_BUDGET + k, k) > ENUMERATION_CAP:
         raise ConfigError(
-            f"{k} generators at sum budget {sum_budget} exceed the enumeration cap"
+            f"{k} generators at sum budget {SUM_BUDGET} exceed the enumeration cap"
         )
     lo, hi = window
     step = abs(M)
@@ -430,7 +374,7 @@ def progression_density_check(
             rec(i + 1, remaining - cnt, total, nonempty or cnt > 0)
             total += v
 
-    rec(0, sum_budget, 0.0, False)
+    rec(0, SUM_BUDGET, 0.0, False)
     vals: list[float] = []
     for b in sums:
         m_first = math.ceil((lo - b) / step)

@@ -80,7 +80,6 @@ def inverse_iteration_sample(
     n_points: int,
     depth: int,
     seed: int,
-    burn_in: int = BURN_IN,
 ) -> JuliaSample:
     """Random backward orbits from a repelling fixed point, pooled.
 
@@ -94,25 +93,23 @@ def inverse_iteration_sample(
     eps = quadratic_epsilon(f)
     if eps is None:
         raise ConfigError("inverse iteration is implemented for the quadratic family")
-    if depth <= burn_in:
-        raise ConfigError(f"depth must exceed the burn-in ({burn_in})")
+    if depth <= BURN_IN:
+        raise ConfigError(f"depth must exceed the burn-in ({BURN_IN})")
     if n_points < 1:
         raise ConfigError("n_points must be positive")
     start = _starting_point(f)
-    per_path = depth - burn_in
+    per_path = depth - BURN_IN
     n_paths = math.ceil(n_points / per_path)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(n_paths, depth))
-    pts, flagged = _run_paths(np.full(n_paths, start.location, dtype=complex), signs, eps, burn_in)
+    pts, flagged = _run_paths(np.full(n_paths, start.location, dtype=complex), signs, eps)
     n_resampled = int(np.count_nonzero(flagged))
     n_passthrough = 0
     for i in np.nonzero(flagged)[0]:
         cleared = False
         for _ in range(MAX_RESAMPLE):
             s = rng.integers(0, 2, size=(1, depth))
-            row, bad = _run_paths(
-                np.array([start.location], dtype=complex), s, eps, burn_in
-            )
+            row, bad = _run_paths(np.array([start.location], dtype=complex), s, eps)
             pts[i] = row[0]
             if not bad[0]:
                 cleared = True
@@ -129,25 +126,25 @@ def inverse_iteration_sample(
             "n_points": n_points,
             "depth": depth,
             "seed": seed,
-            "burn_in": burn_in,
+            "burn_in": BURN_IN,
             "resampled_paths": n_resampled,
             "passthrough_paths": n_passthrough,
         },
     )
 
 
-def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex, burn_in: int):
+def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex):
     """Vectorized backward iteration; returns (collected points, collision flags)."""
     n_paths, depth = signs.shape
     z = z0.copy()
-    collected = np.empty((n_paths, depth - burn_in), dtype=complex)
+    collected = np.empty((n_paths, depth - BURN_IN), dtype=complex)
     collided = np.zeros(n_paths, dtype=bool)
     for step in range(depth):
         s = np.sqrt(z - eps)
         collided |= np.abs(s) < CRITICAL_PROXIMITY  # a preimage on the critical point 0
         z = np.where(signs[:, step] == 1, s, -s)
-        if step >= burn_in:
-            collected[:, step - burn_in] = z
+        if step >= BURN_IN:
+            collected[:, step - BURN_IN] = z
     return collected, collided
 
 

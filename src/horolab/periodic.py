@@ -47,6 +47,11 @@ SUPERATTRACTING_TOL = 1e-9
 PARABOLIC_TOL = 1e-8
 PARABOLIC_ORDER_BOUND = 64
 ROOT_RESIDUAL_TOL = 1e-9
+ABERTH_MAX_ITER = 300
+CLUSTER_REL_TOL = 1e-6  # roots this close (relative) merge into one of higher multiplicity
+DEGREE_BUDGET = 4096  # largest degree of an iterate f^n composed for periodic points
+LINEARIZER_BOUNDARY_SAMPLES = 64  # circle points whose pullbacks certify a linearizer disk
+NODE_BUDGET = 65536  # largest preimage tree the collinearity check enumerates
 BRANCH_COLLISION_TOL = 1e-13
 
 
@@ -60,7 +65,7 @@ class Root:
     multiplicity: int
 
 
-def all_roots(coeffs, residual_tol: float = ROOT_RESIDUAL_TOL) -> list[Root]:
+def all_roots(coeffs) -> list[Root]:
     """All complex roots of an ascending-coefficient polynomial.
 
     Aberth-Ehrlich simultaneous iteration, initial guesses equally
@@ -81,7 +86,7 @@ def all_roots(coeffs, residual_tol: float = ROOT_RESIDUAL_TOL) -> list[Root]:
         roots = [-c[0] / c[1]]
     elif n > 1:
         roots = [complex(z) for z in _aberth(np.asarray(c, dtype=complex))]
-        _check_residuals(c, roots, residual_tol)
+        _check_residuals(c, roots)
     clusters = _cluster(roots)
     if zeros_at_origin:
         clusters.append(Root(0j, zeros_at_origin))
@@ -89,7 +94,7 @@ def all_roots(coeffs, residual_tol: float = ROOT_RESIDUAL_TOL) -> list[Root]:
     return clusters
 
 
-def _aberth(c: np.ndarray, max_iter: int = 300) -> np.ndarray:
+def _aberth(c: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(c))
     c = c / scale
     dc = npoly.polyder(c)
@@ -98,7 +103,7 @@ def _aberth(c: np.ndarray, max_iter: int = 300) -> np.ndarray:
     angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
     z = radius * np.exp(1j * angles)
     tiny = 1e-300
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p = npoly.polyval(z, c)
         dp = npoly.polyval(z, dc)
         dp = np.where(dp == 0, tiny, dp)
@@ -120,17 +125,17 @@ def _aberth(c: np.ndarray, max_iter: int = 300) -> np.ndarray:
     return z
 
 
-def _check_residuals(c, roots, residual_tol):
+def _check_residuals(c, roots):
     cs = max(abs(x) for x in c)
     residuals = [abs(poly_eval(c, z)) / (cs * max(1.0, abs(z)) ** (len(c) - 1)) for z in roots]
     worst = float(np.max(residuals))  # a non-finite root's NaN propagates and fails below
-    if not worst <= residual_tol:
+    if not worst <= ROOT_RESIDUAL_TOL:
         raise RootFindingError(
-            f"root residual {worst:.3e} exceeds tolerance {residual_tol:.1e}"
+            f"root residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_TOL:.1e}"
         )
 
 
-def _cluster(roots: list[complex], rel_tol: float = 1e-6) -> list[Root]:
+def _cluster(roots: list[complex]) -> list[Root]:
     if not roots:
         return []
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
@@ -145,7 +150,7 @@ def _cluster(roots: list[complex], rel_tol: float = 1e-6) -> list[Root]:
             if used[j]:
                 continue
             w = remaining[j]
-            if abs(w - z) <= rel_tol * (1.0 + abs(z)):
+            if abs(w - z) <= CLUSTER_REL_TOL * (1.0 + abs(z)):
                 members.append(w)
                 used[j] = True
         center = sum(members) / len(members)
@@ -167,11 +172,11 @@ class PeriodicPoint:
     classification: str
 
 
-def classify(multiplier: complex, parabolic_bound: int = PARABOLIC_ORDER_BOUND) -> str:
+def classify(multiplier: complex) -> str:
     """Stability class of a multiplier.
 
     superattracting: |m| < 1e-9; parabolic: m^q within 1e-8 of 1 for
-    some q <= parabolic_bound; otherwise attracting / repelling by
+    some q <= PARABOLIC_ORDER_BOUND; otherwise attracting / repelling by
     |m| against 1.  A unit-modulus multiplier that passes none of
     these is reported as indifferent (irrational rotation; outside
     the four exact classes, see docs).
@@ -180,7 +185,7 @@ def classify(multiplier: complex, parabolic_bound: int = PARABOLIC_ORDER_BOUND) 
     if abs(m) < SUPERATTRACTING_TOL:
         return "superattracting"
     power = m
-    for _ in range(parabolic_bound):
+    for _ in range(PARABOLIC_ORDER_BOUND):
         if abs(power - 1.0) < PARABOLIC_TOL:
             return "parabolic"
         power *= m
@@ -226,11 +231,11 @@ def _polish_periodic(f: RationalMap, z: complex, period: int) -> complex:
     return z
 
 
-def iterated_pair(f: RationalMap, n: int, degree_budget: int = 4096) -> RationalFunction:
+def iterated_pair(f: RationalMap, n: int) -> RationalFunction:
     """Coefficient pair of f^n, composed step by step."""
-    if f.degree**n > degree_budget:
+    if f.degree**n > DEGREE_BUDGET:
         raise ConfigError(
-            f"degree {f.degree}^{n} exceeds the composition budget {degree_budget}"
+            f"degree {f.degree}^{n} exceeds the composition budget {DEGREE_BUDGET}"
         )
     g: RationalFunction = RationalFunction(f.num, f.den)
     for _ in range(n - 1):
@@ -238,9 +243,7 @@ def iterated_pair(f: RationalMap, n: int, degree_budget: int = 4096) -> Rational
     return g
 
 
-def periodic_points(
-    f: RationalMap, period: int, degree_budget: int = 4096
-) -> list[PeriodicPoint]:
+def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
     """All finite points of exact period `period`, sorted by (re, im).
 
     Roots of the fixed-point polynomial of f^period; points whose
@@ -248,7 +251,7 @@ def periodic_points(
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
-    fn = iterated_pair(f, period, degree_budget)
+    fn = iterated_pair(f, period)
     # P_n(z) - z Q_n(z) = 0
     g = poly_sub(fn.num, poly_mul((0j, 1 + 0j), fn.den))
     out = []
@@ -377,15 +380,10 @@ def functional_equation_residual(lin: Linearizer, n: int) -> float:
     return residual
 
 
-def build_linearizer(
-    f: RationalMap,
-    point: PeriodicPoint,
-    initial_radius: float | None = None,
-    boundary_samples: int = 64,
-) -> Linearizer:
+def build_linearizer(f: RationalMap, point: PeriodicPoint) -> Linearizer:
     """Certify a disk for the Koenigs coordinate by shrink-and-retry.
 
-    A candidate radius r is accepted when the closed disk of radius r
+    Radii start at (1 + |a|)/2.  A candidate radius r is accepted when the closed disk of radius r
     about a holds no finite critical value f(c), so the inverse branch
     fixing a is analytic on it, and that branch maps the sampled
     boundary circle inside radius r*(1/|lambda| + 1)/2, so by the maximum
@@ -396,24 +394,22 @@ def build_linearizer(
     if lam <= 1.0:
         raise PreconditionError("linearizer base must be repelling")
     target = (1.0 / lam + 1.0) / 2.0
-    r = initial_radius if initial_radius is not None else 0.5 * (1.0 + abs(point.location))
+    r = 0.5 * (1.0 + abs(point.location))
     lin = Linearizer(f, point, r)
     a = lin._a
     critical_values = [v for v in map(f, f.critical_points()) if not is_inf(v)]
     for _ in range(60):
-        if all(abs(v - a) > r for v in critical_values) and _radius_certified(
-            lin, r, target, boundary_samples
-        ):
+        if all(abs(v - a) > r for v in critical_values) and _radius_certified(lin, r, target):
             lin.radius = r
             return lin
         r *= 0.5
     raise ConstructionError("no certified linearization disk found")
 
 
-def _radius_certified(lin: Linearizer, r: float, target: float, samples: int) -> bool:
+def _radius_certified(lin: Linearizer, r: float, target: float) -> bool:
     a = lin._a
-    for k in range(samples):
-        z = a + r * cmath.exp(2j * math.pi * k / samples)
+    for k in range(LINEARIZER_BOUNDARY_SAMPLES):
+        z = a + r * cmath.exp(2j * math.pi * k / LINEARIZER_BOUNDARY_SAMPLES)
         try:
             w = lin._pullback(z)
         except RootFindingError:
@@ -440,7 +436,6 @@ def collinearity_in_linearizer(
     f: RationalMap,
     lin: Linearizer,
     depth: int,
-    node_budget: int = 65536,
 ) -> CollinearityReport:
     """Do the preimages of a accumulate along a line through a?
 
@@ -457,7 +452,7 @@ def collinearity_in_linearizer(
     into it.
     """
     a = lin.point.location
-    if f.degree**depth > node_budget:
+    if f.degree**depth > NODE_BUDGET:
         raise ConfigError(f"preimage tree of depth {depth} exceeds the node budget")
     level = [a]
     nodes: list[complex] = []

@@ -1,6 +1,8 @@
 """The quadratic family z**2 + epsilon: distinguished fixed point,
 certified disk construction, excursion statistics, cocycle floor checks,
-and the sign-definite value semigroup.
+the sign-definite value semigroup, and semigroup convergence under
+concatenation (limit_decomposition_check, the one routine that values
+concatenated words against beta(y) + beta(c)).
 
 The distinguished fixed point is a(eps) = (1 + sqrt(1 - 4 eps))/2, the
 repelling one for real eps < 1/4.  All Julia-geometry checks in this
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cocycle import (
+    ENUMERATION_CAP,
     SERIES_DEPTH,
     CocycleValue,
     DensityReport,
@@ -50,7 +53,7 @@ from .orbits import (
     RealizedOrbit,
     concatenate,
     is_in_Pi_a,
-    realize,
+    realize,  # unused here; perfbench/test_perfbench.py checks the tracer restores it
     shift,
 )
 from .periodic import make_periodic_point
@@ -63,6 +66,8 @@ NEAR_BOUNDARY_PROXIMITY = 1e-3
 NORMALIZED_TOL = 1e-9
 DEFAULT_MAX_PREFIX = 10
 MEMBERSHIP_DEPTH = 80  # a word's membership is checked this far past its prefix
+BOUNDARY_SAMPLES = 1024  # points on each sampled disk boundary of the sigma certificates
+SAMPLE_DEPTH = 40  # inverse-iteration depth of default_sigma_delta's Julia sample
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +142,11 @@ def sample_words(
     n: int,
     seed: int,
     max_len: int = DEFAULT_MAX_PREFIX,
-    require_normalized: bool = True,
-    sigma: float | None = None,
 ) -> list[RealizedOrbit]:
     """n distinct admissible words with seeded random prefixes.
 
-    Normalized words start with '-' (first backward step to -a), the
-    hypothesis under which excursion statistics are defined.  Each word
+    Every word is normalized, starting with '-' (first backward step to
+    -a), the hypothesis under which excursion statistics are defined.  Each word
     comes as the realization its membership check made (MEMBERSHIP_DEPTH
     past the prefix), which reads like the word; the series engine and
     the excursion count continue it instead of realizing the word again.
@@ -158,13 +161,11 @@ def sample_words(
         attempts += 1
         length = int(rng.integers(1, max_len + 1))
         bits = rng.integers(0, 2, size=length)
-        prefix = "".join("+-"[int(b)] for b in bits)
-        if require_normalized:
-            prefix = "-" + prefix[1:]
+        prefix = "-" + "".join("+-"[int(b)] for b in bits[1:])  # normalized
         if prefix in seen:
             continue
         seen.add(prefix)
-        mem = is_in_Pi_a(family_word(epsilon, prefix, sigma), len(prefix) + MEMBERSHIP_DEPTH)
+        mem = is_in_Pi_a(family_word(epsilon, prefix), len(prefix) + MEMBERSHIP_DEPTH)
         if mem.member:
             out.append(mem.orbit)
     if len(out) < n:
@@ -218,7 +219,6 @@ def disk_containment_check(
     epsilon: float,
     sample: JuliaSample,
     tol: float,
-    near_tol: float = NEAR_BOUNDARY_PROXIMITY,
 ) -> ContainmentReport:
     """Julia points against the circle |z| = a(eps): inside (closure)
     for eps < 0, outside for 0 < eps < 1/4; points within tol of the
@@ -236,7 +236,7 @@ def disk_containment_check(
             violations.append(z)
         if excess > -tol:
             near.append(z)
-            if min(abs(z - a), abs(z + a)) > near_tol:
+            if min(abs(z - a), abs(z + a)) > NEAR_BOUNDARY_PROXIMITY:
                 prox.append(z)
     return ContainmentReport(
         e, a, len(sample.points), tuple(violations), tuple(near), tuple(prox), max_excess
@@ -258,7 +258,6 @@ def derivative_extremality_check(
     epsilon: float,
     sample: JuliaSample,
     tol: float,
-    near_tol: float = NEAR_BOUNDARY_PROXIMITY,
 ) -> ExtremalityReport:
     """|f'| over the Julia sample is extremal at a(eps): a maximum for
     eps < 0, a minimum for 0 < eps < 1/4, with equality only near +-a."""
@@ -272,7 +271,7 @@ def derivative_extremality_check(
         bad = d > bound + tol if e < 0 else d < bound - tol
         if bad:
             violations.append(z)
-        if abs(d - bound) <= tol and min(abs(z - a), abs(z + a)) > near_tol:
+        if abs(d - bound) <= tol and min(abs(z - a), abs(z + a)) > NEAR_BOUNDARY_PROXIMITY:
             eq_fail.append(z)
     return ExtremalityReport(
         e, bound, len(ds), max(ds), min(ds), tuple(violations), tuple(eq_fail)
@@ -291,7 +290,7 @@ class SigmaDelta:
     certificates: dict
 
 
-def _sigma_certificates(eps: complex, a: complex, sigma: float, n_boundary: int) -> dict:
+def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
     """Boundary-sampled margins for the disk certificates at this sigma.
 
     univalence: the disk must avoid the critical point 0 (a disk of
@@ -302,7 +301,7 @@ def _sigma_certificates(eps: complex, a: complex, sigma: float, n_boundary: int)
     pairwise separated, tested via bounding circles of the sampled
     boundary clouds around their known centers.
     """
-    theta = 2.0 * np.pi * np.arange(n_boundary) / n_boundary
+    theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
     circle0 = a + sigma * np.exp(1j * theta)
     image = circle0 * circle0 + eps
     covering = float(np.min(np.abs(image - a))) - sigma
@@ -359,7 +358,7 @@ def _admissible(cert: dict) -> bool:
 
 
 @functools.lru_cache(maxsize=128)
-def find_sigma(epsilon: complex, n_boundary: int = 1024) -> tuple[float, dict]:
+def find_sigma(epsilon: complex) -> tuple[float, dict]:
     """Largest certified sigma <= |a(eps)|/4, by bisection on the
     boundary-sampled certificates.  Fails when nothing above the floor
     1e-4*|a| is admissible (as at the branch-exceptional parameter,
@@ -367,22 +366,22 @@ def find_sigma(epsilon: complex, n_boundary: int = 1024) -> tuple[float, dict]:
     eps = complex(epsilon)
     a = fixed_point_a(eps)
     hi = abs(a) / 4.0
-    cert = _sigma_certificates(eps, a, hi, n_boundary)
+    cert = _sigma_certificates(eps, a, hi)
     if _admissible(cert):
         return hi, cert
     lo = SIGMA_FLOOR_FACTOR * abs(a)
-    cert_lo = _sigma_certificates(eps, a, lo, n_boundary)
+    cert_lo = _sigma_certificates(eps, a, lo)
     if not _admissible(cert_lo):
         raise ConstructionError(
             f"no certified sigma above the floor {lo:.3e} at epsilon {eps}"
         )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _admissible(_sigma_certificates(eps, a, mid, n_boundary)):
+        if _admissible(_sigma_certificates(eps, a, mid)):
             lo = mid
         else:
             hi = mid
-    return lo, _sigma_certificates(eps, a, lo, n_boundary)
+    return lo, _sigma_certificates(eps, a, lo)
 
 
 def _in_D_prime(z: complex, eps: complex, a: complex, sigma: float) -> bool:
@@ -390,9 +389,7 @@ def _in_D_prime(z: complex, eps: complex, a: complex, sigma: float) -> bool:
     return abs(z * z + eps - a) < sigma and abs(z + a) < abs(z - a)
 
 
-def find_sigma_delta(
-    epsilon: complex, sample: JuliaSample, n_boundary: int = 1024
-) -> SigmaDelta:
+def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
     """The certified sigma together with the log-derivative floor delta.
 
     delta is half the smallest |ln|f'(z)| - ln|f'(a)|| over sampled
@@ -407,7 +404,7 @@ def find_sigma_delta(
         raise PreconditionError("need a nonempty Julia sample")
     if sample.map_json != quadratic_map(eps).to_json():
         raise PreconditionError("sample was drawn for a different map")
-    sigma, cert = find_sigma(eps, n_boundary)
+    sigma, cert = find_sigma(eps)
     a = fixed_point_a(eps)
     base = math.log(2.0 * abs(a))
     gaps = []
@@ -427,12 +424,11 @@ def find_sigma_delta(
     return SigmaDelta(eps, sigma, delta, certs)
 
 
-def default_sigma_delta(
-    epsilon: complex, seed: int, n_points: int = 10000, depth: int = 40
-) -> SigmaDelta:
-    """find_sigma_delta over a fresh seeded inverse-iteration sample."""
+def default_sigma_delta(epsilon: complex, seed: int, n_points: int = 10000) -> SigmaDelta:
+    """find_sigma_delta over a fresh seeded inverse-iteration sample of
+    SAMPLE_DEPTH steps per path."""
     eps = complex(epsilon)
-    sample = inverse_iteration_sample(quadratic_map(eps), n_points, depth, seed)
+    sample = inverse_iteration_sample(quadratic_map(eps), n_points, SAMPLE_DEPTH, seed)
     return find_sigma_delta(eps, sample)
 
 
@@ -519,8 +515,6 @@ def build_B_epsilon(
     l_max: int,
     tol: float,
     seed: int,
-    max_len: int = DEFAULT_MAX_PREFIX,
-    sum_cap: int = 500_000,
 ) -> DensityReport:
     """Sums of up to l_max single-word cocycle values over a seeded
     word sample, as a density report whose window touches 0 so the gap
@@ -533,9 +527,9 @@ def build_B_epsilon(
     if l_max < 1:
         raise ConfigError("l_max must be >= 1")
     total = sum(math.comb(word_budget + l - 1, l) for l in range(1, l_max + 1))
-    if total > sum_cap:
-        raise ConfigError(f"{total} sums exceed the enumeration cap {sum_cap}")
-    return value_sums(values_vs_fixed(sample_words(eps, word_budget, seed, max_len), tol), l_max)
+    if total > ENUMERATION_CAP:
+        raise ConfigError(f"{total} sums exceed the enumeration cap {ENUMERATION_CAP}")
+    return value_sums(values_vs_fixed(sample_words(eps, word_budget, seed), tol), l_max)
 
 
 def value_sums(betas: list[CocycleValue], l_max: int) -> DensityReport:
@@ -559,30 +553,50 @@ def value_sums(betas: list[CocycleValue], l_max: int) -> DensityReport:
 # limit decompositions
 
 
+WINDOW_DEPTH = 8  # post-junction steps compared with c's own orbit
+FINAL_DEFECT_TARGET = 1e-8  # defect at the last junction of a converged sequence
+NESTED_DEFECT_TARGET = 1e-6
+RATE_FLOOR = 1e-11  # defects at or below this are rounding, not decay
+
+
 @dataclass(frozen=True)
 class LimitDecomposition:
     sequence_id: str
     l: int
     nu_indices: tuple[tuple[int, ...], ...]  # per sequence member
-    component_words: tuple[OrbitWord, ...]
+    component_words: tuple[OrbitWord | RealizedOrbit, ...]  # y as realized for its value, then c
     component_betas: tuple[CocycleValue, ...]
+    c: RealizedOrbit  # as realized for beta_c and as the window's guide
+    beta_c: CocycleValue  # zero for a fixed-orbit c
+    tol: float  # every value's tolerance
     sequence_betas: tuple[CocycleValue, ...]
     defects: tuple[float, ...]
     nu_tail_distances: tuple[float, ...]  # |point at the last junction - a|
     window_sup: tuple[float, ...]  # sup over the window of distance to c's orbit
     limit_value: float
+    rate: float | None  # fitted geometric decay of the defect, where measurable
     defects_decreasing: bool
     nu_distances_decreasing: bool
     windows_converging: bool
     converged: bool
 
 
-def _window_sup(worb: RealizedOrbit, offset: int, guide: RealizedOrbit, width: int) -> float:
-    return max(abs(worb.points[offset + t] - guide.points[t]) for t in range(width + 1))
+def _window_sup(worb: RealizedOrbit, offset: int, guide: RealizedOrbit) -> float:
+    return max(abs(worb.points[offset + t] - guide.points[t]) for t in range(WINDOW_DEPTH + 1))
 
 
 def _decreasing(xs: tuple[float, ...]) -> bool:
     return all(b <= a * (1.0 + 1e-6) + 1e-12 for a, b in zip(xs, xs[1:]))
+
+
+def _fit_rate(junctions, defects) -> float | None:
+    pts = [(j, math.log(d)) for j, d in zip(junctions, defects) if d > RATE_FLOOR]
+    if len(pts) < 2:
+        return None
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return math.exp(slope)
 
 
 def limit_decomposition_check(
@@ -590,29 +604,29 @@ def limit_decomposition_check(
     c: OrbitWord | RealizedOrbit,
     junction_sequence: list[int],
     tol: float,
-    window_depth: int = 8,
-    final_defect_target: float = 1e-8,
 ) -> LimitDecomposition:
     """The word sequence concat(y, c, j_n) against its two-component
     limit: beta values must converge to beta(y) + beta(c), the junction
     points must fall into a geometrically, and the post-junction window
-    must track c's realized orbit.  A fixed-orbit c degenerates to the
-    one-component decomposition with limit beta(y).  y, c and each
-    concatenated word are realized once, and the fixed orbit once."""
+    must track c's realized orbit.  The defect
+    |beta(concat(y, c, j)) - beta(y) - beta(c)| decays like the distance
+    from y's depth-j point to a; its fitted geometric rate is reported
+    where the defect is above rounding scale.  A fixed-orbit c
+    degenerates to the one-component decomposition with limit beta(y).
+    y, c and each concatenated word are realized once, the fixed orbit
+    once, and beta(y) and beta(c) are computed once."""
     junctions = list(junction_sequence)
     if junctions != sorted(junctions) or len(set(junctions)) != len(junctions):
         raise PreconditionError("junction sequence must be strictly increasing")
-    mem_c = is_in_Pi_a(c, len(c.prefix) + MEMBERSHIP_DEPTH)
-    degenerate = mem_c.reason == "fixed-orbit"
-    c = mem_c.orbit or c
     _check_tol(tol)
     fixed = fixed_orbit([y, c], max(junctions, default=0) + len(c.prefix))
     y = y.at(len(y.prefix) + SERIES_DEPTH)
     beta_y = cocycle_vs_fixed(y, tol, fixed)
+    c = c.at(len(c.prefix) + SERIES_DEPTH)
+    degenerate = is_in_Pi_a(c, c.depth).reason == "fixed-orbit"
     beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else cocycle_vs_fixed(c, tol, fixed)
     expected = beta_y.value + beta_c.value
     a = y.base.location
-    guide = realize(c.word, window_depth + 2)  # as cheap as cutting c's orbit back
     betas = []
     defects = []
     nu_dist = []
@@ -620,16 +634,16 @@ def limit_decomposition_check(
     for j in junctions:
         w = concatenate(y, c, j)
         b = cocycle_vs_fixed(w, tol, fixed)
-        worb = w.at(j + len(c.prefix) + window_depth + 20)
+        worb = w.at(j + len(c.prefix) + WINDOW_DEPTH + 20)
         betas.append(b)
         defects.append(abs(b.value - expected))
         nu_dist.append(abs(worb.points[j] - a))
-        wsup.append(_window_sup(worb, j, guide, window_depth))
+        wsup.append(_window_sup(worb, j, c))
     if degenerate:
-        l, comps, comp_betas = 1, (y.word,), (beta_y,)
+        l, comps, comp_betas = 1, (y,), (beta_y,)
         nus = tuple((0,) for _ in junctions)
     else:
-        l, comps, comp_betas = 2, (y.word, c.word), (beta_y, beta_c)
+        l, comps, comp_betas = 2, (y, c), (beta_y, beta_c)
         nus = tuple((0, j) for j in junctions)
     return LimitDecomposition(
         sequence_id=f"concat({y.prefix!r},{c.prefix!r})@{junctions}",
@@ -637,52 +651,52 @@ def limit_decomposition_check(
         nu_indices=nus,
         component_words=comps,
         component_betas=comp_betas,
+        c=c,
+        beta_c=beta_c,
+        tol=tol,
         sequence_betas=tuple(betas),
         defects=tuple(defects),
         nu_tail_distances=tuple(nu_dist),
         window_sup=tuple(wsup),
         limit_value=expected,
+        rate=_fit_rate(junctions, defects),
         defects_decreasing=_decreasing(tuple(defects)),
         nu_distances_decreasing=_decreasing(tuple(nu_dist)),
         windows_converging=_decreasing(tuple(wsup)),
-        converged=defects[-1] <= final_defect_target,
+        converged=bool(defects) and defects[-1] <= FINAL_DEFECT_TARGET,
     )
 
 
-def nested_decomposition_check(
-    y: OrbitWord | RealizedOrbit,
-    c: OrbitWord | RealizedOrbit,
-    junction: int,
-    tol: float,
-    window_depth: int = 8,
-    defect_target: float = 1e-6,
-) -> LimitDecomposition:
-    """Three-component variant: concat(concat(y, c, j), c, 2j) against
-    beta(y) + 2*beta(c).  The fixed orbit is realized once, and w2 once."""
+def nested_decomposition_check(two: LimitDecomposition, junction: int) -> LimitDecomposition:
+    """Three-component variant of limit_decomposition_check's result two
+    for y and c: concat(concat(y, c, j), c, 2j) against beta(y) +
+    2*beta(c), with the realizations of y and c, both values and the
+    tolerance taken from two.  w2 is realized once."""
+    y, beta_y, c, beta_c = two.component_words[0], two.component_betas[0], two.c, two.beta_c
     w1 = concatenate(y, c, junction)
     w2 = concatenate(w1, c, 2 * junction)
-    fixed = fixed_orbit([y, c, w2])
-    beta_y = cocycle_vs_fixed(y, tol, fixed)
-    beta_c = cocycle_vs_fixed(c, tol, fixed)
     expected = beta_y.value + 2.0 * beta_c.value
-    b2 = cocycle_vs_fixed(w2, tol, fixed)
+    b2 = cocycle_vs_fixed(w2, two.tol)
     defect = abs(b2.value - expected)
     a = y.base.location
-    guide = realize(c.word, window_depth + 2)
-    worb = w2.at(2 * junction + len(c.prefix) + window_depth + 20)
+    worb = w2.at(2 * junction + len(c.prefix) + WINDOW_DEPTH + 20)
     return LimitDecomposition(
         sequence_id=f"nested({y.prefix!r},{c.prefix!r})@{junction}",
         l=3,
         nu_indices=((0, junction, 2 * junction),),
-        component_words=(y.word, c.word, c.word),
+        component_words=(y, c, c),
         component_betas=(beta_y, beta_c, beta_c),
+        c=c,
+        beta_c=beta_c,
+        tol=two.tol,
         sequence_betas=(b2,),
         defects=(defect,),
         nu_tail_distances=(abs(worb.points[2 * junction] - a),),
-        window_sup=(_window_sup(worb, 2 * junction, guide, window_depth),),
+        window_sup=(_window_sup(worb, 2 * junction, c),),
         limit_value=expected,
+        rate=None,
         defects_decreasing=True,
         nu_distances_decreasing=True,
         windows_converging=True,
-        converged=defect <= defect_target,
+        converged=defect <= NESTED_DEFECT_TARGET,
     )

@@ -17,6 +17,8 @@ from pathlib import Path
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
+HISTOGRAM_BINS = 40
+SCATTER_MAX_POINTS = 5000  # a larger sample is thinned to this many evenly spaced points
 
 
 def format_float(x: float) -> str:
@@ -133,14 +135,13 @@ def _placeholder(path: Path, title: str, warning: str) -> None:
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def svg_gap_histogram(
-    path: Path, values: list[float], window: tuple[float, float], title: str, bins: int = 40
-) -> None:
+def svg_gap_histogram(path: Path, values: list[float], window: tuple[float, float], title: str) -> None:
     """Histogram of height values over the window."""
     lo, hi = window
     if not values or hi <= lo:
         _placeholder(path, title, "empty report: no values to plot")
         return
+    bins = HISTOGRAM_BINS
     counts = [0] * bins
     for v in values:
         i = min(int((v - lo) / (hi - lo) * bins), bins - 1)
@@ -179,20 +180,14 @@ def svg_gap_histogram(
     atomic_write_text(path, "\n".join(parts) + "\n")
 
 
-def svg_julia_scatter(
-    path: Path,
-    points: list[complex],
-    circle_radius: float,
-    title: str,
-    max_points: int = 5000,
-) -> None:
+def svg_julia_scatter(path: Path, points: list[complex], circle_radius: float, title: str) -> None:
     """Scatter of Julia sample points with the |z| = radius circle."""
     if not points:
         _placeholder(path, title, "empty report: no points to plot")
         return
-    if len(points) > max_points:
-        stride = len(points) / max_points
-        points = [points[int(i * stride)] for i in range(max_points)]
+    if len(points) > SCATTER_MAX_POINTS:
+        stride = len(points) / SCATTER_MAX_POINTS
+        points = [points[int(i * stride)] for i in range(SCATTER_MAX_POINTS)]
     extent = max(
         max(abs(z.real) for z in points),
         max(abs(z.imag) for z in points),

@@ -30,7 +30,6 @@ from .cocycle import (
     fixed_orbit,
     height_set,
     progression_density_check,
-    semigroup_convergence,
     series_terms,
     values_vs_fixed,
 )
@@ -54,6 +53,7 @@ from .quadratic import (
     excursion_stats,
     family_word,
     fixed_point_a,
+    limit_decomposition_check,
     lower_bound,
     nested_decomposition_check,
     quadratic_map,
@@ -152,7 +152,7 @@ def criterion_3(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     betas, step = _fixed_values(0.0, 200, seed)
     max_beta = max(abs(b.value) for b in betas)
-    rep = height_set(betas, step, (-40, 40), window=(0.0, 1.0))
+    rep = height_set(betas, step, (-40, 40))
     gap_err = abs(rep.max_gap - math.log(2.0))
     ok = max_beta < 1e-10 and gap_err < 1e-9
     return _result(
@@ -308,17 +308,15 @@ def criterion_7(seed: int) -> CriterionResult:
     worst_final = 0.0
     worst_nested = 0.0
     for y, c in pairs:
-        # continued once to the series start, for both checks below
-        y, c = (w.at(len(w.prefix) + SERIES_DEPTH) for w in (y, c))
-        tab = semigroup_convergence(y, c, junctions, 1e-12)
-        mono = all(b < a for a, b in zip(tab.defects, tab.defects[1:]))
+        ld = limit_decomposition_check(y, c, junctions, 1e-12)
+        mono = all(b < a for a, b in zip(ld.defects, ld.defects[1:]))
         all_monotone = all_monotone and mono
-        all_final = all_final and tab.defects[-1] < 1e-8
-        worst_final = max(worst_final, tab.defects[-1])
-        nd = nested_decomposition_check(y, c, 35, 1e-12)
+        all_final = all_final and ld.defects[-1] < 1e-8
+        worst_final = max(worst_final, ld.defects[-1])
+        nd = nested_decomposition_check(ld, 35)
         nested_ok = nested_ok and nd.defects[0] < 1e-6
         worst_nested = max(worst_nested, nd.defects[0])
-        tables.append((y.prefix, c.prefix, tab))
+        tables.append((y.prefix, c.prefix, ld))
     ok = all_monotone and all_final and nested_ok
     return _result(
         7,
@@ -415,7 +413,7 @@ def criterion_10(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     eps = -1.0
     values, step = _fixed_values(eps, 500, seed, max_len=12)
-    rep = height_set(values, step, (-40, 40), window=(0.0, 1.0))
+    rep = height_set(values, step, (-40, 40))
     betas = sorted(set(round(b.value, 14) for b in values))
     b1, b2 = min(zip(betas, betas[1:]), key=lambda p: p[1] - p[0])
     lam = abs(2.0 * fixed_point_a(eps))

@@ -314,6 +314,17 @@ def test_rejected_junction_exits_2(tmp_path, capsys, command, text, key):
     assert payload["message"].startswith(key + ":")
 
 
+@pytest.mark.parametrize("command", ["semigroup", "limit-decomp"])
+def test_concatenation_commands_take_a_long_word_c(tmp_path, capsys, command):
+    # c's window guide is read off c's own realization, so a prefix longer
+    # than the window (8 steps) is fine
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("word_c = --+--+--+--+\n")
+    code, payload = run(capsys, command, "--epsilon", "0.1", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    assert payload["word_c" if command == "semigroup" else "sequence"].count("--+") == 4
+
+
 def test_nested_junction_rejection_names_the_entry_index(tmp_path, capsys):
     # the probe at depth 11 is too shallow to confirm y = "-"'s entry; the
     # message names the index y's realization confirms

@@ -24,11 +24,10 @@ from horolab.cocycle import (
     make_density_report,
     progression_density_check,
     pushforward_height,
-    semigroup_convergence,
     series_terms,
 )
 from horolab.errors import ConfigError, DomainError, PreconditionError
-from horolab.quadratic import family_word, fixed_point_a
+from horolab.quadratic import family_word, fixed_point_a, limit_decomposition_check
 
 SEED_WORD_TOL = 1e-9
 
@@ -218,7 +217,7 @@ def test_height_set_fills_window():
     words = [family_word(0.1, p) for p in ("-", "--", "-+", "-+-", "--+")]
     betas = [cocycle_vs_fixed(w, SEED_WORD_TOL) for w in words]
     step = math.log(abs(words[0].base.multiplier))
-    rep = height_set(betas, step, (-20, 20), window=(0.0, 1.0))
+    rep = height_set(betas, step, (-20, 20))
     assert rep.count >= 5
     assert rep.max_gap < 1.0
     vals = [v for v, _ in rep.values]
@@ -229,21 +228,21 @@ def test_height_set_fills_window():
 def test_semigroup_defect_decays_geometrically():
     y = family_word(0.1, "-")
     c = family_word(0.1, "--")
-    table = semigroup_convergence(y, c, [8, 12, 16, 20, 24, 28], SEED_WORD_TOL)
+    table = limit_decomposition_check(y, c, [8, 12, 16, 20, 24, 28], SEED_WORD_TOL)
     assert all(b < a for a, b in zip(table.defects, table.defects[1:]))
     assert table.defects[-1] < 1e-5
     # observed per-step decay tracks 1/|multiplier| = 0.5635
     assert table.rate is not None
     assert 0.50 < table.rate < 0.63
-    expected = table.beta_y.value + table.beta_c.value
-    assert abs(table.betas[-1].value - expected) < 1e-5
+    expected = table.component_betas[0].value + table.component_betas[1].value
+    assert abs(table.sequence_betas[-1].value - expected) < 1e-5
 
 
 def test_semigroup_rejects_unsorted_junctions():
     y = family_word(0.1, "-")
     c = family_word(0.1, "--")
     with pytest.raises(PreconditionError):
-        semigroup_convergence(y, c, [12, 8], SEED_WORD_TOL)
+        limit_decomposition_check(y, c, [12, 8], SEED_WORD_TOL)
 
 
 def test_progression_two_generators_fill_unit_window():
@@ -264,4 +263,4 @@ def test_progression_guards():
     with pytest.raises(PreconditionError):
         progression_density_check([0.5], 0.0, (0.0, 1.0), 0.1)
     with pytest.raises(ConfigError):
-        progression_density_check([0.1] * 30, 1.0, (0.0, 1.0), 0.1, sum_budget=500)
+        progression_density_check([0.1] * 30, 1.0, (0.0, 1.0), 0.1)  # C(230, 30) sums

@@ -103,6 +103,16 @@ def test_sigma_quarter_rule_and_bisection():
     assert find_sigma(-3.0)[0] < fixed_point_a(-3.0).real / 4
 
 
+def test_sigma_delta_reuses_the_family_words_disk():
+    """family_word and find_sigma_delta ask find_sigma the same question,
+    so the disk at a parameter is constructed once."""
+    find_sigma.cache_clear()
+    find_sigma(-1.0)
+    misses = find_sigma.cache_info().misses
+    default_sigma_delta(-1.0, 7)
+    assert find_sigma.cache_info().misses == misses
+
+
 def test_sigma_fails_where_disks_must_merge():
     with pytest.raises(ConstructionError):
         find_sigma(-2.0)
@@ -274,7 +284,7 @@ def test_word_json_round_trip():
 
 
 def test_build_B_window_touches_zero_and_misses_neighborhood():
-    rep = build_B_epsilon(0.1, word_budget=6, l_max=2, tol=TOL, seed=7, max_len=6)
+    rep = build_B_epsilon(0.1, word_budget=6, l_max=2, tol=TOL, seed=7)
     assert rep.window[0] == 0.0  # all values positive at eps > 0
     assert rep.count == 6 + 21  # singles plus pairs with repetition
     assert min(v for v, _ in rep.values) > 0.01
@@ -288,7 +298,7 @@ def test_build_B_preconditions():
     with pytest.raises(ConfigError):
         build_B_epsilon(0.1, 5, 0, TOL, seed=1)
     with pytest.raises(ConfigError):
-        build_B_epsilon(0.1, 200, 3, TOL, seed=1, sum_cap=100)
+        build_B_epsilon(0.1, 200, 3, TOL, seed=1)  # 1,373,700 sums
 
 
 def test_limit_decomposition_two_components():
@@ -310,6 +320,12 @@ def test_limit_decomposition_degenerates_on_fixed_tail():
     dec = limit_decomposition_check(y, family_word(0.1, ""), [10, 20], TOL)
     assert dec.l == 1
     assert dec.limit_value == pytest.approx(dec.component_betas[0].value)
+    assert dec.beta_c.value == 0.0
+
+
+def test_limit_decomposition_of_no_junctions_is_empty():
+    dec = limit_decomposition_check(family_word(0.1, "-"), family_word(0.1, "--"), [], TOL)
+    assert dec.defects == () and dec.rate is None and not dec.converged
 
 
 def test_limit_decomposition_rejects_unsorted_junctions():
@@ -321,10 +337,18 @@ def test_limit_decomposition_rejects_unsorted_junctions():
 def test_nested_decomposition_three_components():
     y = family_word(0.1, "-")
     c = family_word(0.1, "--")
-    dec = nested_decomposition_check(y, c, 20, TOL)
+    dec = nested_decomposition_check(limit_decomposition_check(y, c, [20], TOL), 20)
     assert dec.l == 3
     assert dec.nu_indices == ((0, 20, 40),)
     two_c = dec.component_betas[1].value + dec.component_betas[2].value
     assert dec.limit_value == pytest.approx(dec.component_betas[0].value + two_c)
     assert dec.converged
     assert dec.defects[0] < 1e-6
+
+
+def test_nested_decomposition_takes_c_and_tol_from_the_limit_result():
+    y = family_word(0.1, "-")
+    two = limit_decomposition_check(y, family_word(0.1, "--"), [20], 1e-9)
+    dec = nested_decomposition_check(two, 20)
+    assert dec.c is two.c and dec.tol == 1e-9
+    assert dec.component_betas[1] is two.component_betas[1] is two.beta_c

@@ -107,7 +107,7 @@ def test_svg_empty_inputs_render_placeholder(tmp_path):
 def test_svg_scatter_subsamples_large_clouds(tmp_path):
     pts = [complex(math.cos(t / 500), math.sin(t / 500)) for t in range(20000)]
     p = tmp_path / "big.svg"
-    svg_julia_scatter(p, pts, 1.0, "circle", max_points=5000)
+    svg_julia_scatter(p, pts, 1.0, "circle")
     text = p.read_text()
     assert text.count("<circle") <= 5001  # points plus the reference circle
     assert text.startswith("<svg")

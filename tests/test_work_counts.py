@@ -77,3 +77,20 @@ def test_battery_hands_criterion_4s_result_to_criterion_6(monkeypatch):
     monkeypatch.setattr(suite, "criterion_13", lambda seed, results: 13)
     assert suite.run_battery(7) == list(range(1, 14))
     assert calls == [(i, (4,) if i == 6 else ()) for i in range(1, 13)]
+
+
+def test_semigroup_criterion_values_each_word_once(monkeypatch):
+    """Criterion 7: for each of its 20 pairs, beta(y), beta(c), the five
+    junction words and the nested word, 160 values with none twice (the
+    nested check takes beta(y) and beta(c) from the two-component one)."""
+    pairs = []
+    basic = cocycle.basic_cocycle
+
+    def counted(x, y, tol):
+        pairs.append((x.prefix, y.prefix))
+        return basic(x, y, tol)
+
+    wrap_everywhere(monkeypatch, basic, counted)
+    assert suite.criterion_7(7).ok
+    assert len(pairs) == 160
+    assert len(set(pairs)) == len(pairs)

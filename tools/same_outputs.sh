@@ -8,8 +8,10 @@
 # run leaves nothing behind in .git) and runs, against both source trees:
 # the seed-7 acceptance suite, the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
-# parameter, collinearity at both verdicts, the --map commands on z**3
-# and linearize on a non-polynomial map.  Each command's --out tree,
+# parameter, collinearity at both verdicts, the --map commands on z**3,
+# linearize on a non-polynomial map, and semigroup / limit-decomp with a
+# fixed-orbit c and with a nested junction, and semigroup with a c
+# longer than the post-junction window.  Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.  Exit
 # status 0 means no difference.
@@ -26,6 +28,12 @@ git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 printf '%s\n' '{"num": [[0,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}' > "$tmp/cube.json"
 # w**2/(2w**2-2w+1), conjugate to z**2; a rational map that is not a polynomial
 printf '%s\n' '{"num": [[0,0],[0,0],[1,0]], "den": [[1,0],[-2,0],[2,0]]}' > "$tmp/mobius.json"
+# an empty word_c is the fixed orbit: the one-component (degenerate) decomposition
+printf '%s\n' 'word_c =' > "$tmp/fixed-c.cfg"
+printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
+# a c longer than the post-junction window
+printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
+printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -57,6 +65,12 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" excursions excursions --epsilon 0.1 --word=- --seed 7
     run "$tree" "$out" bound-528 bound-528 --epsilon -1 --seed 7 --tol 1e-9
     run "$tree" "$out" limit-decomp limit-decomp --epsilon 0.1 --tol 1e-9
+    run "$tree" "$out" semigroup-fixed-c semigroup --epsilon 0.1 --tol 1e-9 --config "$tmp/fixed-c.cfg"
+    run "$tree" "$out" semigroup-long-c semigroup --epsilon 0.1 --tol 1e-9 --config "$tmp/long-c.cfg"
+    run "$tree" "$out" limit-decomp-fixed-c limit-decomp --epsilon 0.1 --tol 1e-9 --config "$tmp/fixed-c.cfg"
+    run "$tree" "$out" limit-decomp-nested limit-decomp --epsilon 0.1 --tol 1e-9 --config "$tmp/nested.cfg"
+    run "$tree" "$out" limit-decomp-fixed-c-nested limit-decomp --epsilon 0.1 --tol 1e-9 \
+        --config "$tmp/fixed-c-nested.cfg"
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
