@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .cocycle import (
-    cocycle_field,
-    cocycle_vs_fixed,
-    field_mean_value,
-    fixed_orbit,
-    height_set,
-    values_vs_fixed,
-)
+from .cocycle import cocycle_field, cocycle_vs_fixed, field_mean_value
 from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
 from .maps import RationalMap
@@ -41,8 +34,8 @@ from .periodic import (
     periodic_points,
 )
 from .quadratic import (
+    bound_checks,
     build_B_epsilon,
-    cocycle_lower_bound_check,
     default_sigma_delta,
     derivative_extremality_check,
     disk_containment_check,
@@ -54,7 +47,7 @@ from .quadratic import (
     nested_decomposition_check,
     normalize_word,
     quadratic_map,
-    sample_words,
+    sampled_heights,
 )
 from .reports import (
     svg_defect_decay,
@@ -365,9 +358,7 @@ def cmd_field(cfg: RunConfig) -> dict:
 def cmd_heights(cfg: RunConfig) -> dict:
     eps = cfg.epsilon
     n_words, m_span = cfg.keys["n_words"], cfg.keys["m_span"]
-    words = sample_words(eps, n_words, cfg.seed, cfg.keys["max_len"])
-    betas = values_vs_fixed(words, cfg.tol)
-    rep = height_set(betas, math.log(abs(words[0].base.multiplier)), (-m_span, m_span))
+    _, rep = sampled_heights(eps, n_words, cfg.seed, cfg.keys["max_len"], cfg.tol, m_span)
     write_csv(
         cfg.out / "height_values.csv",
         ["value", "bound"],
@@ -467,16 +458,13 @@ def cmd_excursions(cfg: RunConfig) -> dict:
 
 def cmd_bound_528(cfg: RunConfig) -> dict:
     n_words = cfg.keys["n_words"]
-    sd = default_sigma_delta(complex(cfg.epsilon.real, 0.0), cfg.seed)
-    words = sample_words(cfg.epsilon, n_words, cfg.seed, cfg.keys["max_len"])
-    fixed = fixed_orbit(words)
-    checks = [cocycle_lower_bound_check(w, sd, cfg.tol, fixed) for w in words]
+    sd, checks = bound_checks(cfg.epsilon, n_words, cfg.seed, cfg.keys["max_len"], cfg.tol)
     write_csv(
         cfg.out / "bound_checks.csv",
         ["prefix", "beta", "tail_bound", "excursion_length", "margin", "ok"],
         [
-            (w.prefix, bc.beta.value, bc.beta.tail_bound, bc.stats.d, bc.margin, bc.ok)
-            for w, bc in zip(words, checks)
+            (bc.stats.word.prefix, bc.beta.value, bc.beta.tail_bound, bc.stats.d, bc.margin, bc.ok)
+            for bc in checks
         ],
     )
     return _payload(

@@ -12,14 +12,14 @@ that bound.
 The engine takes realized orbits (RealizedOrbit.at): a word's orbit,
 typically the one its membership check made, is continued to the series
 start depth SERIES_DEPTH past the prefix and continued again on a depth
-restart, never realized afresh.  A batch of values against the fixed
-orbit realizes that orbit once, at the deepest start depth the batch
-needs (fixed_orbit), and cuts it back for each word.  The field's own
-backward orbits (_follow) pick preimages by the same nearest-preimage
-rule.  Callers compute each word's value once and hand the CocycleValues
-on: height_set takes values, not words.  Semigroup convergence under
-concatenation is checked in the family layer
-(quadratic.limit_decomposition_check).
+restart, never realized afresh.  values_vs_fixed, the one routine that
+values words against the fixed orbit, realizes that orbit once, at the
+deepest start depth its batch needs, and cuts it back for each word.
+The field's own backward orbits (_follow) pick preimages by the same
+nearest-preimage rule.  Callers compute each word's value once and
+hand the CocycleValues on: height_set takes values, not words.
+Semigroup convergence under concatenation is checked in the family
+layer (quadratic.limit_decomposition_check).
 """
 
 from __future__ import annotations
@@ -194,34 +194,27 @@ def basic_cocycle(x: OrbitWord | RealizedOrbit, y: OrbitWord | RealizedOrbit, to
     return _certified_series(x.base.location, x.sigma, tol, pair_at, depth0)
 
 
-def fixed_orbit(words: list[OrbitWord | RealizedOrbit], longest_prefix: int = 0) -> RealizedOrbit:
-    """The fixed orbit at the words' common base, realized once to the
-    series start depth of the longest of their prefixes (or of
-    longest_prefix, for words still to be made), for cocycle_vs_fixed to
-    cut back for each word."""
-    longest = max([longest_prefix] + [len(w.prefix) for w in words])
-    return realize(fixed_word(words[0]), longest + SERIES_DEPTH)
+def values_vs_fixed(ys: list[OrbitWord | RealizedOrbit], tol: float) -> list[CocycleValue]:
+    """Cocycle of each word against the fixed orbit at their common base.
 
-
-def cocycle_vs_fixed(
-    y: OrbitWord | RealizedOrbit, tol: float, fixed: RealizedOrbit | None = None
-) -> CocycleValue:
-    """Cocycle of y against the fixed orbit at the base point.
-
-    fixed, from fixed_orbit, saves realizing the fixed orbit for each of
-    many words; without it the fixed orbit is realized here.
+    The fixed orbit is realized once, to the series start depth of the
+    longest prefix, and cut back for each word; each word is continued
+    or cut back to its own start depth (RealizedOrbit.at).
     """
     _check_tol(tol)  # before any realization, as in basic_cocycle
-    depth0 = len(y.prefix) + SERIES_DEPTH
-    x = realize(fixed_word(y), depth0) if fixed is None else fixed.at(depth0)
-    return basic_cocycle(x, y.at(depth0), tol)
+    if not ys:
+        return []
+    fixed = realize(fixed_word(ys[0]), max(len(y.prefix) for y in ys) + SERIES_DEPTH)
+    out = []
+    for y in ys:
+        depth0 = len(y.prefix) + SERIES_DEPTH
+        out.append(basic_cocycle(fixed.at(depth0), y.at(depth0), tol))
+    return out
 
 
-def values_vs_fixed(ys: list[OrbitWord | RealizedOrbit], tol: float) -> list[CocycleValue]:
-    """cocycle_vs_fixed of each word over one base, with the fixed orbit
-    realized once for all of them."""
-    fixed = fixed_orbit(ys)
-    return [cocycle_vs_fixed(y, tol, fixed) for y in ys]
+def cocycle_vs_fixed(y: OrbitWord | RealizedOrbit, tol: float) -> CocycleValue:
+    """Cocycle of y against the fixed orbit at the base point."""
+    return values_vs_fixed([y], tol)[0]
 
 
 def series_terms(y: OrbitWord | RealizedOrbit, depth: int) -> list[float]:
@@ -328,11 +321,20 @@ def make_density_report(
 def height_set(betas: list[CocycleValue], step: float, m_range: tuple[int, int]) -> DensityReport:
     """All heights beta + m*step over the cocycle values, clipped to the
     unit window HEIGHT_WINDOW; step is ln|lambda| of the words' common
-    base point."""
+    base point.  Only the shifts that can land in the window (one more
+    on each side, against rounding) are built, so a wide m_range costs
+    no more than a narrow one."""
     m_lo, m_hi = m_range
     if m_hi < m_lo:
         raise ConfigError("empty m_range")
-    pairs = [(b.value + m * step, b.tail_bound) for b in betas for m in range(m_lo, m_hi + 1)]
+    if not step > 0.0:
+        raise PreconditionError(f"step must be positive, got {step!r}")
+    lo, hi = HEIGHT_WINDOW
+    pairs = []
+    for b in betas:
+        first = max(m_lo, math.ceil((lo - b.value) / step) - 1)
+        last = min(m_hi, math.floor((hi - b.value) / step) + 1)
+        pairs.extend((b.value + m * step, b.tail_bound) for m in range(first, last + 1))
     return make_density_report(pairs, HEIGHT_WINDOW)
 
 

@@ -17,9 +17,9 @@ point 0); RationalMap and the Aberth solver serve the --map commands
 (fixed-points, classify, linearize, collinearity) instead.
 
 A word is realized once and then extended: realize continues a
-shallower realization of the word (resume), and RealizedOrbit.at also
-cuts a deeper one back, each bitwise equal to realizing from scratch
-because the steps are deterministic.  A RealizedOrbit reads like its word, so
+shallower realization of the word, and RealizedOrbit.at also cuts a
+deeper one back, each bitwise equal to realizing from scratch because
+the steps are deterministic.  A RealizedOrbit reads like its word, so
 the membership check, concatenation, the series engine and the
 excursion count take realizations and pass them on.
 """
@@ -107,11 +107,11 @@ class RealizedOrbit:
 
     def at(self, depth: int) -> RealizedOrbit:
         """The word's realization to the given depth: this one continued
-        (realize with resume) when deeper, cut back when shallower.  A
-        cut reruns the closing checks on the shorter orbit, so either way
-        the result, or the error, is that of realize(word, depth)."""
+        (realize) when deeper, cut back when shallower.  A cut reruns the
+        closing checks on the shorter orbit, so either way the result, or
+        the error, is that of realize(word, depth)."""
         if depth > self.depth:
-            return realize(self.word, depth, self)
+            return realize(self, depth)
         if depth == self.depth:
             return self
         _check_depth(self.word, depth)
@@ -157,9 +157,7 @@ def _check_depth(word: OrbitWord, depth: int) -> None:
         )
 
 
-def realize(
-    word: OrbitWord | RealizedOrbit, depth: int, resume: RealizedOrbit | None = None
-) -> RealizedOrbit:
+def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     """Realize the word to the given depth in one pass.
 
     Each step takes s = sqrt(w - epsilon) once, picks its sign by the
@@ -169,23 +167,19 @@ def realize(
     settle it must enter D_sigma(a) and contract monotonically, else the
     word is reported divergent.
 
-    With resume, a shallower realization of the same word, the pass
-    continues from its last point instead of starting over.  The steps
-    are deterministic, so the result, or the error raised, is bitwise
-    that of realizing from scratch.  A realization passed as the word
-    stands for its word, so RealizedOrbit.word is always an OrbitWord.
+    Given a realization no deeper than depth, the pass continues from
+    its last point instead of starting over.  The steps are
+    deterministic, so the result, or the error raised, is bitwise that
+    of realizing from scratch.  A realization stands for its word, so
+    RealizedOrbit.word is always an OrbitWord.
     """
+    start = word if isinstance(word, RealizedOrbit) and word.depth <= depth else None
     word = word.word
     _check_depth(word, depth)
     prefix = word.prefix
     eps = quadratic_epsilon(word.map)
     a = word.base.location
-    if resume is None:
-        pts, choices = [a], []
-    elif resume.word != word or resume.depth > depth:
-        raise PreconditionError("resume needs a shallower realization of the same word")
-    else:
-        pts, choices = list(resume.points), list(resume.choices)
+    pts, choices = ([a], []) if start is None else (list(start.points), list(start.choices))
     n = len(prefix)
     w = pts[-1]
     rw = abs(w)

@@ -10,13 +10,15 @@ module hang off two certified radii: sigma, below which the map is
 injective on D_sigma(a) with image covering the closed disk and with
 the first three backward disks pairwise disjoint, and delta, half the
 smallest log-derivative gap to |f'(a)| over sampled Julia points away
-from those disks.  Certificates are dense boundary samples with
-recorded margins, not interval arithmetic.
+from those disks.  Univalence and covering are closed forms lowered by
+a few ulps; disjointness is a dense boundary sample.  Each certificate
+records its margin.
 
 sample_words hands each admitted word on as the realization its
 membership check made (MEMBERSHIP_DEPTH past the prefix); the value,
 the excursion count and the decomposition checks continue it rather
-than realize the word again.
+than realize the word again.  bound_checks and sampled_heights each
+serve a command and the criteria that check the same claim.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .cocycle import (
     DensityReport,
     _check_tol,
     cocycle_vs_fixed,
-    fixed_orbit,
+    height_set,
     make_density_report,
     values_vs_fixed,
 )
@@ -153,6 +155,11 @@ def sample_words(
     """
     if n < 1 or max_len < 1:
         raise ConfigError(f"need n >= 1 words of max_len >= 1, got n={n}, max_len={max_len}")
+    if n.bit_length() > max_len:  # n > 2**max_len - 1, the number of normalized prefixes
+        raise ConfigError(
+            f"{n} words requested, but only {2**max_len - 1} normalized prefixes"
+            f" of length <= {max_len} exist"
+        )
     rng = np.random.default_rng(seed)
     out: list[OrbitWord] = []
     seen: set[str] = set()
@@ -291,23 +298,27 @@ class SigmaDelta:
 
 
 def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
-    """Boundary-sampled margins for the disk certificates at this sigma.
+    """Margins for the disk certificates at this sigma.
 
     univalence: the disk must avoid the critical point 0 (a disk of
     radius below |center| contains no antipodal pair, so z**2 is
-    injective on it); covering: |f - a| on the boundary must exceed
-    sigma while the image loop winds once about a; disjointness: the
-    backward disk chain D_sigma(a), D', f^{-1}(D'), f^{-2}(D') must be
-    pairwise separated, tested via bounding circles of the sampled
-    boundary clouds around their known centers.
+    injective on it), margin |a| - sigma; covering: |f - a| on the
+    boundary must exceed sigma while the image loop winds once about a.
+    As f(z) - a = (z - a)(z + a), the minimum of |f - a| on the boundary
+    is sigma*(2|a| - sigma), and the loop winds once whenever sigma <
+    2|a|, which univalence implies.  Both margins are lowered by
+    4 ulps so that each is a bound.  disjointness: the backward disk
+    chain D_sigma(a), D', f^{-1}(D'), f^{-2}(D') must be pairwise
+    separated, tested via bounding circles of the sampled boundary
+    clouds around their known centers.
     """
+    univalence = abs(a) - sigma
+    univalence -= 4.0 * math.ulp(univalence)
+    covering = sigma * (2.0 * abs(a) - sigma) - sigma
+    covering -= 4.0 * math.ulp(covering)
+    winding = float(1 + (2.0 * abs(a) < sigma))  # once per preimage (a, -a) of a in the disk
     theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
     circle0 = a + sigma * np.exp(1j * theta)
-    image = circle0 * circle0 + eps
-    covering = float(np.min(np.abs(image - a))) - sigma
-    winding = float(
-        np.sum(np.angle((np.roll(image, -1) - a) / (image - a))) / (2.0 * np.pi)
-    )
     # boundary of D' (the preimage component of D_sigma(a) at -a)
     s1 = np.sqrt(circle0 - eps)
     cloud1 = np.where(np.abs(s1 + a) <= np.abs(-s1 + a), s1, -s1)
@@ -341,7 +352,7 @@ def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
     for (ci, ri), (cj, rj) in itertools.combinations(regions, 2):
         disjoint = min(disjoint, abs(ci - cj) - ri - rj)
     return {
-        "univalence_margin": abs(a) - sigma,
+        "univalence_margin": univalence,
         "covering_margin": covering,
         "winding": winding,
         "disjointness_margin": float(disjoint),
@@ -353,7 +364,6 @@ def _admissible(cert: dict) -> bool:
         cert["univalence_margin"] >= CERT_MARGIN
         and cert["covering_margin"] >= CERT_MARGIN
         and cert["disjointness_margin"] >= CERT_MARGIN
-        and abs(cert["winding"] - 1.0) < 0.01
     )
 
 
@@ -474,17 +484,11 @@ class BoundCheck:
     delta_used: float
 
 
-def cocycle_lower_bound_check(
-    word: OrbitWord | RealizedOrbit, sd: SigmaDelta, tol: float, fixed: RealizedOrbit | None = None
-) -> BoundCheck:
-    """Certified check of |beta| > delta * d.
-
-    The excursions and the value come from one realization of the
-    word; fixed is passed on to cocycle_vs_fixed.
-    """
+def cocycle_lower_bound_check(word: OrbitWord | RealizedOrbit, sd: SigmaDelta, tol: float) -> BoundCheck:
+    """Certified check of |beta| > delta * d.  The excursions and the
+    value come from one realization of the word."""
     orb = word.at(len(word.prefix) + SERIES_DEPTH)
-    stats = excursion_stats(orb, sd.sigma)
-    return lower_bound(cocycle_vs_fixed(orb, tol, fixed), stats, sd)
+    return lower_bound(cocycle_vs_fixed(orb, tol), excursion_stats(orb, sd.sigma), sd)
 
 
 def lower_bound(beta: CocycleValue, stats: ExcursionStats, sd: SigmaDelta) -> BoundCheck:
@@ -503,6 +507,20 @@ def lower_bound(beta: CocycleValue, stats: ExcursionStats, sd: SigmaDelta) -> Bo
     delta_used = sd.delta if eps_word == sd.epsilon else 0.5 * sd.delta
     margin = abs(beta.value) - beta.tail_bound - delta_used * stats.d
     return BoundCheck(margin > 0.0, margin, beta, stats, delta_used)
+
+
+def bound_checks(
+    epsilon: complex, n_words: int, seed: int, max_len: int, tol: float
+) -> tuple[SigmaDelta, list[BoundCheck]]:
+    """sigma and delta at Re(epsilon), and the check of |beta| > delta * d
+    for n_words seeded words at epsilon (the bound-528 command and
+    criterion 12).  Each word is continued to its series start once, for
+    its excursions and its value; the values come in one batch."""
+    eps = complex(epsilon)
+    sd = default_sigma_delta(complex(eps.real, 0.0), seed)
+    orbs = [w.at(len(w.prefix) + SERIES_DEPTH) for w in sample_words(eps, n_words, seed, max_len)]
+    betas = values_vs_fixed(orbs, tol)
+    return sd, [lower_bound(b, excursion_stats(o, sd.sigma), sd) for b, o in zip(betas, orbs)]
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +548,20 @@ def build_B_epsilon(
     if total > ENUMERATION_CAP:
         raise ConfigError(f"{total} sums exceed the enumeration cap {ENUMERATION_CAP}")
     return value_sums(values_vs_fixed(sample_words(eps, word_budget, seed), tol), l_max)
+
+
+def sampled_heights(
+    epsilon: complex, n_words: int, seed: int, max_len: int, tol: float, m_span: int
+) -> tuple[list[CocycleValue], DensityReport]:
+    """The values of n_words seeded words against the fixed orbit and
+    their height set over shifts -m_span..m_span (the heights command,
+    criteria 3 and 10).  The sampled orbits go before the height set is
+    built."""
+    words = sample_words(epsilon, n_words, seed, max_len)
+    step = math.log(abs(words[0].base.multiplier))
+    values = values_vs_fixed(words, tol)
+    del words
+    return values, height_set(values, step, (-m_span, m_span))
 
 
 def value_sums(betas: list[CocycleValue], l_max: int) -> DensityReport:
@@ -613,32 +645,26 @@ def limit_decomposition_check(
     from y's depth-j point to a; its fitted geometric rate is reported
     where the defect is above rounding scale.  A fixed-orbit c
     degenerates to the one-component decomposition with limit beta(y).
-    y, c and each concatenated word are realized once, the fixed orbit
-    once, and beta(y) and beta(c) are computed once."""
+    y, c and each concatenated word are realized once, and beta(y),
+    beta(c) and the sequence's values come in one batch."""
     junctions = list(junction_sequence)
     if junctions != sorted(junctions) or len(set(junctions)) != len(junctions):
         raise PreconditionError("junction sequence must be strictly increasing")
     _check_tol(tol)
-    fixed = fixed_orbit([y, c], max(junctions, default=0) + len(c.prefix))
     y = y.at(len(y.prefix) + SERIES_DEPTH)
-    beta_y = cocycle_vs_fixed(y, tol, fixed)
     c = c.at(len(c.prefix) + SERIES_DEPTH)
     degenerate = is_in_Pi_a(c, c.depth).reason == "fixed-orbit"
-    beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else cocycle_vs_fixed(c, tol, fixed)
+    words = [concatenate(y, c, j) for j in junctions]
+    values = values_vs_fixed([y, *([] if degenerate else [c]), *words], tol)
+    beta_y = values[0]
+    beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else values[1]
+    betas = values[1 if degenerate else 2 :]
     expected = beta_y.value + beta_c.value
     a = y.base.location
-    betas = []
-    defects = []
-    nu_dist = []
-    wsup = []
-    for j in junctions:
-        w = concatenate(y, c, j)
-        b = cocycle_vs_fixed(w, tol, fixed)
-        worb = w.at(j + len(c.prefix) + WINDOW_DEPTH + 20)
-        betas.append(b)
-        defects.append(abs(b.value - expected))
-        nu_dist.append(abs(worb.points[j] - a))
-        wsup.append(_window_sup(worb, j, c))
+    defects = [abs(b.value - expected) for b in betas]
+    worbs = [w.at(j + len(c.prefix) + WINDOW_DEPTH + 20) for w, j in zip(words, junctions)]
+    nu_dist = [abs(worb.points[j] - a) for worb, j in zip(worbs, junctions)]
+    wsup = [_window_sup(worb, j, c) for worb, j in zip(worbs, junctions)]
     if degenerate:
         l, comps, comp_betas = 1, (y,), (beta_y,)
         nus = tuple((0,) for _ in junctions)

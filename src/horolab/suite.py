@@ -25,10 +25,7 @@ from .cocycle import (
     CocycleValue,
     basic_cocycle,
     cocycle_field,
-    cocycle_vs_fixed,
     field_mean_value,
-    fixed_orbit,
-    height_set,
     progression_density_check,
     series_terms,
     values_vs_fixed,
@@ -45,8 +42,8 @@ from .periodic import (
 from .quadratic import (
     DEFAULT_MAX_PREFIX,
     ExcursionStats,
+    bound_checks,
     branch_exceptional,
-    cocycle_lower_bound_check,
     default_sigma_delta,
     derivative_extremality_check,
     disk_containment_check,
@@ -58,6 +55,7 @@ from .quadratic import (
     nested_decomposition_check,
     quadratic_map,
     sample_words,
+    sampled_heights,
     value_sums,
 )
 from .reports import to_json_text
@@ -77,16 +75,6 @@ class CriterionResult:
 
 def _result(index, name, ok, details, t0, artifacts=None) -> CriterionResult:
     return CriterionResult(index, name, bool(ok), details, time.perf_counter() - t0, artifacts or {})
-
-
-def _fixed_values(
-    eps: complex, n: int, seed: int, max_len: int = DEFAULT_MAX_PREFIX
-) -> tuple[list[CocycleValue], float]:
-    """Values of n seeded words against the fixed orbit, and the height
-    step ln|multiplier|.  The sampled orbits go when this returns, before
-    the caller builds its height set."""
-    words = sample_words(eps, n, seed, max_len)
-    return values_vs_fixed(words, 1e-12), math.log(abs(words[0].base.multiplier))
 
 
 def criterion_1(seed: int) -> CriterionResult:
@@ -150,9 +138,8 @@ def criterion_2(seed: int) -> CriterionResult:
 def criterion_3(seed: int) -> CriterionResult:
     """Degenerate parameter: vanishing cocycle, ln-2 ladder."""
     t0 = time.perf_counter()
-    betas, step = _fixed_values(0.0, 200, seed)
+    betas, rep = sampled_heights(0.0, 200, seed, DEFAULT_MAX_PREFIX, 1e-12, 40)
     max_beta = max(abs(b.value) for b in betas)
-    rep = height_set(betas, step, (-40, 40))
     gap_err = abs(rep.max_gap - math.log(2.0))
     ok = max_beta < 1e-10 and gap_err < 1e-9
     return _result(
@@ -178,16 +165,15 @@ def _sign_law_sample(
     once: their values, their excursions from their own disk (radius
     find_sigma(eps), which lower_bound checks against sd.sigma), and the
     signs (term > 0) of their series terms above TERM_ZERO_FLOOR."""
-    words = sample_words(eps, 200, seed)
-    fixed = fixed_orbit(words)
-    betas, excursions, signs = [], [], set()
-    for w in words:
-        orb = w.at(len(w.prefix) + SERIES_DEPTH)
-        beta = cocycle_vs_fixed(orb, 1e-12, fixed)
-        signs.update(t > 0 for t in series_terms(orb, beta.depth_used) if not abs(t) <= TERM_ZERO_FLOOR)
-        betas.append(beta)
-        excursions.append(excursion_stats(orb, orb.sigma))
-    return betas, excursions, signs
+    orbs = [w.at(len(w.prefix) + SERIES_DEPTH) for w in sample_words(eps, 200, seed)]
+    betas = values_vs_fixed(orbs, 1e-12)
+    signs = {
+        t > 0
+        for orb, beta in zip(orbs, betas)
+        for t in series_terms(orb, beta.depth_used)
+        if not abs(t) <= TERM_ZERO_FLOOR
+    }
+    return betas, [excursion_stats(orb, orb.sigma) for orb in orbs], signs
 
 
 def criterion_4(seed: int) -> CriterionResult:
@@ -412,8 +398,7 @@ def criterion_10(seed: int) -> CriterionResult:
     """Height-set density and the two-value progression."""
     t0 = time.perf_counter()
     eps = -1.0
-    values, step = _fixed_values(eps, 500, seed, max_len=12)
-    rep = height_set(values, step, (-40, 40))
+    values, rep = sampled_heights(eps, 500, seed, 12, 1e-12, 40)
     betas = sorted(set(round(b.value, 14) for b in values))
     b1, b2 = min(zip(betas, betas[1:]), key=lambda p: p[1] - p[0])
     lam = abs(2.0 * fixed_point_a(eps))
@@ -473,24 +458,16 @@ def criterion_12(seed: int) -> CriterionResult:
     t0 = time.perf_counter()
     details = {}
     ok = True
-    for eps_c, eps_r in ((0.1 + 0.02j, 0.1), (-1.0 + 0.02j, -1.0)):
-        sd = default_sigma_delta(eps_r, seed)
-        words = sample_words(eps_c, 200, seed, max_len=8)
-        fixed = fixed_orbit(words)
-        signs_ok = True
-        bounds_ok = True
-        min_margin = math.inf
-        for w in words:
-            bc = cocycle_lower_bound_check(w, sd, 1e-12, fixed)
-            if (bc.beta.value > 0) != (eps_r > 0):
-                signs_ok = False
-            bounds_ok = bounds_ok and bc.ok
-            min_margin = min(min_margin, bc.margin)
+    for eps_c in (0.1 + 0.02j, -1.0 + 0.02j):
+        sd, checks = bound_checks(eps_c, 200, seed, 8, 1e-12)
+        signs_ok = all((bc.beta.value > 0) == (eps_c.real > 0) for bc in checks)
+        bounds_ok = all(bc.ok for bc in checks)
+        min_margin = min(bc.margin for bc in checks)
         ok = ok and signs_ok and bounds_ok
-        key = "pos" if eps_r > 0 else "neg"
-        details[f"{key}_epsilon"] = complex(eps_c)
+        key = "pos" if eps_c.real > 0 else "neg"
+        details[f"{key}_epsilon"] = eps_c
         details[f"{key}_delta_used"] = 0.5 * sd.delta
-        details[f"{key}_n_words"] = len(words)
+        details[f"{key}_n_words"] = len(checks)
         details[f"{key}_signs_ok"] = signs_ok
         details[f"{key}_bounds_ok"] = bounds_ok
         details[f"{key}_min_margin"] = min_margin

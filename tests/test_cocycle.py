@@ -25,6 +25,7 @@ from horolab.cocycle import (
     progression_density_check,
     pushforward_height,
     series_terms,
+    values_vs_fixed,
 )
 from horolab.errors import ConfigError, DomainError, PreconditionError
 from horolab.quadratic import family_word, fixed_point_a, limit_decomposition_check
@@ -223,6 +224,25 @@ def test_height_set_fills_window():
     vals = [v for v, _ in rep.values]
     assert vals == sorted(vals)
     assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def test_height_set_builds_only_the_shifts_in_the_window():
+    words = [family_word(-1.0, p) for p in ("-", "--", "-+", "-+-", "--+")]
+    betas = [cocycle_vs_fixed(w, SEED_WORD_TOL) for w in words]
+    step = math.log(abs(words[0].base.multiplier))
+    assert height_set(betas, step, (-10**9, 10**9)) == height_set(betas, step, (-40, 40))
+    with pytest.raises(PreconditionError):
+        height_set(betas, 0.0, (-40, 40))
+
+
+def test_values_vs_fixed_equals_cocycle_vs_fixed_word_by_word():
+    # mixed prefix lengths: the batch's fixed orbit is realized for the
+    # longest and cut back for the others
+    words = [family_word(0.1, p) for p in ("-+--+-+", "-", "--+", "", "-+-+-+-+-+-")]
+    assert values_vs_fixed(words, 1e-12) == [cocycle_vs_fixed(w, 1e-12) for w in words]
+    assert values_vs_fixed([], 1e-12) == []
+    with pytest.raises(ConfigError):
+        values_vs_fixed([], 0.0)
 
 
 def test_semigroup_defect_decays_geometrically():

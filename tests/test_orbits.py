@@ -136,7 +136,7 @@ def assert_continues_like_scratch(word, d1, d2):
     scratch gives, the error included when there is one."""
     short = realize(word, d1)
     scratch = outcome(lambda: realize(word, d2))
-    assert outcome(lambda: realize(word, d2, short)) == scratch
+    assert outcome(lambda: realize(short, d2)) == scratch
     assert outcome(lambda: short.at(d2)) == scratch
     return scratch
 
@@ -182,14 +182,6 @@ def test_cut_realization_raises_like_scratch():
     with pytest.raises(DivergentWordError, match="within depth 65"):
         realize(w, 65)
     assert_cuts_like_scratch(w, 100, 65)
-
-
-def test_resume_requires_a_shallower_realization_of_the_word():
-    w = family_word(0.1, "-")
-    with pytest.raises(PreconditionError):
-        realize(w, 10, realize(w, 20))
-    with pytest.raises(PreconditionError):
-        realize(family_word(0.1, "--"), 30, realize(w, 20))
 
 
 def test_realizing_a_realization_realizes_its_word():

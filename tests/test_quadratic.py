@@ -278,6 +278,23 @@ def test_sample_words_exhaustion_is_an_error():
         sample_words(0.1, 10, seed=3, max_len=2)
 
 
+def test_sample_words_refuses_more_words_than_prefixes():
+    # seven normalized prefixes of length <= 3 exist: -, -+, --, and four of length 3
+    with pytest.raises(ConfigError, match="only 7 normalized prefixes"):
+        sample_words(0.1, 8, 7, max_len=3)
+
+
+@pytest.mark.parametrize("eps", [0.1, -1.0, -3.0, 0.2499, complex(0.1, 0.02), complex(-0.525, 0.16)])
+def test_closed_form_covering_margin_bounds_a_dense_sample(eps):
+    sigma, cert = find_sigma(eps)
+    a = fixed_point_a(eps)
+    circle = [a + sigma * cmath.exp(2j * math.pi * k / 2**16) for k in range(2**16)]
+    sampled = min(abs(z * z + eps - a) for z in circle) - sigma
+    assert cert["covering_margin"] <= sampled <= cert["covering_margin"] + 1e-9
+    assert cert["univalence_margin"] < abs(a) - sigma
+    assert cert["winding"] == 1.0
+
+
 def test_word_json_round_trip():
     w = family_word(0.1, "-+")
     assert word_from_json(w.to_json()) == w

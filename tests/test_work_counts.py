@@ -19,26 +19,44 @@ def wrap_everywhere(monkeypatch, original, wrapper):
                     monkeypatch.setattr(module, attr, wrapper)
 
 
-def test_sign_law_realizes_each_word_once(monkeypatch):
-    """Criterion 4: 200 sampled words at eps 0.1 and at -1, with their
-    values and series terms."""
-    steps = collections.defaultdict(list)  # word -> (first step, depth) per call
+def realize_steps(monkeypatch, criterion):
+    """Run the criterion at seed 7 and return, per word, the (first step,
+    depth) of each realize call; a realization passed to realize is
+    continued from its own depth."""
+    steps = collections.defaultdict(list)
     realize = orbits.realize
 
-    def counted(word, depth, *args, **kwargs):
-        resume = args[0] if args else kwargs.get("resume")
-        steps[word].append((0 if resume is None else resume.depth, depth))
-        return realize(word, depth, *args, **kwargs)
+    def counted(word, depth):
+        steps[word.word].append((word.depth if isinstance(word, orbits.RealizedOrbit) else 0, depth))
+        return realize(word, depth)
 
     wrap_everywhere(monkeypatch, realize, counted)
-    assert suite.criterion_4(7).ok
+    assert criterion(7).ok
+    return steps
+
+
+def assert_each_step_loop_runs_once(steps):
+    """The fixed orbit is realized once at each of the two parameters,
+    and each call continues where the word's last one stopped."""
     fixed = [w for w in steps if w.prefix == ""]
     assert len(fixed) == 2
     assert all(len(steps[w]) == 1 for w in fixed)
-    assert len(steps) == 2 + 400  # no candidate was rejected at seed 7
     for word, calls in steps.items():
-        # each call continues where the last one stopped
         assert [start for start, _ in calls] == [0] + [depth for _, depth in calls[:-1]], word.prefix
+
+
+def test_sign_law_realizes_each_word_once(monkeypatch):
+    """Criterion 4: 200 sampled words at eps 0.1 and at -1, with their
+    values and series terms."""
+    steps = realize_steps(monkeypatch, suite.criterion_4)
+    assert_each_step_loop_runs_once(steps)
+    assert len(steps) == 2 + 400  # no candidate was rejected at seed 7
+
+
+def test_complex_bound_realizes_each_word_once(monkeypatch):
+    """Criterion 12: 200 sampled words at eps 0.1+0.02i and at -1+0.02i,
+    with their excursions and values."""
+    assert_each_step_loop_runs_once(realize_steps(monkeypatch, suite.criterion_12))
 
 
 def test_bound_check_takes_the_sign_law_values(monkeypatch):

@@ -10,8 +10,10 @@
 # subcommand once with the flags it reads, the linearizer at a complex
 # parameter, collinearity at both verdicts, the --map commands on z**3,
 # linearize on a non-polynomial map, and semigroup / limit-decomp with a
-# fixed-orbit c and with a nested junction, and semigroup with a c
-# longer than the post-junction window.  Each command's --out tree,
+# fixed-orbit c and with a nested junction, semigroup with a c longer
+# than the post-junction window, bound-528 at a complex parameter (the
+# half-delta floor), heights over a wide shift span, and sigma-delta at
+# a complex parameter.  Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.  Exit
 # status 0 means no difference.
@@ -34,6 +36,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 # a c longer than the post-junction window
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
+printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -71,6 +74,9 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" limit-decomp-nested limit-decomp --epsilon 0.1 --tol 1e-9 --config "$tmp/nested.cfg"
     run "$tree" "$out" limit-decomp-fixed-c-nested limit-decomp --epsilon 0.1 --tol 1e-9 \
         --config "$tmp/fixed-c-nested.cfg"
+    run "$tree" "$out" bound-528-complex bound-528 --epsilon=-1,0.02 --seed 7 --tol 1e-9
+    run "$tree" "$out" heights-wide-span heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/wide-span.cfg"
+    run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
