@@ -1,10 +1,15 @@
 """Periodic points, multiplier classification, and Koenigs linearization.
 
-The all-roots solver is an Aberth-Ehrlich simultaneous iteration with
-deterministic initial placement and a Newton polish, so every caller
-(periodic point enumeration, critical points, preimage steps) resolves
-roots the same way.  A root that is not finite, or whose residual is
-above tolerance, is a RootFindingError.
+Roots are found by an Aberth-Ehrlich simultaneous iteration from
+deterministic start points, followed by a Newton polish.  For z**2 + eps
+the periodic points of period p are the roots of f^p(z) - z, whose
+Newton ratio is computed by iterating f p times, without expanding the
+degree-2**p polynomial, and preimages are +-sqrt(w - eps) in closed
+form.  For any other map (the --map commands) the iterate is composed
+into coefficients (iterated_pair) and all_roots solves the polynomial,
+as it does for such a map's preimages and for critical points.  A root
+that is not finite, or whose residual is above tolerance, is a
+RootFindingError.
 
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
 fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
@@ -50,6 +55,14 @@ ROOT_RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 300
 CLUSTER_REL_TOL = 1e-6  # roots this close (relative) merge into one of higher multiplicity
 DEGREE_BUDGET = 4096  # largest degree of an iterate f^n composed for periodic points
+# Largest period solved for z**2 + eps.  Aberth holds n x n complex
+# matrices of pairwise differences for the n = 2**p roots: 4**p entries,
+# 16 MiB each at p = 10 but 256 MiB at p = 12.
+MAX_FAMILY_PERIOD = 10
+# Orbit points beyond this modulus are not iterated further: there the
+# Newton ratio of f^p(z) - z is finished in closed form, so nothing
+# overflows (see _iterated_newton).
+ESCAPE_MODULUS = 1e30
 LINEARIZER_BOUNDARY_SAMPLES = 64  # circle points whose pullbacks certify a linearizer disk
 NODE_BUDGET = 65536  # largest preimage tree the collinearity check enumerates
 BRANCH_COLLISION_TOL = 1e-13
@@ -85,7 +98,12 @@ def all_roots(coeffs) -> list[Root]:
     if n == 1:
         roots = [-c[0] / c[1]]
     elif n > 1:
-        roots = [complex(z) for z in _aberth(np.asarray(c, dtype=complex))]
+        a = np.asarray(c, dtype=complex)
+        a = a / np.max(np.abs(a))
+        da = npoly.polyder(a)
+        radius = 1.0 + float(np.max(np.abs(a[:-1] / a[-1])))
+        z = _aberth(_circle(n, radius), lambda x: (npoly.polyval(x, a), npoly.polyval(x, da)))
+        roots = [complex(x) for x in z]
         _check_residuals(c, roots)
     clusters = _cluster(roots)
     if zeros_at_origin:
@@ -94,18 +112,19 @@ def all_roots(coeffs) -> list[Root]:
     return clusters
 
 
-def _aberth(c: np.ndarray) -> np.ndarray:
-    scale = np.max(np.abs(c))
-    c = c / scale
-    dc = npoly.polyder(c)
-    n = len(c) - 1
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
+def _circle(n: int, radius: float) -> np.ndarray:
+    """n start points equally spaced on a circle, at a fixed angular offset."""
     angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
-    z = radius * np.exp(1j * angles)
+    return radius * np.exp(1j * angles)
+
+
+def _aberth(z: np.ndarray, newton) -> np.ndarray:
+    """Aberth-Ehrlich iteration from the start points z, then a Newton
+    polish.  newton(z) gives the numerator and the denominator of the
+    Newton ratio at every point (the function and its derivative)."""
     tiny = 1e-300
     for _ in range(ABERTH_MAX_ITER):
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
+        p, dp = newton(z)
         dp = np.where(dp == 0, tiny, dp)
         w = p / dp
         diff = z[:, None] - z[None, :]
@@ -118,8 +137,7 @@ def _aberth(c: np.ndarray) -> np.ndarray:
         if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
             break
     for _ in range(4):  # Newton polish
-        p = npoly.polyval(z, c)
-        dp = npoly.polyval(z, dc)
+        p, dp = newton(z)
         mask = np.abs(dp) > tiny
         z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
     return z
@@ -246,22 +264,80 @@ def iterated_pair(f: RationalMap, n: int) -> RationalFunction:
 def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
     """All finite points of exact period `period`, sorted by (re, im).
 
-    Roots of the fixed-point polynomial of f^period; points whose
-    minimal period is a proper divisor are discarded.
+    Roots of f^period(z) - z: for z**2 + eps by iterated evaluation
+    (_family_periodic_roots), for any other map from the coefficients of
+    the composed iterate; points whose minimal period is a proper
+    divisor are discarded.
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
-    fn = iterated_pair(f, period)
-    # P_n(z) - z Q_n(z) = 0
-    g = poly_sub(fn.num, poly_mul((0j, 1 + 0j), fn.den))
+    eps = quadratic_epsilon(f)
+    if eps is None:
+        fn = iterated_pair(f, period)
+        # P_n(z) - z Q_n(z) = 0
+        roots = all_roots(poly_sub(fn.num, poly_mul((0j, 1 + 0j), fn.den)))
+    else:
+        roots = _family_periodic_roots(eps, period)
     out = []
-    for root in all_roots(g):
+    for root in roots:
         z = root.value
         if _minimal_period(f, z, period) != period:
             continue
         out.append(make_periodic_point(f, z, period))
     out.sort(key=lambda p: (p.location.real, p.location.imag))
     return out
+
+
+def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
+    """The 2**period roots of f^period(z) - z for f = z**2 + eps, clustered.
+
+    Aberth iteration whose Newton ratio is computed by iterating f
+    (Schleicher & Stoll, "Newton's method in practice", Theor. Comput.
+    Sci. 681 (2017)), so no coefficient of the degree-2**period
+    polynomial is formed.  The start points lie on the circle of radius
+    1.05 R, R = (1 + sqrt(1 + 4|eps|))/2, outside the filled Julia set
+    (|z| > R gives |f(z)| > |z|).  A root that is not finite, or whose
+    residual |f^period(z) - z| / (1 + |z|) is above ROOT_RESIDUAL_TOL, is
+    a RootFindingError.
+    """
+    if period > MAX_FAMILY_PERIOD:
+        raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
+    newton = _iterated_newton(eps, period)
+    radius = 1.05 * (1.0 + math.sqrt(1.0 + 4.0 * abs(eps))) / 2.0
+    z = _aberth(_circle(2**period, radius), newton)
+    residual, _ = newton(z)
+    worst = float(np.max(np.abs(residual) / (1.0 + np.abs(z))))  # NaN fails below
+    if not worst <= ROOT_RESIDUAL_TOL:
+        raise RootFindingError(
+            f"periodic-point residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_TOL:.1e}"
+        )
+    return _cluster([complex(x) for x in z])
+
+
+def _iterated_newton(eps: complex, period: int):
+    """Newton numerator and denominator of f^period(z) - z for
+    f = z**2 + eps: f^period(z) - z and (f^period)'(z) - 1, the
+    derivative being the product of 2 f^j(z) over j < period.
+
+    An orbit point z_j beyond ESCAPE_MODULUS is not iterated further:
+    from there the ratio is z_j / ((f^j)'(z) 2**(period - j)) to a
+    relative 1/ESCAPE_MODULUS, so that is returned and nothing overflows.
+    """
+
+    def newton(z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = z0.copy()
+        d = np.ones_like(z0)
+        tail = np.ones(len(z0))  # 2**(period - j) once z_j has escaped
+        for _ in range(period):
+            live = np.abs(z) <= ESCAPE_MODULUS
+            tail[~live] *= 2.0
+            zl = z[live]
+            d[live] *= 2.0 * zl
+            z[live] = zl * zl + eps
+        escaped = tail > 1.0
+        return np.where(escaped, z, z - z0), np.where(escaped, d * tail, d - 1.0)
+
+    return newton
 
 
 def _minimal_period(f: RationalMap, z: complex, period: int) -> int:
@@ -278,11 +354,16 @@ def _minimal_period(f: RationalMap, z: complex, period: int) -> int:
 
 
 def preimage_points(f: RationalMap, w: complex) -> list[complex]:
-    """All finite solutions of f(z) = w, sorted by argument then modulus."""
-    g = poly_sub(f.num, tuple(w * q for q in f.den))
-    roots: list[complex] = []
-    for r in all_roots(g):
-        roots.extend([r.value] * r.multiplicity)
+    """All finite solutions of f(z) = w, sorted by argument then modulus
+    (in closed form, +-sqrt(w - eps), for z**2 + eps)."""
+    eps = quadratic_epsilon(f)
+    if eps is None:
+        roots: list[complex] = []
+        for r in all_roots(poly_sub(f.num, tuple(w * q for q in f.den))):
+            roots.extend([r.value] * r.multiplicity)
+    else:
+        s = cmath.sqrt(w - eps)
+        roots = [s, 0 - s]  # not -s: a negative real root keeps +0.0j and phase pi
     roots.sort(key=lambda z: (cmath.phase(z), abs(z)))
     return roots
 

@@ -289,10 +289,20 @@ def test_computation_error_exits_1(tmp_path, capsys):
 
 def test_non_finite_periodic_points_exit_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("period = 6\n")
-    code, payload = run(capsys, "classify", "--epsilon", "-1.1", "--config", str(cfg), "--out", str(tmp_path))
+    cfg.write_text("period = 4\n")
+    path = tmp_path / "map.json"  # z**3 - 1.1, solved from its composed coefficients
+    path.write_text('{"num": [[-1.1,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}')
+    code, payload = run(capsys, "classify", "--map", str(path), "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert payload["error"] == "root-finding-error"
+
+
+def test_classify_family_at_period_6(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("period = 6\n")
+    code, payload = run(capsys, "classify", "--epsilon", "-1.1", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    assert payload["count"] == 54
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
 import cmath
 import math
+import sys
+import warnings
 
 import pytest
 
-from horolab.errors import ConstructionError, PreconditionError, RootFindingError
+from horolab import periodic
+from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
 from horolab.maps import RationalMap, evaluate
 from horolab.periodic import (
+    MAX_FAMILY_PERIOD,
     all_roots,
     build_linearizer,
     classify,
@@ -159,9 +163,70 @@ def test_linearizer_disk_excludes_critical_values():
 
 
 def test_non_finite_roots_raise():
-    # Aberth on the degree-64 period-6 polynomial of z**2 - 1.1 ends in NaN
+    # Aberth on the degree-81 period-4 polynomial of z**3 - 1.1 ends in NaN
     with pytest.raises(RootFindingError):
-        periodic_points(quad(-1.1), 6)
+        periodic_points(RationalMap(num=(-1.1, 0, 0, 1), den=(1,)), 4)
+
+
+def mobius_count(p):
+    """Points of exact period p of a quadratic polynomial: sum over d | p of mu(p/d) 2**d."""
+
+    def mu(n):
+        out, k = 1, 2
+        while k * k <= n:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                out = -out
+            k += 1
+        return -out if n > 1 else out
+
+    return sum(mu(p // d) * 2**d for d in range(1, p + 1) if p % d == 0)
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16)])
+def test_family_periodic_points_counted_and_solved(eps):
+    # the expanded period-p polynomial overflows in evaluation for p >= 6
+    # (p >= 5 at -3); iterating f never forms it
+    f = quad(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+        for p in range(1, 9):
+            pts = periodic_points(f, p)
+            assert len(pts) == mobius_count(p), p
+            for q in pts:
+                z = q.location
+                assert abs(f.iterate(z, p) - z) <= 1e-9 * (1.0 + abs(z))
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16), -1.0, 0.1])
+def test_family_periodic_points_match_the_coefficient_path(eps, monkeypatch):
+    f = quad(eps)
+    family = {p: periodic_points(f, p) for p in range(1, 5)}
+    monkeypatch.setattr(periodic, "quadratic_epsilon", lambda f: None)  # iterated_pair + all_roots
+    for p, points in family.items():
+        coefficient = periodic_points(f, p)
+        assert len(points) == len(coefficient)
+        for q in points:
+            match = min(coefficient, key=lambda r: abs(r.location - q.location))
+            assert abs(match.location - q.location) <= 4 * sys.float_info.epsilon * (1.0 + abs(q.location))
+            assert match.classification == q.classification
+
+
+def test_family_period_cap_raises_config_error():
+    with pytest.raises(ConfigError):
+        periodic_points(quad(-1.0), MAX_FAMILY_PERIOD + 1)
+
+
+@pytest.mark.parametrize("w", [0.5, -2.0, 1j, complex(0.3, -0.2)])
+def test_family_preimages_in_closed_form(w, monkeypatch):
+    f = quad(-1.1)
+    closed = preimage_points(f, w)
+    monkeypatch.setattr(periodic, "quadratic_epsilon", lambda f: None)
+    solved = preimage_points(f, w)
+    assert all(abs(a - b) <= 4 * sys.float_info.epsilon * (1.0 + abs(a)) for a, b in zip(closed, solved))
+    assert all(abs(evaluate(f, z) - w) <= 4 * sys.float_info.epsilon * (1.0 + abs(w)) for z in closed)
 
 
 def test_linearizer_normalized_derivative():

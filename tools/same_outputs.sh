@@ -9,14 +9,15 @@
 # the seed-7 acceptance suite, the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
 # parameter, collinearity at both verdicts, the --map commands on z**3,
-# linearize on a non-polynomial map, and semigroup / limit-decomp with a
-# fixed-orbit c and with a nested junction, semigroup with a c longer
-# than the post-junction window, bound-528 at a complex parameter (the
-# half-delta floor), heights over a wide shift span, and sigma-delta at
-# a complex parameter.  Each command's --out tree,
-# stdout, exit status and (for the suite, with its timings removed)
-# stderr are collected per tree and compared with `diff -r`.  Exit
-# status 0 means no difference.
+# linearize on a non-polynomial map, classify at periods 6 and 4 of
+# z**2 + eps and at period 3 of the --map z**3, semigroup /
+# limit-decomp with a fixed-orbit c and with a nested junction,
+# semigroup with a c longer than the post-junction window, bound-528
+# at a complex parameter (the half-delta floor), heights over a wide
+# shift span, and sigma-delta at a complex parameter.  Each command's
+# --out tree, stdout, exit status and (for the suite, with its timings
+# removed) stderr are collected per tree and compared with `diff -r`.
+# Exit status 0 means no difference.
 set -euo pipefail
 
 ref=${1:?usage: tools/same_outputs.sh REF}
@@ -37,6 +38,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
+for p in 3 4 6; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -59,6 +61,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" semigroup semigroup --epsilon 0.1 --tol 1e-9
     run "$tree" "$out" field field --epsilon 0.1 --word=-
     run "$tree" "$out" classify classify --epsilon -1
+    run "$tree" "$out" classify-period-6 classify --epsilon -1.1 --config "$tmp/period-6.cfg"
+    run "$tree" "$out" classify-complex-period-4 classify --epsilon=-0.525,0.16 --config "$tmp/period-4.cfg"
     run "$tree" "$out" linearize linearize --epsilon -1
     run "$tree" "$out" linearize-complex linearize --epsilon=-0.525,0.16
     run "$tree" "$out" collinearity collinearity --epsilon -3
@@ -78,6 +82,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" heights-wide-span heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/wide-span.cfg"
     run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
+    run "$tree" "$out" map-classify-period-3 classify --map "$tmp/cube.json" --config "$tmp/period-3.cfg"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
     run "$tree" "$out" mobius-linearize linearize --map "$tmp/mobius.json"
