@@ -12,14 +12,17 @@ that bound.
 The engine takes realized orbits (RealizedOrbit.at): a word's orbit,
 typically the one its membership check made, is continued to the series
 start depth SERIES_DEPTH past the prefix and continued again on a depth
-restart, never realized afresh.  values_vs_fixed, the one routine that
-values words against the fixed orbit, realizes that orbit once, at the
-deepest start depth its batch needs, and cuts it back for each word.
-The field's own backward orbits (_follow) pick preimages by the same
-nearest-preimage rule.  Callers compute each word's value once and
-hand the CocycleValues on: height_set takes values, not words.
-Semigroup convergence under concatenation is checked in the family
-layer (quadratic.limit_decomposition_check).
+restart, never realized afresh.  basic_cocycle's pair_at hands the
+series each orbit's points with the distances to a that the realization
+carries (RealizedOrbit.dists), so no distance is computed twice.
+values_vs_fixed, the one routine that values words against the fixed
+orbit, realizes that orbit once, at the deepest start depth its batch
+needs, and cuts it back for each word.  The field's own backward orbits
+(_follow) pick preimages by the same nearest-preimage rule, which also
+gives the distances of the principal sequence to a.  Callers compute
+each word's value once and hand the CocycleValues on: height_set takes
+values, not words.  Semigroup convergence under concatenation is checked
+in the family layer (quadratic.limit_decomposition_check).
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .orbits import (
     CRITICAL_PROXIMITY,
     OrbitWord,
     RealizedOrbit,
-    _distances,
     _entry_index,
     _nearer,
     fixed_word,
@@ -188,7 +190,7 @@ def basic_cocycle(x: OrbitWord | RealizedOrbit, y: OrbitWord | RealizedOrbit, to
 
     def pair_at(depth):
         orbs[:] = [o.at(depth) for o in orbs]
-        return [(o.points, _distances(o.points, x.base.location), o.entry_index) for o in orbs]
+        return [(o.points, o.dists, o.entry_index) for o in orbs]
 
     depth0 = max(len(x.prefix), len(y.prefix)) + SERIES_DEPTH
     return _certified_series(x.base.location, x.sigma, tol, pair_at, depth0)
@@ -236,16 +238,18 @@ def cocycle_field(c: OrbitWord | RealizedOrbit, z: complex, tol: float) -> float
     _check_tol(tol)
     a = c.base.location
     sigma = c.sigma
-    if abs(z - a) >= sigma:
+    dz = abs(z - a)
+    if dz >= sigma:
         raise DomainError("field evaluation point must lie inside the sigma-disk")
     eps = quadratic_epsilon(c.map)
     guide = [c]
 
     def pair_at(depth):
         guide[0] = guide[0].at(depth)
+        principal, d_principal = _follow(z, eps, [a] * depth, sigma)
+        germ, _ = _follow(z, eps, guide[0].points[1:])
         pair = []
-        for pts in (_follow(z, eps, [a] * depth, sigma), _follow(z, eps, guide[0].points[1:])):
-            d = _distances(pts, a)
+        for pts, d in ((principal, [dz, *d_principal]), (germ, [abs(p - a) for p in germ])):
             pair.append((pts, d, _entry_index(d, sigma)))
         return pair
 
@@ -271,29 +275,30 @@ def field_mean_value(c: OrbitWord | RealizedOrbit, tol: float) -> tuple[float, f
 
 def _follow(z, eps, targets, sigma=None):
     """Backward orbit of z taking, at step j, the preimage nearer
-    targets[j-1] (orbits._nearer).  With sigma, every point must stay
-    within sigma of its target (the principal sequence, whose targets
-    are all a); without, the two preimages must differ by a factor 2 in
-    distance to the target, so the choice never rests on a near-tie."""
+    targets[j-1] (orbits._nearer), and the distance of each taken
+    preimage to its target.  With sigma, every point must stay within
+    sigma of its target (the principal sequence, whose targets are all
+    a, so the distances are those to a); without, the two preimages must
+    differ by a factor 2 in distance to the target, so the choice never
+    rests on a near-tie."""
     pts = [z]
+    dists = []
     w = z
     for j, t in enumerate(targets, 1):
-        s = cmath.sqrt(w - eps)
-        if sigma is None:
-            near, far = sorted((abs(s - t), abs(-s - t)))
-            if far < 2.0 * near:
-                raise DomainError(
-                    f"branch collision at depth {j} while restarting the word's"
-                    " choices: the germ does not separate the preimages here"
-                )
-        w = s if _nearer(s, t) else -s
-        if sigma is not None and abs(w - t) >= sigma:
+        w, d, other = _nearer(cmath.sqrt(w - eps), t)
+        if sigma is None and max(d, other) < 2.0 * min(d, other):
+            raise DomainError(
+                f"branch collision at depth {j} while restarting the word's"
+                " choices: the germ does not separate the preimages here"
+            )
+        if sigma is not None and d >= sigma:
             raise DomainError(
                 "principal inverse branch left the sigma-disk; the disk"
                 " certificate does not cover this point"
             )
         pts.append(w)
-    return pts
+        dists.append(d)
+    return pts, dists
 
 
 def pushforward_height(p: HeightPoint, n: int) -> HeightPoint:

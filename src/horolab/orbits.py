@@ -12,8 +12,14 @@ Symbols '+'/'-' select the principal square root of (w - epsilon) and
 its negative; '+' fixes a, the principal root of a - epsilon = a**2.
 realize takes each step in one closed-form pass, and its tail rule
 (_nearer) is the one nearest-preimage rule, shared with the cocycle
-field.  Words exist for the quadratic family only (f'(z) = 2z, critical
-point 0); RationalMap and the Aberth solver serve the --map commands
+field.  A tail step depends on its input point alone, so once a step
+returns its input bit for bit every later step would too: realize fills
+such a stationary tail to the depth instead of stepping it, which is
+bitwise exact.  A realization carries each point's distance |p - a|
+(RealizedOrbit.dists), computed once by the step that made the point and
+read by the closing checks, the membership check and the series engine.
+Words exist for the quadratic family only (f'(z) = 2z, critical point
+0); RationalMap and the Aberth solver serve the --map commands
 (fixed-points, classify, linearize, collinearity) instead.
 
 A word is realized once and then extended: realize continues a
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -99,6 +106,7 @@ class RealizedOrbit:
     points: tuple[complex, ...]
     choices: str
     entry_index: int | None  # first depth from which every point stays in the disk
+    dists: tuple[float, ...] = field(repr=False, compare=False)  # |p - a| for each point
 
     prefix = property(lambda self: self.word.prefix)
     map = property(lambda self: self.word.map)
@@ -115,18 +123,14 @@ class RealizedOrbit:
         if depth == self.depth:
             return self
         _check_depth(self.word, depth)
-        return _settle(self.word, depth, self.points[: depth + 1], self.choices[:depth])
+        end = depth + 1
+        return _settle(self.word, depth, self.points[:end], self.choices[:depth], self.dists[:end])
 
     def tail_contraction(self) -> float | None:
         """Largest measured tail step ratio past entry, or None before entry."""
         if self.entry_index is None:
             return None
-        return tail_contraction(_distances(self.points, self.word.base.location), self.entry_index)
-
-
-def _distances(points, a: complex) -> list[float]:
-    """|p - a| for each point."""
-    return [abs(p - a) for p in points]
+        return tail_contraction(self.dists, self.entry_index)
 
 
 def tail_contraction(dists, entry: int) -> float | None:
@@ -138,16 +142,29 @@ def tail_contraction(dists, entry: int) -> float | None:
     return max(ratios) if ratios else None
 
 
-def _nearer(s: complex, target: complex) -> bool:
-    """True when s, not -s, is the preimage nearer the target (realize
-    and cocycle_field share this rule).  A near-tie, distances within
-    1e-12*(1+d), goes to the larger imaginary part, then real part."""
-    dp, dm = abs(s - target), abs(-s - target)
+def _nearer(s: complex, target: complex) -> tuple[complex, float, float]:
+    """The preimage, s or -s, nearer the target, its distance to the
+    target and the other one's (realize and cocycle_field share this
+    rule).  A near-tie, distances within 1e-12*(1+d), goes to the larger
+    imaginary part, then real part."""
+    m = -s
+    dp, dm = abs(s - target), abs(m - target)
     d = dm if dm < dp else dp
     slack = d + 1e-12 * (1.0 + d)
     if dp <= slack and dm <= slack:
-        return (s.imag, s.real) >= (-s.imag, -s.real)
-    return dp < dm
+        plus = (s.imag, s.real) >= (m.imag, m.real)
+    else:
+        plus = dp < dm
+    return (s, dp, dm) if plus else (m, dm, dp)
+
+
+def _same_signs(z: complex, w: complex) -> bool:
+    """The parts of z and w have equal signs, zeros included: with
+    z == w, which takes -0.0 for 0.0, z and w are the same bit for bit."""
+    return (
+        math.copysign(1.0, z.real) == math.copysign(1.0, w.real)
+        and math.copysign(1.0, z.imag) == math.copysign(1.0, w.imag)
+    )
 
 
 def _check_depth(word: OrbitWord, depth: int) -> None:
@@ -167,6 +184,14 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     settle it must enter D_sigma(a) and contract monotonically, else the
     word is reported divergent.
 
+    Once a tail step returns its input point bit for bit, the rest of
+    the orbit is that point: a tail step depends on its input alone, so
+    every later step would return it again, with the same choice,
+    distance and checks passed.  realize fills such a stationary tail
+    instead of stepping it.  Each point's distance to a comes from the
+    step that made it (the tail rule measures it) and is carried on the
+    realization as dists.
+
     Given a realization no deeper than depth, the pass continues from
     its last point instead of starting over.  The steps are
     deterministic, so the result, or the error raised, is bitwise that
@@ -179,7 +204,10 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     prefix = word.prefix
     eps = quadratic_epsilon(word.map)
     a = word.base.location
-    pts, choices = ([a], []) if start is None else (list(start.points), list(start.choices))
+    if start is None:
+        pts, choices, dists = [a], [], [0.0]
+    else:
+        pts, choices, dists = list(start.points), list(start.choices), list(start.dists)
     n = len(prefix)
     w = pts[-1]
     rw = abs(w)
@@ -191,8 +219,13 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
                 f"inverse branches collide at depth {j + 1}: both preimages of"
                 f" {w!r} coincide at {s!r}"
             )
-        plus = prefix[j] == "+" if j < n else _nearer(s, a)
-        z = s if plus else -s
+        if j < n:
+            plus = prefix[j] == "+"
+            z = s if plus else -s
+            dz = abs(z - a)
+        else:
+            z, dz, _ = _nearer(s, a)
+            plus = z == s  # s != -s: the collision check passed
         res = abs(z * z + eps - w)
         if res > RESIDUAL_TOL * (rw if rw > 1.0 else 1.0):
             raise ConstructionError(
@@ -201,14 +234,22 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
             )
         pts.append(z)
         choices.append("+" if plus else "-")
+        dists.append(dz)
+        if j >= n and z == w and _same_signs(z, w):
+            rest = depth - j - 1
+            pts.extend([z] * rest)
+            choices.append(choices[-1] * rest)
+            dists.extend([dz] * rest)
+            break
         w, rw = z, r
-    return _settle(word, depth, tuple(pts), "".join(choices))
+    return _settle(word, depth, tuple(pts), "".join(choices), tuple(dists))
 
 
-def _settle(word: OrbitWord, depth: int, pts: tuple[complex, ...], choices: str) -> RealizedOrbit:
+def _settle(
+    word: OrbitWord, depth: int, pts: tuple[complex, ...], choices: str, dists: tuple[float, ...]
+) -> RealizedOrbit:
     """The checks that close a realization: the tail must have entered
     the disk once it had room to, and contract from the entry on."""
-    dists = _distances(pts, word.base.location)
     entry = _entry_index(dists, word.sigma)
     if entry is None and depth - len(word.prefix) >= DIVERGENCE_GRACE:
         raise DivergentWordError(
@@ -216,7 +257,7 @@ def _settle(word: OrbitWord, depth: int, pts: tuple[complex, ...], choices: str)
         )
     if entry is not None:
         _check_tail_monotone(dists, entry, depth)
-    return RealizedOrbit(word, depth, pts, choices, entry)
+    return RealizedOrbit(word, depth, pts, choices, entry, dists)
 
 
 def _entry_index(dists, sigma) -> int | None:
@@ -263,9 +304,8 @@ def is_in_Pi_a(word: OrbitWord | RealizedOrbit, depth: int) -> PiMembership:
         return PiMembership(False, "critical-hit")
     except DivergentWordError:
         return PiMembership(False, "no-tail-convergence")
-    a = word.base.location
-    scale = 1.0 + abs(a)
-    if all(abs(p - a) <= 1e-12 * scale for p in orb.points):
+    scale = 1.0 + abs(word.base.location)
+    if all(d <= 1e-12 * scale for d in orb.dists):
         return PiMembership(False, "fixed-orbit", orb)
     if any(abs(p) <= CRITICAL_PROXIMITY for p in orb.points):
         return PiMembership(False, "critical-hit", orb)

@@ -468,7 +468,7 @@ def excursion_stats(word: OrbitWord | RealizedOrbit, sigma: float) -> ExcursionS
         raise PreconditionError(
             "word is not normalized (y_{-1} != -a); apply normalize_word first"
         )
-    inside = [abs(p - a) < sigma for p in orb.points]
+    inside = [d < sigma for d in orb.dists]
     J = [j for j in range(orb.depth) if inside[j] and not inside[j + 1]]
     K = [j for j in range(1, orb.depth + 1) if not inside[j - 1] and inside[j]]
     d = sum(1 for j in range(1, orb.depth + 1) if not inside[j])
@@ -660,10 +660,9 @@ def limit_decomposition_check(
     beta_c = CocycleValue(0.0, 0.0, 0) if degenerate else values[1]
     betas = values[1 if degenerate else 2 :]
     expected = beta_y.value + beta_c.value
-    a = y.base.location
     defects = [abs(b.value - expected) for b in betas]
     worbs = [w.at(j + len(c.prefix) + WINDOW_DEPTH + 20) for w, j in zip(words, junctions)]
-    nu_dist = [abs(worb.points[j] - a) for worb, j in zip(worbs, junctions)]
+    nu_dist = [worb.dists[j] for worb, j in zip(worbs, junctions)]
     wsup = [_window_sup(worb, j, c) for worb, j in zip(worbs, junctions)]
     if degenerate:
         l, comps, comp_betas = 1, (y,), (beta_y,)
@@ -704,7 +703,6 @@ def nested_decomposition_check(two: LimitDecomposition, junction: int) -> LimitD
     expected = beta_y.value + 2.0 * beta_c.value
     b2 = cocycle_vs_fixed(w2, two.tol)
     defect = abs(b2.value - expected)
-    a = y.base.location
     worb = w2.at(2 * junction + len(c.prefix) + WINDOW_DEPTH + 20)
     return LimitDecomposition(
         sequence_id=f"nested({y.prefix!r},{c.prefix!r})@{junction}",
@@ -717,7 +715,7 @@ def nested_decomposition_check(two: LimitDecomposition, junction: int) -> LimitD
         tol=two.tol,
         sequence_betas=(b2,),
         defects=(defect,),
-        nu_tail_distances=(abs(worb.points[2 * junction] - a),),
+        nu_tail_distances=(worb.dists[2 * junction],),
         window_sup=(_window_sup(worb, 2 * junction, c),),
         limit_value=expected,
         rate=None,

@@ -112,3 +112,18 @@ def test_semigroup_criterion_values_each_word_once(monkeypatch):
     assert suite.criterion_7(7).ok
     assert len(pairs) == 160
     assert len(set(pairs)) == len(pairs)
+
+
+def test_algebra_criterion_values_each_pair_once(monkeypatch):
+    """Criterion 8: its 100 random draws repeat index pairs, and each
+    distinct ordered pair of words (or of shifted words) is valued once."""
+    pairs = []
+    basic = cocycle.basic_cocycle
+
+    def counted(x, y, tol):
+        pairs.append((x.prefix, y.prefix))
+        return basic(x, y, tol)
+
+    wrap_everywhere(monkeypatch, basic, counted)
+    assert suite.criterion_8(7).ok
+    assert len(set(pairs)) == len(pairs)

@@ -14,9 +14,11 @@
 # limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
-# shift span, and sigma-delta at a complex parameter.  Each command's
-# --out tree, stdout, exit status and (for the suite, with its timings
-# removed) stderr are collected per tree and compared with `diff -r`.
+# shift span, sigma-delta at a complex parameter, and cocycle and field
+# at a complex parameter, where orbit tails stop moving within the
+# realized depth.  Each command's --out tree, stdout, exit status and
+# (for the suite, with its timings removed) stderr are collected per
+# tree and compared with `diff -r`.
 # Exit status 0 means no difference.
 set -euo pipefail
 
@@ -81,6 +83,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" bound-528-complex bound-528 --epsilon=-1,0.02 --seed 7 --tol 1e-9
     run "$tree" "$out" heights-wide-span heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/wide-span.cfg"
     run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
+    run "$tree" "$out" cocycle-complex cocycle --epsilon=-1,0.02 --word=-+- --tol 1e-12
+    run "$tree" "$out" field-complex field --epsilon=-1,0.02 --word=-
     run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
     run "$tree" "$out" map-classify-period-3 classify --map "$tmp/cube.json" --config "$tmp/period-3.cfg"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
