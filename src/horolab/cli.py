@@ -99,15 +99,15 @@ def _convert(key: str, raw, kind: Callable):
 
 
 def parse_epsilon(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(t) for t in text.split(",")]
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse epsilon {text!r}; expected RE or RE,IM")
+        parts = []
+    if len(parts) not in (1, 2):
+        raise ConfigError(f"cannot parse epsilon {text!r}; expected RE or RE,IM")
+    if not all(map(math.isfinite, parts)):
+        raise ConfigError(f"epsilon must be finite, got {text!r}")
+    return complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -149,6 +149,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(name, out=Path(given.get("out", "horolab-out")), keys=keys, **flags)
     if not (math.isfinite(cfg.tol) and cfg.tol > 0):
         raise ConfigError(f"tolerance must be positive and finite, got {cfg.tol!r}")
+    if cfg.seed is not None and cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.depth is not None and not (1 <= cfg.depth <= MAX_DEPTH):
         raise ConfigError(f"depth must lie in [1, {MAX_DEPTH}]")
     return cfg

@@ -9,7 +9,9 @@ form.  For any other map (the --map commands) the iterate is composed
 into coefficients (iterated_pair) and all_roots solves the polynomial,
 as it does for such a map's preimages and for critical points.  A root
 that is not finite, or whose residual is above tolerance, is a
-RootFindingError.
+RootFindingError.  make_periodic_point polishes a root by Newton on
+f^p(z) - z and validates it: each Newton step and the validation take
+f^p(z) and the multiplier (f^p)'(z) from one walk of the cycle.
 
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
 fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
@@ -214,39 +216,39 @@ def classify(multiplier: complex) -> str:
     return "indifferent"
 
 
-def cycle_multiplier(f: RationalMap, z: complex, period: int) -> complex:
-    df = f.derivative()
-    m = 1 + 0j
-    w = z
-    for _ in range(period):
-        m *= df(w)
-        w = f(w)
-    return m
-
-
 def make_periodic_point(f: RationalMap, z: complex, period: int) -> PeriodicPoint:
     """Polish the candidate by Newton on f^period(z) - z, then validate."""
-    z = _polish_periodic(f, z, period)
-    w = f.iterate(z, period)
+    if period < 1:
+        raise ConfigError("period must be >= 1")
+    return _periodic_point(f, f.derivative(), z, period)
+
+
+def _periodic_point(f: RationalMap, df: RationalFunction, z: complex, period: int) -> PeriodicPoint:
+    """make_periodic_point given df = f'.  Each Newton step and the
+    validation take f^period(z) and the multiplier from one walk."""
+    w, m = _walk_cycle(f, df, z, period)
+    for _ in range(5):
+        if abs(m - 1.0) < 1e-8:  # parabolic point: Newton would blow up
+            break
+        step = (w - z) / (m - 1.0)
+        z = z - step
+        w, m = _walk_cycle(f, df, z, period)
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
     if not abs(w - z) <= 1e-9 * (1.0 + abs(z)):  # NaN fails too
         raise ConstructionError(
             f"|f^{period}(z) - z| = {abs(w - z):.3e}; not a period-{period} point"
         )
-    m = cycle_multiplier(f, z, period)
     return PeriodicPoint(z, period, m, classify(m))
 
 
-def _polish_periodic(f: RationalMap, z: complex, period: int) -> complex:
-    for _ in range(5):
-        res = f.iterate(z, period) - z
-        dres = cycle_multiplier(f, z, period) - 1.0
-        if abs(dres) < 1e-8:  # parabolic point: Newton would blow up
-            break
-        step = res / dres
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    return z
+def _walk_cycle(f: RationalMap, df: RationalFunction, z: complex, period: int) -> tuple[complex, complex]:
+    """f^period(z) and the multiplier, the product of f'(f^j(z)) over j < period."""
+    m = 1 + 0j
+    for _ in range(period):
+        m *= evaluate(df, z)
+        z = evaluate(f, z)
+    return z, m
 
 
 def iterated_pair(f: RationalMap, n: int) -> RationalFunction:
@@ -278,14 +280,10 @@ def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
         roots = all_roots(poly_sub(fn.num, poly_mul((0j, 1 + 0j), fn.den)))
     else:
         roots = _family_periodic_roots(eps, period)
-    out = []
-    for root in roots:
-        z = root.value
-        if _minimal_period(f, z, period) != period:
-            continue
-        out.append(make_periodic_point(f, z, period))
-    out.sort(key=lambda p: (p.location.real, p.location.imag))
-    return out
+    df = f.derivative()
+    zs = [r.value for r in roots if _minimal_period(f, r.value, period) == period]
+    out = [_periodic_point(f, df, z, period) for z in zs]
+    return sorted(out, key=lambda p: (p.location.real, p.location.imag))
 
 
 def _family_periodic_roots(eps: complex, period: int) -> list[Root]:

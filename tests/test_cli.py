@@ -116,6 +116,24 @@ def test_bad_tol_exits_2(tmp_path, capsys, tol):
     assert payload["error"] == "config-error"
 
 
+@pytest.mark.parametrize("command", ["cocycle", "fixed-points", "sigma-delta", "julia", "classify"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf", "1e400", "0.1,nan"])
+def test_non_finite_epsilon_exits_2(tmp_path, capsys, command, epsilon):
+    code, payload = run(capsys, command, f"--epsilon={epsilon}", "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert "epsilon must be finite" in payload["message"]
+
+
+@pytest.mark.parametrize("command", sorted(c for c, spec in COMMANDS.items() if "seed" in spec.flags))
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    word = ["--word=-"] if "word" in COMMANDS[command].flags else []
+    code, payload = run(capsys, command, "--epsilon", "-1", *word, "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert "seed" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "command, key",
     [

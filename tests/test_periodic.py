@@ -7,7 +7,7 @@ import pytest
 
 from horolab import periodic
 from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
-from horolab.maps import RationalMap, evaluate
+from horolab.maps import RationalFunction, RationalMap, evaluate
 from horolab.periodic import (
     MAX_FAMILY_PERIOD,
     all_roots,
@@ -103,6 +103,25 @@ def test_make_periodic_point_polishes_residual():
 def test_make_periodic_point_rejects_non_periodic():
     with pytest.raises(ConstructionError):
         make_periodic_point(quad(-1.0), 0.3 + 0.4j, 1)
+
+
+def test_periodic_points_build_the_derivative_once(monkeypatch):
+    calls = []
+    derivative = RationalFunction.derivative
+
+    def counted(self):
+        calls.append(self)
+        return derivative(self)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counted)
+    assert len(periodic_points(quad(-1.1), 6)) == 54
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_make_periodic_point_rejects_period_below_1(period):
+    with pytest.raises(ConfigError):
+        make_periodic_point(quad(-1.0), (1 + math.sqrt(5)) / 2, period)
 
 
 def test_linearizer_rejects_attracting_base():

@@ -11,7 +11,8 @@
 # falls on both sides.  OUT gets one JSON object: every run's metric
 # lines, record lines and result line, and per workload and end-to-end
 # metric the values of both trees and the number of pairs in which the
-# working tree did better.
+# working tree did better, and the line counts of src/horolab/*.py and
+# tests/*.py in both trees.
 set -euo pipefail
 
 usage="usage: tools/bench_pair.sh REF OUT"
@@ -40,12 +41,14 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$tmp" "$pairs" "$ref" "$sha" "$root/BENCHMARK.json" > "$out" <<'EOF'
+python3 - "$tmp" "$pairs" "$ref" "$sha" "$root" > "$out" <<'EOF'
 import json
+import pathlib
 import statistics
 import sys
 
-tmp, pairs, ref, sha, spec = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+tmp, pairs, ref, sha, root = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+spec = f"{root}/BENCHMARK.json"
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 runs = []
 for i in range(pairs):
@@ -77,6 +80,11 @@ json.dump({
     "ref": ref,
     "ref_commit": sha,
     "pairs": pairs,
+    "lines": {
+        tree: {glob: sum(p.read_bytes().count(b"\n") for p in pathlib.Path(path).glob(glob))
+               for glob in ("src/horolab/*.py", "tests/*.py")}
+        for tree, path in (("ref", f"{tmp}/ref"), ("work", root))
+    },
     "summary": summary,
     "runs": runs,
 }, sys.stdout, indent=1)

@@ -9,8 +9,10 @@
 # the seed-7 acceptance suite, the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
 # parameter, collinearity at both verdicts, the --map commands on z**3,
-# linearize on a non-polynomial map, classify at periods 6 and 4 of
-# z**2 + eps and at period 3 of the --map z**3, semigroup /
+# fixed-points, classify at period 2 and linearize on a non-polynomial
+# map (a rational derivative in the periodic-point walk), fixed-points
+# at a complex parameter, classify at periods 8, 6 and 4 of z**2 + eps
+# and at period 3 of the --map z**3, semigroup /
 # limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
@@ -40,7 +42,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
-for p in 3 4 6; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
+for p in 2 3 4 6 8; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -63,6 +65,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" semigroup semigroup --epsilon 0.1 --tol 1e-9
     run "$tree" "$out" field field --epsilon 0.1 --word=-
     run "$tree" "$out" classify classify --epsilon -1
+    run "$tree" "$out" fixed-points-complex fixed-points --epsilon=-0.525,0.16
+    run "$tree" "$out" classify-period-8 classify --epsilon -3 --config "$tmp/period-8.cfg"
     run "$tree" "$out" classify-period-6 classify --epsilon -1.1 --config "$tmp/period-6.cfg"
     run "$tree" "$out" classify-complex-period-4 classify --epsilon=-0.525,0.16 --config "$tmp/period-4.cfg"
     run "$tree" "$out" linearize linearize --epsilon -1
@@ -89,6 +93,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" map-classify-period-3 classify --map "$tmp/cube.json" --config "$tmp/period-3.cfg"
     run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
     run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
+    run "$tree" "$out" mobius-fixed-points fixed-points --map "$tmp/mobius.json"
+    run "$tree" "$out" mobius-classify-period-2 classify --map "$tmp/mobius.json" --config "$tmp/period-2.cfg"
     run "$tree" "$out" mobius-linearize linearize --map "$tmp/mobius.json"
 }
 
