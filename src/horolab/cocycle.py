@@ -14,7 +14,9 @@ typically the one its membership check made, is continued to the series
 start depth SERIES_DEPTH past the prefix and continued again on a depth
 restart, never realized afresh.  basic_cocycle's pair_at hands the
 series each orbit's points with the distances to a that the realization
-carries (RealizedOrbit.dists), so no distance is computed twice.
+carries (RealizedOrbit.dists), so no distance is computed twice, and
+the indices of its points near the critical point 0 that the steps
+recorded (RealizedOrbit.near_critical), so no point is tested twice.
 values_vs_fixed, the one routine that values words against the fixed
 orbit, realizes that orbit once, at the deepest start depth its batch
 needs, and cuts it back for each word.  The field's own backward orbits
@@ -118,20 +120,23 @@ def _check_tol(tol: float) -> None:
 def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int) -> CocycleValue:
     """Sum sum_j [ln|f'(y_j)| - ln|f'(x_j)|] with a certified tail.
 
-    pair_at(depth) -> ((x_points, x_dists, x_entry), (y_points, ...)),
-    aligned backward orbits starting at index 0, with their distances to
-    a and their entry indices into the disk (orbits._entry_index).  The
-    truncation depth k is the first index, past both entries, where
-    L * rho/(1-rho) * (|x_k - a| + |y_k - a|) drops below tol; that
-    expression bounds the discarded tail.  rho is 1.1 times the larger
-    measured tail contraction, or the local theoretical rate
-    1/|f'(a)| = 1/|2a| (plus 0.05) when both tails sit at rounding scale.
-    Without such a k the depth doubles, up to DEPTH_BUDGET.
+    pair_at(depth) -> ((x_points, x_dists, x_entry, x_near), (y_points,
+    ...)), aligned backward orbits starting at index 0, with their
+    distances to a, their entry indices into the disk
+    (orbits._entry_index) and the sorted indices of their points within
+    CRITICAL_PROXIMITY of the critical point 0.  The truncation depth k
+    is the first index, past both entries, where L * rho/(1-rho) *
+    (|x_k - a| + |y_k - a|) drops below tol; that expression bounds the
+    discarded tail, and a near-critical point at an index in [1, k]
+    makes a term singular.  rho is 1.1 times the larger measured tail
+    contraction, or the local theoretical rate 1/|f'(a)| = 1/|2a| (plus
+    0.05) when both tails sit at rounding scale.  Without such a k the
+    depth doubles, up to DEPTH_BUDGET.
     """
     L = _log_deriv_lipschitz(a, sigma)
     fallback_rho = 1.0 / abs(2 * a) + 0.05
     while True:
-        (px, dx, ex), (py, dy, ey) = pair_at(depth)
+        (px, dx, ex, cx), (py, dy, ey, cy) = pair_at(depth)
         if ex is not None and ey is not None:
             measured = [r for r in (tail_contraction(dx, ex), tail_contraction(dy, ey)) if r is not None]
             rho = 1.1 * max(measured) if measured else fallback_rho
@@ -149,14 +154,14 @@ def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int)
                     k = j
                     break
             if k is not None:
+                hits = [j for c in (cx, cy) for j in c if 1 <= j <= k]
+                if hits:
+                    raise SingularTermError(
+                        f"orbit point at depth {min(hits)} is within"
+                        f" {CRITICAL_PROXIMITY:g} of the critical point 0"
+                    )
                 value = 0.0
                 for j in range(1, k + 1):
-                    for p in (px[j], py[j]):
-                        if abs(p) <= CRITICAL_PROXIMITY:
-                            raise SingularTermError(
-                                f"orbit point at depth {j} is within"
-                                f" {CRITICAL_PROXIMITY:g} of the critical point 0"
-                            )
                     value += math.log(abs(2 * py[j])) - math.log(abs(2 * px[j]))
                 return CocycleValue(value, bound, k)
         if depth >= DEPTH_BUDGET:
@@ -190,7 +195,7 @@ def basic_cocycle(x: OrbitWord | RealizedOrbit, y: OrbitWord | RealizedOrbit, to
 
     def pair_at(depth):
         orbs[:] = [o.at(depth) for o in orbs]
-        return [(o.points, o.dists, o.entry_index) for o in orbs]
+        return [(o.points, o.dists, o.entry_index, o.near_critical) for o in orbs]
 
     depth0 = max(len(x.prefix), len(y.prefix)) + SERIES_DEPTH
     return _certified_series(x.base.location, x.sigma, tol, pair_at, depth0)
@@ -250,7 +255,9 @@ def cocycle_field(c: OrbitWord | RealizedOrbit, z: complex, tol: float) -> float
         germ, _ = _follow(z, eps, guide[0].points[1:])
         pair = []
         for pts, d in ((principal, [dz, *d_principal]), (germ, [abs(p - a) for p in germ])):
-            pair.append((pts, d, _entry_index(d, sigma)))
+            outside = [j for j, x in enumerate(d) if x >= sigma]
+            near = [j for j, p in enumerate(pts) if abs(p) <= CRITICAL_PROXIMITY]
+            pair.append((pts, d, _entry_index(outside, len(d)), near))
         return pair
 
     return _certified_series(a, sigma, tol, pair_at, len(c.prefix) + SERIES_DEPTH).value

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError
+from .errors import ConstructionError
 
 # |z| beyond this is identified with the point at infinity.
 OVERFLOW_RADIUS = 1e150
@@ -205,9 +205,6 @@ class RationalMap(RationalFunction):
                 f"map degree {self.degree} < 2; not an admissible dynamical map"
             )
 
-    def iterate(self, z: complex, n: int) -> complex:
-        return iterate(self, z, n)
-
     def critical_points(self) -> list[complex]:
         """All finite critical points, repeated by multiplicity."""
         from .periodic import all_roots
@@ -297,15 +294,6 @@ def evaluate(f: RationalFunction, z: complex) -> complex:
     w = wp / wq
     if is_inf(w) or abs(w) > OVERFLOW_RADIUS:
         return INF
-    return w
-
-
-def iterate(f: RationalFunction, z: complex, n: int) -> complex:
-    if n < 0:
-        raise DomainError("iterate count must be >= 0")
-    w = complex(z)
-    for _ in range(n):
-        w = evaluate(f, w)
     return w
 
 

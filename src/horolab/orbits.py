@@ -17,7 +17,11 @@ returns its input bit for bit every later step would too: realize fills
 such a stationary tail to the depth instead of stepping it, which is
 bitwise exact.  A realization carries each point's distance |p - a|
 (RealizedOrbit.dists), computed once by the step that made the point and
-read by the closing checks, the membership check and the series engine.
+read by the membership check and the series engine.  Each step also
+records the facts the closing checks read, as sorted index tuples: the
+points outside the disk, the rises of the distance (where the tail
+fails to contract) and the points within CRITICAL_PROXIMITY of the
+critical point 0.  The closing checks answer from these by bisection.
 Words exist for the quadratic family only (f'(z) = 2z, critical point
 0); RationalMap and the Aberth solver serve the --map commands
 (fixed-points, classify, linearize, collinearity) instead.
@@ -25,7 +29,9 @@ Words exist for the quadratic family only (f'(z) = 2z, critical point
 A word is realized once and then extended: realize continues a
 shallower realization of the word, and RealizedOrbit.at also cuts a
 deeper one back, each bitwise equal to realizing from scratch because
-the steps are deterministic.  A RealizedOrbit reads like its word, so
+the steps are deterministic.  A cut slices the recorded facts and a
+continuation appends those of its new points, so either one checks
+only what it changes.  A RealizedOrbit reads like its word, so
 the membership check, concatenation, the series engine and the
 excursion count take realizations and pass them on.
 """
@@ -35,6 +41,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -98,7 +105,13 @@ class RealizedOrbit:
 
     It reads like its word (prefix, map, base, sigma, at), so the
     functions that take a word take its realization as well, and
-    continue or cut it rather than realize the word again.
+    continue or cut it rather than realize the word again.  Besides
+    each point's distance to a, it carries the facts its steps
+    recorded for the closing checks, each a sorted tuple of indices:
+    outside, the j with dists[j] >= sigma (a NaN distance counts as
+    inside); rises, the j >= 1 with dists[j+1] > dists[j]*(1 + 1e-9)
+    and dists[j+1] > 1e-14; near_critical, the j with |points[j]| <=
+    CRITICAL_PROXIMITY.
     """
 
     word: OrbitWord
@@ -107,6 +120,9 @@ class RealizedOrbit:
     choices: str
     entry_index: int | None  # first depth from which every point stays in the disk
     dists: tuple[float, ...] = field(repr=False, compare=False)  # |p - a| for each point
+    outside: tuple[int, ...] = field(repr=False, compare=False)
+    rises: tuple[int, ...] = field(repr=False, compare=False)
+    near_critical: tuple[int, ...] = field(repr=False, compare=False)
 
     prefix = property(lambda self: self.word.prefix)
     map = property(lambda self: self.word.map)
@@ -115,22 +131,26 @@ class RealizedOrbit:
 
     def at(self, depth: int) -> RealizedOrbit:
         """The word's realization to the given depth: this one continued
-        (realize) when deeper, cut back when shallower.  A cut reruns the
-        closing checks on the shorter orbit, so either way the result, or
-        the error, is that of realize(word, depth)."""
+        (realize) when deeper, cut back when shallower.  A cut keeps the
+        recorded facts up to the depth and closes the shorter orbit with
+        them, so either way the result, or the error, is that of
+        realize(word, depth)."""
         if depth > self.depth:
             return realize(self, depth)
         if depth == self.depth:
             return self
         _check_depth(self.word, depth)
         end = depth + 1
-        return _settle(self.word, depth, self.points[:end], self.choices[:depth], self.dists[:end])
-
-    def tail_contraction(self) -> float | None:
-        """Largest measured tail step ratio past entry, or None before entry."""
-        if self.entry_index is None:
-            return None
-        return tail_contraction(self.dists, self.entry_index)
+        return _settle(
+            self.word,
+            depth,
+            self.points[:end],
+            self.choices[:depth],
+            self.dists[:end],
+            self.outside[: bisect_right(self.outside, depth)],
+            self.rises[: bisect_left(self.rises, depth)],  # a rise at j reads dists[j + 1]
+            self.near_critical[: bisect_right(self.near_critical, depth)],
+        )
 
 
 def tail_contraction(dists, entry: int) -> float | None:
@@ -190,12 +210,15 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     distance and checks passed.  realize fills such a stationary tail
     instead of stepping it.  Each point's distance to a comes from the
     step that made it (the tail rule measures it) and is carried on the
-    realization as dists.
+    realization as dists, with the facts the step recorded for the
+    closing checks (RealizedOrbit); a filled tail records its filled
+    range, which has no rise.
 
     Given a realization no deeper than depth, the pass continues from
-    its last point instead of starting over.  The steps are
-    deterministic, so the result, or the error raised, is bitwise that
-    of realizing from scratch.  A realization stands for its word, so
+    its last point instead of starting over, and appends the facts of
+    its new points to the recorded ones.  The steps are deterministic,
+    so the result, or the error raised, is bitwise that of realizing
+    from scratch.  A realization stands for its word, so
     RealizedOrbit.word is always an OrbitWord.
     """
     start = word if isinstance(word, RealizedOrbit) and word.depth <= depth else None
@@ -204,13 +227,17 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     prefix = word.prefix
     eps = quadratic_epsilon(word.map)
     a = word.base.location
+    sigma = word.sigma
     if start is None:
         pts, choices, dists = [a], [], [0.0]
+        outside, rises, near = [], [], []  # a is in the disk, and |a| > 1/2 as a is repelling
     else:
         pts, choices, dists = list(start.points), list(start.choices), list(start.dists)
+        outside, rises, near = list(start.outside), list(start.rises), list(start.near_critical)
     n = len(prefix)
     w = pts[-1]
     rw = abs(w)
+    dw = dists[-1]
     for j in range(len(choices), depth):
         s = cmath.sqrt(w - eps)
         r = abs(s)  # also |z|, the next step's |w|
@@ -235,50 +262,64 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
         pts.append(z)
         choices.append("+" if plus else "-")
         dists.append(dz)
+        if dz >= sigma:
+            outside.append(j + 1)
+        if j >= 1 and dz > dw * (1.0 + 1e-9) and dz > 1e-14:
+            rises.append(j)
+        if r <= CRITICAL_PROXIMITY:
+            near.append(j + 1)
         if j >= n and z == w and _same_signs(z, w):
             rest = depth - j - 1
             pts.extend([z] * rest)
             choices.append(choices[-1] * rest)
             dists.extend([dz] * rest)
+            filled = range(j + 2, depth + 1)
+            if dz >= sigma:
+                outside.extend(filled)
+            if r <= CRITICAL_PROXIMITY:
+                near.extend(filled)
             break
-        w, rw = z, r
-    return _settle(word, depth, tuple(pts), "".join(choices), tuple(dists))
+        w, rw, dw = z, r, dz
+    return _settle(
+        word, depth, tuple(pts), "".join(choices), tuple(dists), tuple(outside), tuple(rises), tuple(near)
+    )
 
 
 def _settle(
-    word: OrbitWord, depth: int, pts: tuple[complex, ...], choices: str, dists: tuple[float, ...]
+    word: OrbitWord,
+    depth: int,
+    pts: tuple[complex, ...],
+    choices: str,
+    dists: tuple[float, ...],
+    outside: tuple[int, ...],
+    rises: tuple[int, ...],
+    near_critical: tuple[int, ...],
 ) -> RealizedOrbit:
-    """The checks that close a realization: the tail must have entered
-    the disk once it had room to, and contract from the entry on."""
-    entry = _entry_index(dists, word.sigma)
+    """The checks that close a realization, answered from the facts its
+    steps recorded: the tail must have entered the disk once it had room
+    to, and contract from the entry on (no rise at or past max(entry, 1))."""
+    entry = _entry_index(outside, depth + 1)
     if entry is None and depth - len(word.prefix) >= DIVERGENCE_GRACE:
         raise DivergentWordError(
             f"tail did not settle into the sigma-disk within depth {depth}"
         )
     if entry is not None:
-        _check_tail_monotone(dists, entry, depth)
-    return RealizedOrbit(word, depth, pts, choices, entry, dists)
-
-
-def _entry_index(dists, sigma) -> int | None:
-    """First index from which every distance to a stays below sigma, or
-    None when fewer than TAIL_CONFIRM + 1 points confirm it."""
-    entry = len(dists)
-    while entry > 0 and not dists[entry - 1] >= sigma:
-        entry -= 1
-    if len(dists) - entry < TAIL_CONFIRM + 1:
-        return None
-    return entry
-
-
-def _check_tail_monotone(dists, entry, depth):
-    start = max(entry, 1)
-    for j, d0, d1 in zip(range(start, depth), dists[start:depth], dists[start + 1 :]):
-        if d1 > d0 * (1.0 + 1e-9) and d1 > 1e-14:
+        i = bisect_left(rises, max(entry, 1))
+        if i < len(rises):
+            j = rises[i]
             raise DivergentWordError(
                 f"in-disk tail fails to contract at depth {j + 1}:"
-                f" {d0:.3e} -> {d1:.3e}"
+                f" {dists[j]:.3e} -> {dists[j + 1]:.3e}"
             )
+    return RealizedOrbit(word, depth, pts, choices, entry, dists, outside, rises, near_critical)
+
+
+def _entry_index(outside, n: int) -> int | None:
+    """First index past the last point outside the disk, given the
+    sorted indices outside of a sequence of n points, or None when fewer
+    than TAIL_CONFIRM + 1 points confirm it."""
+    entry = outside[-1] + 1 if outside else 0
+    return entry if n - entry >= TAIL_CONFIRM + 1 else None
 
 
 @dataclass(frozen=True)
@@ -307,7 +348,7 @@ def is_in_Pi_a(word: OrbitWord | RealizedOrbit, depth: int) -> PiMembership:
     scale = 1.0 + abs(word.base.location)
     if all(d <= 1e-12 * scale for d in orb.dists):
         return PiMembership(False, "fixed-orbit", orb)
-    if any(abs(p) <= CRITICAL_PROXIMITY for p in orb.points):
+    if orb.near_critical:
         return PiMembership(False, "critical-hit", orb)
     if orb.entry_index is None:
         return PiMembership(False, "no-tail-convergence", orb)

@@ -27,7 +27,7 @@ from horolab.cocycle import (
     series_terms,
     values_vs_fixed,
 )
-from horolab.errors import ConfigError, DomainError, PreconditionError
+from horolab.errors import ConfigError, DomainError, PreconditionError, SingularTermError
 from horolab.quadratic import family_word, fixed_point_a, limit_decomposition_check
 
 SEED_WORD_TOL = 1e-9
@@ -161,6 +161,19 @@ def test_engine_within_tail_bound_of_brute_force(eps, p, q):
     xy = basic_cocycle(x, y, 1e-12)
     yx = basic_cocycle(y, x, 1e-12)
     assert abs(xy.value + yx.value) <= xy.tail_bound + yx.tail_bound
+
+
+def test_near_critical_point_makes_a_singular_term():
+    # eps = -2 + 1e-18i: the "-" orbit passes 8.2e-10 from the critical
+    # point at depth 2
+    y = family_word(complex(-2.0, 1e-18), "-", sigma=0.5)
+    with pytest.raises(SingularTermError, match="orbit point at depth 2 is within 1e-08 of the critical point 0"):
+        cocycle_vs_fixed(y, 1e-10)
+    # with sigma 2.5 the orbit enters the disk at that point, and at tol
+    # 1e6 the series stops there: the last term is the singular one
+    y = family_word(complex(-2.0, 1e-18), "-", sigma=2.5)
+    with pytest.raises(SingularTermError, match="at depth 2 "):
+        cocycle_vs_fixed(y, 1e6)
 
 
 def test_mismatched_bases_rejected():

@@ -13,7 +13,6 @@ from horolab.maps import (
     compose,
     evaluate,
     is_inf,
-    iterate,
     quadratic_epsilon,
 )
 
@@ -49,15 +48,6 @@ def test_evaluate_basic_and_infinity():
     inv = RationalFunction(num=(1,), den=(0, 1))
     assert is_inf(evaluate(inv, 0.0))
     assert evaluate(inv, INF) == 0.0
-
-
-def test_iterate_matches_manual():
-    f = quad(0.25)
-    z = 0.5 + 0.1j
-    w = z
-    for _ in range(5):
-        w = w * w + 0.25
-    assert abs(iterate(f, z, 5) - w) < 1e-12
 
 
 def test_compose_degree():

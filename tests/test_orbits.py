@@ -14,6 +14,7 @@ from horolab.errors import (
     PreconditionError,
 )
 from horolab.maps import RationalMap, evaluate
+from horolab import orbits
 from horolab.orbits import (
     OrbitWord,
     concatenate,
@@ -57,7 +58,7 @@ def test_entry_index_and_contraction():
     orb = realize(family_word(eps, "-"), 60)
     assert orb.entry_index == 6
     lam = 2 * fixed_point_a(eps)
-    tc = orb.tail_contraction()
+    tc = orbits.tail_contraction(orb.dists, orb.entry_index)
     assert tc is not None
     assert abs(tc - 1 / lam) < 5e-3
 
@@ -238,6 +239,15 @@ def test_membership_critical_hit_at_branch_merge():
     assert mem.reason == "critical-hit"
     with pytest.raises(DegenerateBranchError):
         realize(w, 3)
+
+
+def test_membership_critical_hit_near_the_critical_point():
+    # eps = -2 + 1e-18i: the "-" orbit passes 8.2e-10 from the critical
+    # point at depth 2, where its branches do not yet collide
+    w = family_word(complex(-2.0, 1e-18), "-", sigma=0.5)
+    mem = is_in_Pi_a(w, 60)
+    assert (mem.member, mem.reason) == (False, "critical-hit")
+    assert mem.orbit.near_critical == (2,)
 
 
 def test_shift_prepends_and_pops_principal_symbols():

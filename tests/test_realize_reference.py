@@ -1,20 +1,38 @@
-"""realize against a plain step-by-step loop: the stationary-tail fill
-and the carried distances change no bit of a realization."""
+"""realize against a plain step-by-step loop: the stationary-tail fill,
+the carried distances and the facts recorded for the closing checks
+change no bit of a realization, of its cuts and continuations, or of
+the error they raise."""
 
 import cmath
+import dataclasses
 import types
 
 import pytest
 
 from horolab import orbits
+from horolab.errors import DivergentWordError, HorolabError
 from horolab.maps import quadratic_epsilon
-from horolab.orbits import TAIL_CONFIRM, _nearer, _same_signs, realize
+from horolab.orbits import (
+    CRITICAL_PROXIMITY,
+    DIVERGENCE_GRACE,
+    TAIL_CONFIRM,
+    _nearer,
+    _same_signs,
+    realize,
+)
 from horolab.quadratic import family_word, sample_words
+
+# at eps = 0.4+0.15i the word "-+" has one rise, a tail step: its
+# distances to a fall to 0.6291 at index 6, rise to 0.6422 at index 7,
+# then fall to a
+RISE_EPS = complex(0.4, 0.15)
 
 
 def reference(word, depth):
     """Points (as float bits), choices and entry index of the word's
-    orbit, one square root per step and no shortcut."""
+    orbit, one square root per step and no shortcut; or the type and
+    message of the error that a plain scan of its distances finds: no
+    entry within the divergence grace, or a rise from the entry on."""
     eps = quadratic_epsilon(word.map)
     a = word.base.location
     pts, choices = [a], ""
@@ -28,11 +46,21 @@ def reference(word, depth):
         pts.append(z)
         choices += "+" if z == s else "-"
         w = z
+    d = [abs(p - a) for p in pts]
     entry = len(pts)
-    while entry > 0 and abs(pts[entry - 1] - a) < word.sigma:
+    while entry > 0 and d[entry - 1] < word.sigma:
         entry -= 1
     if len(pts) - entry < TAIL_CONFIRM + 1:
         entry = None
+        if depth - len(word.prefix) >= DIVERGENCE_GRACE:
+            return DivergentWordError, f"tail did not settle into the sigma-disk within depth {depth}"
+    else:
+        for j in range(max(entry, 1), depth):
+            if d[j + 1] > d[j] * (1.0 + 1e-9) and d[j + 1] > 1e-14:
+                return (
+                    DivergentWordError,
+                    f"in-disk tail fails to contract at depth {j + 1}: {d[j]:.3e} -> {d[j + 1]:.3e}",
+                )
     return bits(pts), choices, entry
 
 
@@ -43,10 +71,35 @@ def bits(points):
 
 def checked(orb):
     """orb's points (as float bits), choices and entry index, after
-    checking that it carries the distance of every point to a."""
+    checking that it carries the distance of every point to a and the
+    facts that a plain scan of its distances and points finds."""
     a = orb.base.location
-    assert orb.dists == tuple(abs(p - a) for p in orb.points)
+    d = orb.dists
+    assert d == tuple(abs(p - a) for p in orb.points)
+    assert orb.outside == tuple(j for j, x in enumerate(d) if x >= orb.sigma)
+    assert orb.rises == tuple(
+        j for j in range(1, len(d) - 1) if d[j + 1] > d[j] * (1.0 + 1e-9) and d[j + 1] > 1e-14
+    )
+    assert orb.near_critical == tuple(j for j, p in enumerate(orb.points) if abs(p) <= CRITICAL_PROXIMITY)
     return bits(orb.points), orb.choices, orb.entry_index
+
+
+def outcome(make):
+    """checked(make()), or the type and message of the error it raises."""
+    try:
+        orb = make()
+    except HorolabError as err:
+        return type(err), str(err)
+    return checked(orb)
+
+
+def assert_as_from_scratch(make, word, depth):
+    """make() gives what realizing the word from scratch gives, and what
+    the plain loop gives, the error included."""
+    expected = reference(word, depth)
+    assert outcome(lambda: realize(word, depth)) == expected
+    assert outcome(make) == expected
+    return expected
 
 
 @pytest.fixture
@@ -113,3 +166,76 @@ def test_zero_parts_of_opposite_sign_differ():
     assert _same_signs(complex(1.5, -0.0), complex(1.5, -0.0))
     assert not _same_signs(complex(1.5, -0.0), complex(1.5, 0.0))
     assert not _same_signs(complex(-0.0, 2.0), complex(0.0, 2.0))
+
+
+def test_continuation_leaving_the_disk_moves_the_entry_past_old_points():
+    # with sigma at the distance of point 7, point 6 is inside and the
+    # continuation's first new point, 7, is outside
+    w = family_word(RISE_EPS, "-+")
+    w = dataclasses.replace(w, sigma=realize(w, 7).dists[7])
+    old = realize(w, 6)
+    assert old.outside[-1] == 5
+    for depth in (7, 8, 15, 16, 60):
+        assert_as_from_scratch(lambda: realize(old, depth), w, depth)
+        assert realize(old, depth).outside[-1] == 7
+
+
+@pytest.mark.parametrize("sigma", [None, 0.7])
+def test_rise_on_the_pair_that_joins_a_continuation(sigma):
+    # the rise joins the last old point (6) to the first new one (7);
+    # at sigma 0.7 the entry is 6, so once confirmed the rise raises
+    w = family_word(RISE_EPS, "-+", sigma)
+    old = realize(w, 6)
+    assert old.rises == ()
+    results = [assert_as_from_scratch(lambda: realize(old, d), w, d) for d in (7, 13, 14, 60)]
+    if sigma is not None:
+        assert results[2] == (
+            DivergentWordError,
+            "in-disk tail fails to contract at depth 7: 6.291e-01 -> 6.422e-01",
+        )
+
+
+@pytest.mark.parametrize("sigma, deep", [(None, 60), (0.7, 13)])
+def test_cut_at_each_outside_index(sigma, deep):
+    w = family_word(RISE_EPS, "-+", sigma)
+    orb = realize(w, deep)
+    assert orb.outside
+    for depth in orb.outside:
+        if depth >= len(w.prefix):
+            assert_as_from_scratch(lambda: orb.at(depth), w, depth)
+
+
+@pytest.mark.parametrize("sigma, deep", [(None, 60), (0.7, 13)])
+def test_cut_that_drops_the_only_rise(sigma, deep):
+    w = family_word(RISE_EPS, "-+", sigma)
+    orb = realize(w, deep)
+    assert orb.rises == (6,)
+    for depth in (6, 7):
+        assert_as_from_scratch(lambda: orb.at(depth), w, depth)
+    assert orb.at(6).rises == ()
+    assert orb.at(7).rises == (6,)
+
+
+def test_near_critical_point_among_the_new_points():
+    # at eps = -2 + 1e-18i the word "-" passes 8.2e-10 from the critical
+    # point 0 at depth 2, a tail step, without colliding its branches
+    w = family_word(complex(-2.0, 1e-18), "-", sigma=0.5)
+    old = realize(w, 1)
+    assert old.near_critical == ()
+    for depth in (2, 3, 60):
+        assert_as_from_scratch(lambda: realize(old, depth), w, depth)
+        assert realize(old, depth).near_critical == (2,)
+    assert_as_from_scratch(lambda: realize(w, 60).at(1), w, 1)
+
+
+def test_stationary_tail_outside_the_disk_records_its_filled_range():
+    # at eps = -1+0.02i the word "-++" stops moving 1.7e-18 from a; with
+    # sigma at that distance the filled tail lies outside the disk, and
+    # the word diverges at the grace depth
+    w = family_word(complex(-1.0, 0.02), "-++")
+    w = dataclasses.replace(w, sigma=realize(w, 80).dists[-1])
+    old = realize(w, 40)
+    assert old.points[-1] == old.points[-2]
+    for depth in (41, 62, 63):
+        assert_as_from_scratch(lambda: realize(old, depth), w, depth)
+    assert outcome(lambda: realize(old, 63))[0] is DivergentWordError

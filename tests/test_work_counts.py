@@ -1,5 +1,7 @@
 """Work counts of the battery: a sampled word's step loop runs once, the
-fixed orbit once per batch, and a value once per run.
+fixed orbit once per batch, and a value once per run; and of a
+realization: its closing checks read no more distances at a greater
+depth.
 
 The counts come from wrapping orbits.realize and cocycle.basic_cocycle
 in every horolab module that binds them, as the benchmark's tracer does.
@@ -9,6 +11,7 @@ import collections
 import sys
 
 from horolab import cocycle, orbits, suite
+from horolab.quadratic import family_word
 
 
 def wrap_everywhere(monkeypatch, original, wrapper):
@@ -127,3 +130,33 @@ def test_algebra_criterion_values_each_pair_once(monkeypatch):
     wrap_everywhere(monkeypatch, basic, counted)
     assert suite.criterion_8(7).ok
     assert len(set(pairs)) == len(pairs)
+
+
+def test_closing_checks_read_as_many_distances_at_any_depth(monkeypatch):
+    """Continuing a realization by one step and cutting it back by one
+    read as many distances in the closing checks (orbits._settle) at
+    depth 4000 as at depth 2000."""
+    w = family_word(0.1, "-")
+    orbs = [orbits.realize(w, depth) for depth in (2000, 4000)]
+    reads = []
+
+    class CountedReads(tuple):
+        def __getitem__(self, i):
+            got = tuple.__getitem__(self, i)
+            reads.append(len(got) if isinstance(i, slice) else 1)
+            return got
+
+    settle = orbits._settle
+
+    def counted(word, depth, pts, choices, dists, *facts):
+        return settle(word, depth, pts, choices, CountedReads(dists), *facts)
+
+    monkeypatch.setattr(orbits, "_settle", counted)
+    counts = []
+    for orb in orbs:
+        reads.clear()
+        longer, shorter = orb.at(orb.depth + 1), orb.at(orb.depth - 1)
+        counts.append(sum(reads))
+        assert longer == orbits.realize(w, orb.depth + 1)
+        assert shorter == orbits.realize(w, orb.depth - 1)
+    assert counts[0] == counts[1]
