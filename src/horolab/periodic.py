@@ -4,14 +4,16 @@ Roots are found by an Aberth-Ehrlich simultaneous iteration from
 deterministic start points, followed by a Newton polish.  For z**2 + eps
 the periodic points of period p are the roots of f^p(z) - z, whose
 Newton ratio is computed by iterating f p times, without expanding the
-degree-2**p polynomial, and preimages are +-sqrt(w - eps) in closed
-form.  For any other map (the --map commands) the iterate is composed
-into coefficients (iterated_pair) and all_roots solves the polynomial,
-as it does for such a map's preimages and for critical points.  A root
-that is not finite, or whose residual is above tolerance, is a
-RootFindingError.  make_periodic_point polishes a root by Newton on
-f^p(z) - z and validates it: each Newton step and the validation take
-f^p(z) and the multiplier (f^p)'(z) from one walk of the cycle.
+degree-2**p polynomial, starting from the 2**p preimages under f^p of
+one point outside the filled Julia set, and preimages are
++-sqrt(w - eps) in closed form.  For any other map (the --map
+commands) the iterate is composed into coefficients (iterated_pair) and
+all_roots solves the polynomial, as it does for such a map's preimages
+and for critical points.  A root that is not finite, or whose residual
+is above tolerance, is a RootFindingError.  make_periodic_point
+polishes a root by Newton on f^p(z) - z and validates it: each Newton
+step and the validation take f^p(z) and the multiplier (f^p)'(z) from
+one walk of the cycle.
 
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
 fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
@@ -156,6 +158,10 @@ def _check_residuals(c, roots):
 
 
 def _cluster(roots: list[complex]) -> list[Root]:
+    """Merge each root with the later ones (by real part) within
+    CLUSTER_REL_TOL * (1 + |z|) of it.  |w - z| >= |w.real - z.real|, so
+    the scan stops at the first root whose real part is beyond that
+    radius."""
     if not roots:
         return []
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
@@ -166,11 +172,14 @@ def _cluster(roots: list[complex]) -> list[Root]:
             continue
         members = [z]
         used[i] = True
+        radius = CLUSTER_REL_TOL * (1.0 + abs(z))
         for j in range(i + 1, len(remaining)):
+            w = remaining[j]
+            if w.real - z.real > radius:
+                break
             if used[j]:
                 continue
-            w = remaining[j]
-            if abs(w - z) <= CLUSTER_REL_TOL * (1.0 + abs(z)):
+            if abs(w - z) <= radius:
                 members.append(w)
                 used[j] = True
         center = sum(members) / len(members)
@@ -200,15 +209,24 @@ def classify(multiplier: complex) -> str:
     |m| against 1.  A unit-modulus multiplier that passes none of
     these is reported as indifferent (irrational rotation; outside
     the four exact classes, see docs).
+
+    The powers are only tried when ||m| - 1| <= 2 * PARABOLIC_TOL.
+    Otherwise |m^q| lies beyond 1 +- 2 * PARABOLIC_TOL for every q >= 1,
+    on the same side as |m|, and the computed m^q, a product of at most
+    64 factors, is off by a relative 1e-14 or so of rounding: it cannot
+    come within PARABOLIC_TOL of 1.  A NaN multiplier fails the guard's
+    test and still tries the powers; an infinite one skips them and is
+    repelling either way.
     """
     m = complex(multiplier)
     if abs(m) < SUPERATTRACTING_TOL:
         return "superattracting"
-    power = m
-    for _ in range(PARABOLIC_ORDER_BOUND):
-        if abs(power - 1.0) < PARABOLIC_TOL:
-            return "parabolic"
-        power *= m
+    if not abs(abs(m) - 1.0) > 2.0 * PARABOLIC_TOL:
+        power = m
+        for _ in range(PARABOLIC_ORDER_BOUND):
+            if abs(power - 1.0) < PARABOLIC_TOL:
+                return "parabolic"
+            power *= m
     if abs(m) < 1.0:
         return "attracting"
     if abs(m) > 1.0:
@@ -292,17 +310,28 @@ def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
     Aberth iteration whose Newton ratio is computed by iterating f
     (Schleicher & Stoll, "Newton's method in practice", Theor. Comput.
     Sci. 681 (2017)), so no coefficient of the degree-2**period
-    polynomial is formed.  The start points lie on the circle of radius
-    1.05 R, R = (1 + sqrt(1 + 4|eps|))/2, outside the filled Julia set
-    (|z| > R gives |f(z)| > |z|).  A root that is not finite, or whose
-    residual |f^period(z) - z| / (1 + |z|) is above ROOT_RESIDUAL_TOL, is
-    a RootFindingError.
+    polynomial is formed.  The start points are the 2**period preimages
+    under f^period of the one point w0 = 1.05 R exp(0.4i),
+    R = (1 + sqrt(1 + 4|eps|))/2, taken level by level as +-sqrt(w - eps).
+    w0 lies outside the filled Julia set (|z| > R gives |f(z)| > |z|), so
+    its preimages lie on an equipotential close to the Julia set, about
+    one beside each root (Hubbard, Schleicher & Sutherland, Invent. Math.
+    146 (2001)); from a circle around the filled Julia set each Aberth
+    step moves a point only about 2|z| / 2**period.  The angle 0.4 keeps
+    the start points of a real eps off the real axis and not symmetric
+    under conjugation.  A root that is not finite, or whose residual
+    |f^period(z) - z| / (1 + |z|) is above ROOT_RESIDUAL_TOL, is a
+    RootFindingError.
     """
     if period > MAX_FAMILY_PERIOD:
         raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
     newton = _iterated_newton(eps, period)
     radius = 1.05 * (1.0 + math.sqrt(1.0 + 4.0 * abs(eps))) / 2.0
-    z = _aberth(_circle(2**period, radius), newton)
+    z = np.array([radius * cmath.exp(0.4j)])
+    for _ in range(period):
+        s = np.sqrt(z - eps)
+        z = np.concatenate([s, -s])
+    z = _aberth(z, newton)
     residual, _ = newton(z)
     worst = float(np.max(np.abs(residual) / (1.0 + np.abs(z))))  # NaN fails below
     if not worst <= ROOT_RESIDUAL_TOL:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 import warnings
 
@@ -55,6 +56,59 @@ def test_classification_tags():
     assert classify(3.0) == "repelling"
     assert classify(1.0) == "parabolic"
     assert classify(cmath.exp(2j)) == "indifferent"
+
+
+def classify_by_powers(m):
+    """classify with every power tried, as it was before the modulus guard."""
+    m = complex(m)
+    if abs(m) < periodic.SUPERATTRACTING_TOL:
+        return "superattracting"
+    power = m
+    for _ in range(periodic.PARABOLIC_ORDER_BOUND):
+        if abs(power - 1.0) < periodic.PARABOLIC_TOL:
+            return "parabolic"
+        power *= m
+    if abs(m) < 1.0:
+        return "attracting"
+    if abs(m) > 1.0:
+        return "repelling"
+    return "indifferent"
+
+
+@pytest.mark.parametrize(
+    "m",
+    [1 + 2e-8, 1 - 2e-8, 1 + 1e-8, 1 - 1e-8, -1.0, complex("nan"), complex("inf"), cmath.exp(2j * math.pi / 3)],
+)
+def test_classify_modulus_guard_keeps_the_class(m):
+    assert classify(m) == classify_by_powers(m)
+
+
+def test_cluster_scan_cut_keeps_the_clusters():
+    """Stopping each scan at the merge radius in real part gives the same
+    clusters as scanning every later root."""
+
+    def cluster_by_full_scan(roots):
+        remaining = sorted(roots, key=lambda z: (z.real, z.imag))
+        out, used = [], [False] * len(remaining)
+        for i, z in enumerate(remaining):
+            if used[i]:
+                continue
+            members, used[i] = [z], True
+            for j in range(i + 1, len(remaining)):
+                w = remaining[j]
+                if not used[j] and abs(w - z) <= periodic.CLUSTER_REL_TOL * (1.0 + abs(z)):
+                    members.append(w)
+                    used[j] = True
+            out.append(periodic.Root(sum(members) / len(members), len(members)))
+        return out
+
+    rng = random.Random(5)
+    # real parts on a grid a fraction of the merge radius apart, so that
+    # many roots share a real part and many pairs lie near the radius
+    step = 0.3 * periodic.CLUSTER_REL_TOL
+    roots = [complex(rng.randrange(40) * step - 1.0, rng.randrange(40) * step) for _ in range(400)]
+    assert periodic._cluster(roots) == cluster_by_full_scan(roots)
+    assert any(r.multiplicity > 1 for r in periodic._cluster(roots))
 
 
 def test_fixed_points_of_squaring_map():
@@ -233,6 +287,13 @@ def test_family_periodic_points_match_the_coefficient_path(eps, monkeypatch):
             match = min(coefficient, key=lambda r: abs(r.location - q.location))
             assert abs(match.location - q.location) <= 4 * sys.float_info.epsilon * (1.0 + abs(q.location))
             assert match.classification == q.classification
+
+
+@pytest.mark.parametrize("eps", [-1.1, 1j])
+def test_family_periodic_points_solved_at_the_largest_period(eps):
+    pts = periodic_points(quad(eps), MAX_FAMILY_PERIOD)
+    assert len(pts) == mobius_count(MAX_FAMILY_PERIOD) == 990
+    assert all(cmath.isfinite(q.location) for q in pts)
 
 
 def test_family_period_cap_raises_config_error():

@@ -1,16 +1,21 @@
 """Work counts of the battery: a sampled word's step loop runs once, the
-fixed orbit once per batch, and a value once per run; and of a
+fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
-depth.
+depth; and of the family's periodic-point solve: Aberth iterations.
 
 The counts come from wrapping orbits.realize and cocycle.basic_cocycle
-in every horolab module that binds them, as the benchmark's tracer does.
+in every horolab module that binds them, as the benchmark's tracer does,
+and from wrapping the Newton ratio that periodic._aberth evaluates once
+per iteration.
 """
 
 import collections
 import sys
 
-from horolab import cocycle, orbits, suite
+import pytest
+
+from horolab import cocycle, orbits, periodic, suite
+from horolab.maps import RationalMap
 from horolab.quadratic import family_word
 
 
@@ -160,3 +165,24 @@ def test_closing_checks_read_as_many_distances_at_any_depth(monkeypatch):
         assert longer == orbits.realize(w, orb.depth + 1)
         assert shorter == orbits.realize(w, orb.depth - 1)
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16)])
+def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
+    """At period 8, from the preimages of one point outside the filled
+    Julia set, Aberth runs at most 20 iterations at each of param-scan's
+    parameters (135, 96 and 71 from a circle around it)."""
+    calls = []
+    aberth = periodic._aberth
+
+    def counted(z, newton):
+        def counted_newton(x):
+            calls.append(len(x))
+            return newton(x)
+
+        return aberth(z, counted_newton)
+
+    monkeypatch.setattr(periodic, "_aberth", counted)
+    assert len(periodic.periodic_points(RationalMap(num=(eps, 0, 1), den=(1,)), 8)) == 240
+    assert set(calls) == {2**8}
+    assert len(calls) - 4 <= 20  # 4 of the calls are the Newton polish

@@ -11,8 +11,8 @@
 # parameter, collinearity at both verdicts, the --map commands on z**3,
 # fixed-points, classify at period 2 and linearize on a non-polynomial
 # map (a rational derivative in the periodic-point walk), fixed-points
-# at a complex parameter, classify at periods 8, 6 and 4 of z**2 + eps
-# and at period 3 of the --map z**3, semigroup /
+# at a complex parameter, classify at periods 10, 8, 6 and 4 of
+# z**2 + eps and at period 3 of the --map z**3, semigroup /
 # limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
@@ -42,7 +42,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
-for p in 2 3 4 6 8; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
+for p in 2 3 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -66,6 +66,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" field field --epsilon 0.1 --word=-
     run "$tree" "$out" classify classify --epsilon -1
     run "$tree" "$out" fixed-points-complex fixed-points --epsilon=-0.525,0.16
+    run "$tree" "$out" classify-period-10 classify --epsilon -1.1 --config "$tmp/period-10.cfg"
     run "$tree" "$out" classify-period-8 classify --epsilon -3 --config "$tmp/period-8.cfg"
     run "$tree" "$out" classify-period-6 classify --epsilon -1.1 --config "$tmp/period-6.cfg"
     run "$tree" "$out" classify-complex-period-4 classify --epsilon=-0.525,0.16 --config "$tmp/period-4.cfg"
