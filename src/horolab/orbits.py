@@ -158,8 +158,7 @@ def tail_contraction(dists, entry: int) -> float | None:
     on, over steps still above the double-precision noise floor; dists
     holds the distances |p_j - a|."""
     steps = range(max(entry, 1), len(dists) - 1)
-    ratios = [dists[j + 1] / dists[j] for j in steps if dists[j] > RHO_SIGNAL_FLOOR]
-    return max(ratios) if ratios else None
+    return max((dists[j + 1] / dists[j] for j in steps if dists[j] > RHO_SIGNAL_FLOOR), default=None)
 
 
 def _nearer(s: complex, target: complex) -> tuple[complex, float, float]:

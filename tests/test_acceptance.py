@@ -4,16 +4,29 @@ Each test runs the corresponding suite criterion at the reference seed,
 prints a single PASS/FAIL line, and enforces the per-criterion runtime
 cap.  Criterion 13 additionally exercises the end-to-end determinism
 guarantee: two command-line suite runs must emit byte-identical trees.
+The battery's process pool returns what the criteria return in one
+process, and a criterion's error or a worker's death ends the command
+as a JSON payload with exit 1, leaving no worker behind.
 """
 
 import filecmp
+import json
+import multiprocessing
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+from horolab import suite
+from horolab.cli import main
+from horolab.errors import DivergentWordError
+from horolab.reports import to_json_text
 from horolab.suite import (
+    CRITERIA,
     RUNTIME_CAPS,
+    CriterionResult,
     criterion_1,
     criterion_2,
     criterion_3,
@@ -27,6 +40,7 @@ from horolab.suite import (
     criterion_11,
     criterion_12,
     criterion_13,
+    run_battery,
 )
 
 SEED = 7
@@ -123,3 +137,58 @@ def test_criterion_13_determinism(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
     assert not mismatch and not errors, f"differing files: {mismatch or errors}"
     print(f"[criterion 13] PASS: {len(names)} artifacts byte-identical across reruns")
+
+
+def test_battery_matches_the_criteria_run_in_one_process():
+    pooled = run_battery(SEED)
+    assert multiprocessing.active_children() == []
+    here = []
+    for index, fn in enumerate(CRITERIA, 1):
+        here.append(fn(SEED, here[3]) if index == 6 else fn(SEED))
+    here.append(criterion_13(SEED, here))
+
+    def texts(results):
+        return [to_json_text([r.index, r.name, r.ok, r.details]) for r in results]
+
+    assert texts(pooled) == texts(here)
+
+
+def stand_ins(monkeypatch, index, fn):
+    """Quick passing stand-ins for criteria 1-12, fn in place of criterion index."""
+
+    def passing(i):
+        return lambda seed, *earlier: CriterionResult(i, "stand-in", True, {}, 0.0, {})
+
+    criteria = [passing(i) for i in range(1, 13)]
+    criteria[index - 1] = fn
+    monkeypatch.setattr(suite, "CRITERIA", criteria)
+
+
+def run_suite(tmp_path, capsys):
+    code = main(["suite", "--epsilon", "-1", "--seed", str(SEED), "--out", str(tmp_path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_criterion_error_in_a_worker_reaches_the_command_line(monkeypatch, tmp_path, capsys):
+    error = DivergentWordError("stand-in word did not settle")
+
+    def failing(seed):
+        raise error
+
+    stand_ins(monkeypatch, 9, failing)
+    with pytest.raises(DivergentWordError) as raised:
+        run_battery(SEED)
+    assert type(raised.value) is DivergentWordError and str(raised.value) == str(error)
+    assert multiprocessing.active_children() == []
+    assert run_suite(tmp_path, capsys) == (1, error.payload())
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_ends_the_suite_in_a_failure_payload(monkeypatch, tmp_path, capsys):
+    stand_ins(monkeypatch, 9, lambda seed: os._exit(3))
+    code, payload = run_suite(tmp_path, capsys)
+    assert code == 1
+    assert payload["error"] == "suite-failure"
+    unfinished = re.search(r"criteria left unfinished: \[([\d, ]*)\]$", payload["message"])
+    assert 9 in json.loads(f"[{unfinished.group(1)}]")
+    assert multiprocessing.active_children() == []

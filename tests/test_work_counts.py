@@ -89,20 +89,23 @@ def test_bound_check_takes_the_sign_law_values(monkeypatch):
 
 def test_battery_hands_criterion_4s_result_to_criterion_6(monkeypatch):
     """By position in CRITERIA, so it holds when the entries are wrapped,
-    as the benchmark's tracer wraps them."""
-    calls = []
+    as the benchmark's tracer wraps them.  The stand-ins run in the
+    battery's workers, so each records the earlier results it was handed
+    in its own details."""
 
     def stand_in(index):
         def criterion(seed, *earlier):
-            calls.append((index, earlier))
-            return index
+            return suite.CriterionResult(index, "stand-in", True, {"earlier": [r.index for r in earlier]}, 0.0, {})
 
         return criterion
 
     monkeypatch.setattr(suite, "CRITERIA", [stand_in(i) for i in range(1, 13)])
-    monkeypatch.setattr(suite, "criterion_13", lambda seed, results: 13)
-    assert suite.run_battery(7) == list(range(1, 14))
-    assert calls == [(i, (4,) if i == 6 else ()) for i in range(1, 13)]
+    monkeypatch.setattr(suite, "criterion_13", lambda seed, results: stand_in(13)(seed, *results))
+    results = suite.run_battery(7)
+    assert [r.index for r in results] == list(range(1, 14))
+    assert [r.details["earlier"] for r in results] == [
+        [4] if i == 6 else [] for i in range(1, 13)
+    ] + [list(range(1, 13))]
 
 
 def test_semigroup_criterion_values_each_word_once(monkeypatch):
