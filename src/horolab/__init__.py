@@ -5,189 +5,112 @@ fixed point a: orbit words, the certified series for the height cocycle
 between two such orbits, the resulting height sets and their density
 structure, the additive semigroup of cocycle values, and the certified
 disk geometry (sigma, delta) that turns the sign law into a
-quantitative lower bound, all for the quadratic family.  General
+quantitative lower bound, all for the quadratic family.  Words, the
+cocycle and Julia samples carry the parameter epsilon itself; general
 rational maps (RationalMap, the Aberth root solver) serve only the
 fixed-points, classify, linearize and collinearity commands under --map.
+The public names and submodules are imported on first use (PEP 562).
 """
 
-from .cocycle import (
-    CocycleValue,
-    DensityReport,
-    HeightPoint,
-    ProgressionReport,
-    basic_cocycle,
-    cocycle_field,
-    cocycle_vs_fixed,
-    height_set,
-    make_density_report,
-    progression_density_check,
-    pushforward_height,
-    series_terms,
-    values_vs_fixed,
-)
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DegenerateBranchError,
-    DepthBudgetError,
-    DivergentWordError,
-    DomainError,
-    HorolabError,
-    PreconditionError,
-    RootFindingError,
-    SingularTermError,
-    SuiteFailureError,
-)
-from .julia import (
-    EscapeResult,
-    JuliaSample,
-    escape_membership,
-    inverse_iteration_sample,
-    repelling_sample,
-)
-from .maps import (
-    QuadraticParam,
-    RationalFunction,
-    RationalMap,
-    compose,
-    evaluate,
-    quadratic_epsilon,
-)
-from .orbits import (
-    OrbitWord,
-    PiMembership,
-    RealizedOrbit,
-    concatenate,
-    fixed_word,
-    is_in_Pi_a,
-    realize,
-    shift,
-)
-from .periodic import (
-    CollinearityReport,
-    Linearizer,
-    PeriodicPoint,
-    all_roots,
-    build_linearizer,
-    classify,
-    collinearity_in_linearizer,
-    make_periodic_point,
-    periodic_points,
-    preimage_points,
-)
-from .quadratic import (
-    BoundCheck,
-    ContainmentReport,
-    ExcursionStats,
-    ExtremalityReport,
-    LimitDecomposition,
-    SigmaDelta,
-    bound_checks,
-    branch_exceptional,
-    build_B_epsilon,
-    cocycle_lower_bound_check,
-    default_sigma_delta,
-    derivative_extremality_check,
-    disk_containment_check,
-    excursion_stats,
-    family_word,
-    find_sigma,
-    find_sigma_delta,
-    fixed_point_a,
-    limit_decomposition_check,
-    list_1_1_member,
-    lower_bound,
-    nested_decomposition_check,
-    normalize_word,
-    quadratic_map,
-    sample_words,
-    sampled_heights,
-    value_sums,
-    word_from_json,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCheck",
-    "CocycleValue",
-    "CollinearityReport",
-    "ConfigError",
-    "ConstructionError",
-    "ContainmentReport",
-    "DegenerateBranchError",
-    "DensityReport",
-    "DepthBudgetError",
-    "DivergentWordError",
-    "DomainError",
-    "EscapeResult",
-    "ExcursionStats",
-    "ExtremalityReport",
-    "HeightPoint",
-    "HorolabError",
-    "JuliaSample",
-    "LimitDecomposition",
-    "Linearizer",
-    "OrbitWord",
-    "PeriodicPoint",
-    "PiMembership",
-    "PreconditionError",
-    "ProgressionReport",
-    "QuadraticParam",
-    "RationalFunction",
-    "RationalMap",
-    "RealizedOrbit",
-    "RootFindingError",
-    "SigmaDelta",
-    "SingularTermError",
-    "SuiteFailureError",
-    "all_roots",
-    "basic_cocycle",
-    "bound_checks",
-    "branch_exceptional",
-    "build_B_epsilon",
-    "build_linearizer",
-    "classify",
-    "cocycle_field",
-    "cocycle_lower_bound_check",
-    "cocycle_vs_fixed",
-    "collinearity_in_linearizer",
-    "compose",
-    "concatenate",
-    "default_sigma_delta",
-    "derivative_extremality_check",
-    "disk_containment_check",
-    "escape_membership",
-    "evaluate",
-    "excursion_stats",
-    "family_word",
-    "find_sigma",
-    "find_sigma_delta",
-    "fixed_point_a",
-    "fixed_word",
-    "height_set",
-    "inverse_iteration_sample",
-    "is_in_Pi_a",
-    "limit_decomposition_check",
-    "list_1_1_member",
-    "lower_bound",
-    "make_density_report",
-    "make_periodic_point",
-    "nested_decomposition_check",
-    "normalize_word",
-    "periodic_points",
-    "preimage_points",
-    "progression_density_check",
-    "pushforward_height",
-    "quadratic_epsilon",
-    "quadratic_map",
-    "realize",
-    "repelling_sample",
-    "sample_words",
-    "sampled_heights",
-    "series_terms",
-    "shift",
-    "value_sums",
-    "values_vs_fixed",
-    "word_from_json",
-]
+_SUBMODULES = ("cli", "cocycle", "errors", "julia", "maps", "orbits", "periodic", "quadratic", "reports", "suite")
+
+# public name -> the module that defines it
+_DEFINED_IN = {
+    "CocycleValue": "cocycle",
+    "DensityReport": "cocycle",
+    "HeightPoint": "cocycle",
+    "ProgressionReport": "cocycle",
+    "basic_cocycle": "cocycle",
+    "cocycle_field": "cocycle",
+    "cocycle_vs_fixed": "cocycle",
+    "height_set": "cocycle",
+    "make_density_report": "cocycle",
+    "progression_density_check": "cocycle",
+    "pushforward_height": "cocycle",
+    "series_terms": "cocycle",
+    "values_vs_fixed": "cocycle",
+    "ConfigError": "errors",
+    "ConstructionError": "errors",
+    "DegenerateBranchError": "errors",
+    "DepthBudgetError": "errors",
+    "DivergentWordError": "errors",
+    "DomainError": "errors",
+    "HorolabError": "errors",
+    "PreconditionError": "errors",
+    "RootFindingError": "errors",
+    "SingularTermError": "errors",
+    "SuiteFailureError": "errors",
+    "EscapeResult": "julia",
+    "JuliaSample": "julia",
+    "escape_membership": "julia",
+    "inverse_iteration_sample": "julia",
+    "repelling_sample": "julia",
+    "RationalFunction": "maps",
+    "RationalMap": "maps",
+    "compose": "maps",
+    "evaluate": "maps",
+    "quadratic_epsilon": "maps",
+    "quadratic_map": "maps",
+    "OrbitWord": "orbits",
+    "PiMembership": "orbits",
+    "RealizedOrbit": "orbits",
+    "concatenate": "orbits",
+    "fixed_word": "orbits",
+    "is_in_Pi_a": "orbits",
+    "realize": "orbits",
+    "shift": "orbits",
+    "CollinearityReport": "periodic",
+    "Linearizer": "periodic",
+    "PeriodicPoint": "periodic",
+    "all_roots": "periodic",
+    "build_linearizer": "periodic",
+    "classify": "periodic",
+    "collinearity_in_linearizer": "periodic",
+    "make_periodic_point": "periodic",
+    "periodic_points": "periodic",
+    "preimage_points": "periodic",
+    "BoundCheck": "quadratic",
+    "ContainmentReport": "quadratic",
+    "ExcursionStats": "quadratic",
+    "ExtremalityReport": "quadratic",
+    "LimitDecomposition": "quadratic",
+    "SigmaDelta": "quadratic",
+    "bound_checks": "quadratic",
+    "branch_exceptional": "quadratic",
+    "build_B_epsilon": "quadratic",
+    "cocycle_lower_bound_check": "quadratic",
+    "default_sigma_delta": "quadratic",
+    "derivative_extremality_check": "quadratic",
+    "disk_containment_check": "quadratic",
+    "excursion_stats": "quadratic",
+    "family_word": "quadratic",
+    "find_sigma": "quadratic",
+    "find_sigma_delta": "quadratic",
+    "fixed_point_a": "quadratic",
+    "limit_decomposition_check": "quadratic",
+    "list_1_1_member": "quadratic",
+    "lower_bound": "quadratic",
+    "nested_decomposition_check": "quadratic",
+    "normalize_word": "quadratic",
+    "sample_words": "quadratic",
+    "sampled_heights": "quadratic",
+    "value_sums": "quadratic",
+    "word_from_json": "quadratic",
+}
+
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    """The public name or submodule, imported on access.  A public name
+    is looked up in its module on every access and never bound here, so
+    what its module binds (a patched function too) is what it gives."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _DEFINED_IN:
+        return getattr(importlib.import_module(f"{__name__}.{_DEFINED_IN[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from .cocycle import cocycle_field, cocycle_vs_fixed, field_mean_value
 from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import RationalMap
+from .maps import RationalMap, quadratic_map
 from .periodic import (
     PeriodicPoint,
     build_linearizer,
@@ -46,7 +46,6 @@ from .quadratic import (
     list_1_1_member,
     nested_decomposition_check,
     normalize_word,
-    quadratic_map,
     sampled_heights,
 )
 from .reports import (
@@ -281,7 +280,7 @@ def cmd_julia(cfg: RunConfig) -> dict:
     eps = cfg.epsilon
     n_points = _n_points(cfg)
     depth = cfg.depth or 40
-    sample = inverse_iteration_sample(quadratic_map(eps), n_points, depth, cfg.seed)
+    sample = inverse_iteration_sample(eps, n_points, depth, cfg.seed)
     write_csv(
         cfg.out / "julia_points.csv",
         ["re", "im"],

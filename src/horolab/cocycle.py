@@ -42,7 +42,6 @@ from .errors import (
     PreconditionError,
     SingularTermError,
 )
-from .maps import quadratic_epsilon
 from .orbits import (
     CRITICAL_PROXIMITY,
     OrbitWord,
@@ -172,8 +171,8 @@ def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int)
 
 
 def _common_base(x, y):
-    if x.map != y.map or x.base.location != y.base.location or x.sigma != y.sigma:
-        raise PreconditionError("cocycle arguments must share map, base, and sigma")
+    if x.epsilon != y.epsilon or x.base.location != y.base.location or x.sigma != y.sigma:
+        raise PreconditionError("cocycle arguments must share epsilon, base, and sigma")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ def cocycle_field(c: OrbitWord | RealizedOrbit, z: complex, tol: float) -> float
     dz = abs(z - a)
     if dz >= sigma:
         raise DomainError("field evaluation point must lie inside the sigma-disk")
-    eps = quadratic_epsilon(c.map)
+    eps = c.epsilon
     guide = [c]
 
     def pair_at(depth):

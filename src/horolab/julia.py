@@ -9,13 +9,14 @@ so the sorted sample is reproducible bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .maps import QuadraticParam, RationalMap, quadratic_epsilon
+from .maps import quadratic_map
 from .orbits import CRITICAL_PROXIMITY
 from .periodic import PeriodicPoint, periodic_points
 
@@ -26,7 +27,7 @@ ESCAPE_BUDGET_MAX = 100000
 
 @dataclass(frozen=True)
 class JuliaSample:
-    map_json: dict
+    epsilon: complex  # the sample is drawn for z**2 + epsilon
     points: tuple[complex, ...]
     method: str  # "escape-boundary" | "inverse-iteration" | "repelling-periodic"
     params: dict
@@ -38,7 +39,7 @@ class EscapeResult:
     steps: int
 
 
-def escape_membership(param: QuadraticParam, z: complex, budget: int) -> EscapeResult:
+def escape_membership(epsilon: complex, z: complex, budget: int) -> EscapeResult:
     """Bounded-orbit test for the filled Julia set of z**2 + epsilon.
 
     |z| > max(2, |eps|) implies |z**2 + eps| >= |z|**2 - |eps| > |z|,
@@ -48,56 +49,48 @@ def escape_membership(param: QuadraticParam, z: complex, budget: int) -> EscapeR
         raise ConfigError(f"escape budget exceeds the configured max {ESCAPE_BUDGET_MAX}")
     if budget <= 0:
         return EscapeResult("undecided", 0)
-    eps = param.epsilon
-    radius = max(2.0, abs(eps)) + 1.0
+    radius = max(2.0, abs(epsilon)) + 1.0
     w = z
     for n in range(budget + 1):
         if abs(w) > radius:
             return EscapeResult("escaped", n)
-        w = w * w + eps
+        w = w * w + epsilon
     return EscapeResult("inside-filled", budget)
 
 
-def _starting_point(f: RationalMap) -> PeriodicPoint:
-    eps = quadratic_epsilon(f)
-    fixed = periodic_points(f, 1)
-    if eps is not None:
-        # prefer the distinguished fixed point (1 + sqrt(1 - 4 eps))/2
-        import cmath
-
-        a = (1.0 + cmath.sqrt(1.0 - 4.0 * eps)) / 2.0
-        for p in fixed:
-            if p.classification == "repelling" and abs(p.location - a) < 1e-6 * (1 + abs(a)):
-                return p
-    for p in fixed:
-        if p.classification == "repelling":
+def _starting_point(eps: complex) -> PeriodicPoint:
+    """The distinguished fixed point (1 + sqrt(1 - 4 eps))/2, when it is
+    repelling.  Its multiplier is at least the other fixed point's in
+    modulus, so when it is not repelling neither fixed point is."""
+    a = (1.0 + cmath.sqrt(1.0 - 4.0 * eps)) / 2.0
+    for p in periodic_points(quadratic_map(eps), 1):
+        if p.classification == "repelling" and abs(p.location - a) < 1e-6 * (1 + abs(a)):
             return p
     raise PreconditionError("inverse iteration needs a repelling fixed point")
 
 
 def inverse_iteration_sample(
-    f: RationalMap,
+    epsilon: complex,
     n_points: int,
     depth: int,
     seed: int,
 ) -> JuliaSample:
-    """Random backward orbits from a repelling fixed point, pooled.
+    """Random backward orbits of z**2 + epsilon from its repelling
+    fixed point a, pooled.
 
-    Quadratic-family only (closed-form inverse branches).  Paths whose
-    branch choice hits the critical value (both preimages collide) are
-    resampled with fresh seeded randomness; if collisions persist (they
-    are unavoidable on some parameters, where the critical orbit lies
-    in J itself) the path passes through the collision point, which is
-    a genuine Julia point, and continues.
+    The inverse branches are closed-form.  Paths whose branch choice
+    hits the critical value (both preimages collide) are resampled with
+    fresh seeded randomness; if collisions persist (they are unavoidable
+    on some parameters, where the critical orbit lies in J itself) the
+    path passes through the collision point, which is a genuine Julia
+    point, and continues.
     """
-    eps = quadratic_epsilon(f)
-    if eps is None:
-        raise ConfigError("inverse iteration is implemented for the quadratic family")
+    eps = complex(epsilon)
     if depth <= BURN_IN:
         raise ConfigError(f"depth must exceed the burn-in ({BURN_IN})")
     if n_points < 1:
         raise ConfigError("n_points must be positive")
-    start = _starting_point(f)
+    start = _starting_point(eps)
     per_path = depth - BURN_IN
     n_paths = math.ceil(n_points / per_path)
     rng = np.random.default_rng(seed)
@@ -119,7 +112,7 @@ def inverse_iteration_sample(
     flat = [complex(z) for z in pts.reshape(-1)[: n_points]]
     flat.sort(key=lambda z: (z.real, z.imag))
     return JuliaSample(
-        map_json=f.to_json(),
+        epsilon=eps,
         points=tuple(flat),
         method="inverse-iteration",
         params={
@@ -148,10 +141,13 @@ def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex):
     return collected, collided
 
 
-def repelling_sample(f: RationalMap, max_period: int) -> JuliaSample:
-    """All repelling periodic points of period up to max_period."""
+def repelling_sample(epsilon: complex, max_period: int) -> JuliaSample:
+    """All repelling periodic points of z**2 + epsilon of period up to
+    max_period."""
     if max_period < 1:
         raise ConfigError("max_period must be >= 1")
+    eps = complex(epsilon)
+    f = quadratic_map(eps)
     pts: list[complex] = []
     for period in range(1, max_period + 1):
         for p in periodic_points(f, period):
@@ -159,7 +155,7 @@ def repelling_sample(f: RationalMap, max_period: int) -> JuliaSample:
                 pts.append(p.location)
     pts.sort(key=lambda z: (z.real, z.imag))
     return JuliaSample(
-        map_json=f.to_json(),
+        epsilon=eps,
         points=tuple(pts),
         method="repelling-periodic",
         params={"max_period": max_period},

@@ -231,35 +231,17 @@ class RationalMap(RationalFunction):
             den = [complex(re, im) for re, im in data["den"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConstructionError(f"bad map serialization: {exc}") from exc
+        if any(is_inf(c) for c in num + den):
+            raise ConstructionError("map coefficients must be finite")
         return cls(tuple(num), tuple(den))
 
 
-@dataclass(frozen=True)
-class QuadraticParam:
-    """Parameter of the quadratic family z**2 + epsilon."""
-
-    epsilon: complex
-
-    def __post_init__(self):
-        eps = complex(self.epsilon)
-        if is_inf(eps):
-            raise ConstructionError("epsilon must be finite")
-        object.__setattr__(self, "epsilon", eps)
-
-    @property
-    def map(self) -> RationalMap:
-        return RationalMap((self.epsilon, 0j, 1 + 0j))
-
-    def to_json(self) -> dict:
-        return {"epsilon": [self.epsilon.real, self.epsilon.imag]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuadraticParam":
-        try:
-            re, im = data["epsilon"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConstructionError(f"bad parameter serialization: {exc}") from exc
-        return cls(complex(re, im))
+def quadratic_map(epsilon: complex) -> RationalMap:
+    """z**2 + epsilon as a RationalMap, for the code that takes any map."""
+    eps = complex(epsilon)
+    if is_inf(eps):
+        raise ConstructionError("epsilon must be finite")
+    return RationalMap((eps, 0j, 1 + 0j))
 
 
 def quadratic_epsilon(f: RationalFunction) -> complex | None:

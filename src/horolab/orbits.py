@@ -22,13 +22,14 @@ records the facts the closing checks read, as sorted index tuples: the
 points outside the disk, the rises of the distance (where the tail
 fails to contract) and the points within CRITICAL_PROXIMITY of the
 critical point 0.  The closing checks answer from these by bisection.
-Words exist for the quadratic family only (f'(z) = 2z, critical point
-0); RationalMap and the Aberth solver serve the --map commands
-(fixed-points, classify, linearize, collinearity) instead.
+A word carries the parameter epsilon itself: words exist for the
+quadratic family only (f'(z) = 2z, critical point 0), and a general
+RationalMap serves only the --map commands (fixed-points, classify,
+linearize, collinearity).
 
 A word is realized once and then extended: realize continues a
-shallower realization of the word, and RealizedOrbit.at also cuts a
-deeper one back, each bitwise equal to realizing from scratch because
+shallower realization of the word and cuts a deeper one back
+(RealizedOrbit.at), each bitwise equal to realizing from scratch because
 the steps are deterministic.  A cut slices the recorded facts and a
 continuation appends those of its new points, so either one checks
 only what it changes.  A RealizedOrbit reads like its word, so
@@ -43,6 +44,7 @@ import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import (
     ConfigError,
@@ -52,8 +54,9 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .maps import RationalMap, quadratic_epsilon
-from .periodic import PeriodicPoint
+
+if TYPE_CHECKING:
+    from .periodic import PeriodicPoint
 
 RESIDUAL_TOL = 1e-12
 COLLISION_TOL = 1e-13
@@ -65,16 +68,14 @@ DIVERGENCE_GRACE = 60  # post-prefix depth allowed before a missing tail is an e
 
 @dataclass(frozen=True)
 class OrbitWord:
-    """A symbolic backward orbit at a repelling fixed point."""
+    """A symbolic backward orbit of z**2 + epsilon at a repelling fixed point."""
 
-    map: RationalMap
+    epsilon: complex
     base: PeriodicPoint
     prefix: str
     sigma: float
 
     def __post_init__(self):
-        if quadratic_epsilon(self.map) is None:
-            raise ConfigError("orbit words are defined for the quadratic family z**2 + epsilon only")
         if self.base.period != 1:
             raise PreconditionError("orbit words are based at fixed points")
         if self.base.classification != "repelling":
@@ -95,7 +96,7 @@ class OrbitWord:
         return realize(self, depth)
 
     def to_json(self) -> dict:
-        eps = quadratic_epsilon(self.map)
+        eps = self.epsilon
         return {"epsilon": [eps.real, eps.imag], "prefix": self.prefix, "sigma": self.sigma}
 
 
@@ -103,7 +104,7 @@ class OrbitWord:
 class RealizedOrbit:
     """A realized backward orbit: points[j] approximates y_{-j}.
 
-    It reads like its word (prefix, map, base, sigma, at), so the
+    It reads like its word (prefix, epsilon, base, sigma, at), so the
     functions that take a word take its realization as well, and
     continue or cut it rather than realize the word again.  Besides
     each point's distance to a, it carries the facts its steps
@@ -125,7 +126,7 @@ class RealizedOrbit:
     near_critical: tuple[int, ...] = field(repr=False, compare=False)
 
     prefix = property(lambda self: self.word.prefix)
-    map = property(lambda self: self.word.map)
+    epsilon = property(lambda self: self.word.epsilon)
     base = property(lambda self: self.word.base)
     sigma = property(lambda self: self.word.sigma)
 
@@ -215,16 +216,19 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
 
     Given a realization no deeper than depth, the pass continues from
     its last point instead of starting over, and appends the facts of
-    its new points to the recorded ones.  The steps are deterministic,
-    so the result, or the error raised, is bitwise that of realizing
-    from scratch.  A realization stands for its word, so
+    its new points to the recorded ones; a deeper realization is cut
+    back (RealizedOrbit.at), with no step taken.  The steps are
+    deterministic, so the result, or the error raised, is bitwise that
+    of realizing from scratch.  A realization stands for its word, so
     RealizedOrbit.word is always an OrbitWord.
     """
-    start = word if isinstance(word, RealizedOrbit) and word.depth <= depth else None
+    if isinstance(word, RealizedOrbit) and word.depth > depth:
+        return word.at(depth)
+    start = word if isinstance(word, RealizedOrbit) else None
     word = word.word
     _check_depth(word, depth)
     prefix = word.prefix
-    eps = quadratic_epsilon(word.map)
+    eps = word.epsilon
     a = word.base.location
     sigma = word.sigma
     if start is None:
@@ -390,7 +394,7 @@ def concatenate(
     realized y is cut back, not realized again; the new word comes with
     the realization its membership check made.
     """
-    if y.map != c.map or y.sigma != c.sigma or y.base.location != c.base.location:
+    if y.epsilon != c.epsilon or y.sigma != c.sigma or y.base.location != c.base.location:
         raise PreconditionError("concatenation requires words over the same base")
     if junction_depth < 0:
         raise PreconditionError("junction depth must be nonnegative")

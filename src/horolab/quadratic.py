@@ -49,7 +49,7 @@ from .errors import (
     PreconditionError,
 )
 from .julia import JuliaSample, inverse_iteration_sample
-from .maps import QuadraticParam, RationalMap, quadratic_epsilon
+from .maps import quadratic_map
 from .orbits import (
     OrbitWord,
     RealizedOrbit,
@@ -93,10 +93,6 @@ def fixed_point_a(epsilon: complex) -> complex:
     return (1.0 + cmath.sqrt(w)) / 2.0
 
 
-def quadratic_map(epsilon: complex) -> RationalMap:
-    return QuadraticParam(complex(epsilon)).map
-
-
 def branch_exceptional(epsilon: complex) -> bool:
     """True when the critical value equals the non-fixed preimage -a of
     the fixed point, so every backward orbit off the fixed one dies on
@@ -117,10 +113,8 @@ def list_1_1_member(epsilon: complex) -> bool:
 
 
 @functools.lru_cache(maxsize=128)
-def _family_context(eps: complex):
-    f = quadratic_map(eps)
-    point = make_periodic_point(f, fixed_point_a(eps), 1)
-    return f, point
+def _family_base(eps: complex):
+    return make_periodic_point(quadratic_map(eps), fixed_point_a(eps), 1)
 
 
 def family_word(epsilon: complex, prefix: str, sigma: float | None = None) -> OrbitWord:
@@ -128,10 +122,10 @@ def family_word(epsilon: complex, prefix: str, sigma: float | None = None) -> Or
     radius (pass one explicitly for parameters where the certificate
     construction fails, such as the branch-exceptional point)."""
     eps = complex(epsilon)
-    f, point = _family_context(eps)
+    point = _family_base(eps)
     if sigma is None:
         sigma = find_sigma(eps)[0]
-    return OrbitWord(f, point, prefix, sigma)
+    return OrbitWord(eps, point, prefix, sigma)
 
 
 def word_from_json(data: dict) -> OrbitWord:
@@ -412,8 +406,8 @@ def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
         raise PreconditionError("sigma/delta construction excludes epsilon in {0, -2}")
     if not sample.points:
         raise PreconditionError("need a nonempty Julia sample")
-    if sample.map_json != quadratic_map(eps).to_json():
-        raise PreconditionError("sample was drawn for a different map")
+    if sample.epsilon != eps:
+        raise PreconditionError("sample was drawn for a different epsilon")
     sigma, cert = find_sigma(eps)
     a = fixed_point_a(eps)
     base = math.log(2.0 * abs(a))
@@ -438,7 +432,7 @@ def default_sigma_delta(epsilon: complex, seed: int, n_points: int = 10000) -> S
     """find_sigma_delta over a fresh seeded inverse-iteration sample of
     SAMPLE_DEPTH steps per path."""
     eps = complex(epsilon)
-    sample = inverse_iteration_sample(quadratic_map(eps), n_points, SAMPLE_DEPTH, seed)
+    sample = inverse_iteration_sample(eps, n_points, SAMPLE_DEPTH, seed)
     return find_sigma_delta(eps, sample)
 
 
@@ -503,8 +497,7 @@ def lower_bound(beta: CocycleValue, stats: ExcursionStats, sd: SigmaDelta) -> Bo
         raise PreconditionError(
             f"excursions counted against radius {stats.sigma!r}, not sd.sigma {sd.sigma!r}"
         )
-    eps_word = quadratic_epsilon(stats.word.map)
-    delta_used = sd.delta if eps_word == sd.epsilon else 0.5 * sd.delta
+    delta_used = sd.delta if stats.word.epsilon == sd.epsilon else 0.5 * sd.delta
     margin = abs(beta.value) - beta.tail_bound - delta_used * stats.d
     return BoundCheck(margin > 0.0, margin, beta, stats, delta_used)
 

@@ -42,7 +42,7 @@ from .cocycle import (
 )
 from .errors import SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import evaluate
+from .maps import evaluate, quadratic_map
 from .orbits import is_in_Pi_a, shift
 from .periodic import (
     build_linearizer,
@@ -64,7 +64,6 @@ from .quadratic import (
     limit_decomposition_check,
     lower_bound,
     nested_decomposition_check,
-    quadratic_map,
     sample_words,
     sampled_heights,
     value_sums,
@@ -218,7 +217,7 @@ def criterion_5(seed: int) -> CriterionResult:
     ok = True
     points_neg = None
     for eps in (-1.0, 0.1):
-        sample = inverse_iteration_sample(quadratic_map(eps), 10000, 40, seed)
+        sample = inverse_iteration_sample(eps, 10000, 40, seed)
         rep = disk_containment_check(eps, sample, 1e-6)
         ext = derivative_extremality_check(eps, sample, 1e-6)
         ok = ok and not rep.violations and not rep.proximity_failures and not ext.violations
@@ -503,8 +502,8 @@ def criterion_13(seed: int, earlier: list[CriterionResult] | None = None) -> Cri
     a = criterion_1(seed).details
     b = criterion_1(seed).details
     reproduced = to_json_text(a) == to_json_text(b)
-    sample1 = inverse_iteration_sample(quadratic_map(-1.0), 500, 40, seed)
-    sample2 = inverse_iteration_sample(quadratic_map(-1.0), 500, 40, seed)
+    sample1 = inverse_iteration_sample(-1.0, 500, 40, seed)
+    sample2 = inverse_iteration_sample(-1.0, 500, 40, seed)
     sampling = sample1.points == sample2.points
     ok = stable and reproduced and sampling
     return _result(

@@ -187,8 +187,13 @@ def test_joined_negative_complex_epsilon_parses(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"num": 5}', '{"num": [[0, 0], [1, 0]], "den": [[1, 0]]}'],
-    ids=["malformed", "degree-1"],
+    [
+        '{"num": 5}',
+        '{"num": [[0, 0], [1, 0]], "den": [[1, 0]]}',
+        '{"num": [[1e400, 0], [0, 0], [1, 0]], "den": [[1, 0]]}',  # json reads 1e400 as inf
+        '{"num": [[NaN, 0], [0, 0], [1, 0]], "den": [[1, 0]]}',  # a literal json accepts
+    ],
+    ids=["malformed", "degree-1", "inf-coefficient", "nan-coefficient"],
 )
 def test_inadmissible_map_file_exits_2(tmp_path, capsys, text):
     path = tmp_path / "map.json"

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from horolab.errors import ConstructionError
 from horolab.maps import (
     INF,
-    QuadraticParam,
     RationalFunction,
     RationalMap,
     compose,
     evaluate,
     is_inf,
     quadratic_epsilon,
+    quadratic_map,
 )
 
 
@@ -76,11 +76,12 @@ def test_quadratic_epsilon_recognition():
     assert quadratic_epsilon(cubic) is None
 
 
-def test_quadratic_param_roundtrip():
-    p = QuadraticParam(-1.5 + 0.25j)
-    q = QuadraticParam.from_json(p.to_json())
-    assert q.epsilon == p.epsilon
-    assert quadratic_epsilon(p.map) == p.epsilon
+def test_quadratic_map_is_recognized():
+    eps = -1.5 + 0.25j
+    assert quadratic_epsilon(quadratic_map(eps)) == eps
+    assert quadratic_epsilon(RationalMap.from_json(quadratic_map(eps).to_json())) == eps
+    with pytest.raises(ConstructionError):
+        quadratic_map(complex(float("nan"), 0.0))
 
 
 def test_map_json_roundtrip():

@@ -13,7 +13,7 @@ from horolab.errors import (
     HorolabError,
     PreconditionError,
 )
-from horolab.maps import RationalMap, evaluate
+from horolab.maps import evaluate, quadratic_map
 from horolab import orbits
 from horolab.orbits import (
     OrbitWord,
@@ -23,7 +23,6 @@ from horolab.orbits import (
     realize,
     shift,
 )
-from horolab.periodic import make_periodic_point
 from horolab.quadratic import family_word, fixed_point_a, sample_words
 
 
@@ -41,7 +40,7 @@ def test_realize_forward_residuals():
     w = family_word(-1.0, "-+-")
     orb = realize(w, 30)
     for j in range(orb.depth):
-        assert abs(evaluate(w.map, orb.points[j + 1]) - orb.points[j]) < 1e-11
+        assert abs(evaluate(quadratic_map(w.epsilon), orb.points[j + 1]) - orb.points[j]) < 1e-11
 
 
 def test_tie_breaks_toward_positive_imaginary():
@@ -211,14 +210,6 @@ def test_bad_symbols_rejected():
         family_word(0.1, "-x")
 
 
-def test_non_quadratic_map_rejected():
-    cube = RationalMap((0j, 0j, 0j, 1 + 0j))
-    base = make_periodic_point(cube, 1.0, 1)
-    assert base.classification == "repelling"
-    with pytest.raises(ConfigError):
-        OrbitWord(cube, base, "", 0.1)
-
-
 def test_nonpositive_sigma_rejected():
     with pytest.raises(PreconditionError):
         family_word(0.1, "-", sigma=0.0)
@@ -263,7 +254,7 @@ def test_shift_prepends_and_pops_principal_symbols():
 def test_fixed_word_clears_prefix():
     w = family_word(0.1, "-+-")
     assert fixed_word(w).prefix == ""
-    assert fixed_word(w).map == w.map
+    assert fixed_word(w).epsilon == w.epsilon
 
 
 def test_concatenate_replays_choices_through_junction():
@@ -295,7 +286,7 @@ def test_orbit_word_requires_repelling_base():
     w = family_word(0.0, "-")
     from horolab.periodic import make_periodic_point
 
-    attracting = make_periodic_point(w.map, 0.0, 1)
+    attracting = make_periodic_point(quadratic_map(w.epsilon), 0.0, 1)
     with pytest.raises(PreconditionError):
         dataclasses.replace(w, base=attracting)
 
@@ -310,6 +301,6 @@ def test_realized_orbits_respect_the_map(prefix, eps):
     orb = realize(w, len(prefix) + 40)
     for j in range(orb.depth):
         scale = max(1.0, abs(orb.points[j]))
-        assert abs(evaluate(w.map, orb.points[j + 1]) - orb.points[j]) < 1e-11 * scale
+        assert abs(evaluate(quadratic_map(w.epsilon), orb.points[j + 1]) - orb.points[j]) < 1e-11 * scale
     assert len(orb.choices) == orb.depth
     assert orb.choices[: len(prefix)] == prefix

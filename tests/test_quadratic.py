@@ -128,12 +128,12 @@ def test_delta_frozen_values():
 
 
 def test_sigma_delta_preconditions():
-    sample = inverse_iteration_sample(quadratic_map(-1.0), 500, 40, seed=2)
+    sample = inverse_iteration_sample(-1.0, 500, 40, seed=2)
     with pytest.raises(PreconditionError):
         find_sigma_delta(0.0, sample)
     with pytest.raises(PreconditionError):
-        find_sigma_delta(0.1, sample)  # sample drawn for the wrong map
-    empty = JuliaSample(quadratic_map(-1.0).to_json(), (), "inverse-iteration", {})
+        find_sigma_delta(0.1, sample)  # sample drawn for the wrong epsilon
+    empty = JuliaSample(-1.0, (), "inverse-iteration", {})
     with pytest.raises(PreconditionError):
         find_sigma_delta(-1.0, empty)
 
@@ -216,13 +216,11 @@ def test_negative_parameter_gives_negative_cocycle():
 
 
 def synthetic_sample(eps, points):
-    return JuliaSample(
-        quadratic_map(eps).to_json(), tuple(points), "inverse-iteration", {}
-    )
+    return JuliaSample(complex(eps), tuple(points), "inverse-iteration", {})
 
 
 def test_containment_clean_on_real_sample():
-    sample = inverse_iteration_sample(quadratic_map(-1.0), 2000, 40, seed=5)
+    sample = inverse_iteration_sample(-1.0, 2000, 40, seed=5)
     rep = disk_containment_check(-1.0, sample, 1e-6)
     assert not rep.violations
     assert not rep.proximity_failures
@@ -247,7 +245,7 @@ def test_containment_direction_flips_with_sign():
 
 
 def test_extremality_clean_and_synthetic():
-    sample = inverse_iteration_sample(quadratic_map(-1.0), 2000, 40, seed=5)
+    sample = inverse_iteration_sample(-1.0, 2000, 40, seed=5)
     rep = derivative_extremality_check(-1.0, sample, 1e-6)
     assert not rep.violations and not rep.equality_failures
     assert rep.max_abs_deriv <= rep.bound + 1e-6

@@ -11,7 +11,6 @@ import pytest
 
 from horolab import orbits
 from horolab.errors import DivergentWordError, HorolabError
-from horolab.maps import quadratic_epsilon
 from horolab.orbits import (
     CRITICAL_PROXIMITY,
     DIVERGENCE_GRACE,
@@ -33,7 +32,7 @@ def reference(word, depth):
     orbit, one square root per step and no shortcut; or the type and
     message of the error that a plain scan of its distances finds: no
     entry within the divergence grace, or a rise from the entry on."""
-    eps = quadratic_epsilon(word.map)
+    eps = word.epsilon
     a = word.base.location
     pts, choices = [a], ""
     w = a
@@ -137,6 +136,14 @@ def test_fixed_orbit_fills_its_stationary_tail(sqrt_calls):
     orb = realize(w, 4000)
     assert len(sqrt_calls) <= 2
     assert checked(orb) == reference(w, 4000)
+
+
+def test_realizing_a_deeper_realization_cuts_it(sqrt_calls):
+    w = family_word(0.1, "-")
+    deep = realize(w, 2000)
+    sqrt_calls.clear()
+    assert checked(realize(deep, 1000)) == checked(deep.at(1000)) == reference(w, 1000)
+    assert len(sqrt_calls) == 0
 
 
 @pytest.mark.parametrize("eps", [complex(-1.0, 0.02), complex(-0.525, 0.16)])

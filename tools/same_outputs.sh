@@ -16,9 +16,10 @@
 # limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
-# shift span, sigma-delta at a complex parameter, and cocycle and field
+# shift span, sigma-delta at a complex parameter, cocycle and field
 # at a complex parameter, where orbit tails stop moving within the
-# realized depth.  Each command's --out tree, stdout, exit status and
+# realized depth, and julia at a complex parameter (the sampler's start
+# point found from epsilon, with no containment check).  Each command's --out tree, stdout, exit status and
 # (for the suite, with its timings removed) stderr are collected per
 # tree and compared with `diff -r`.
 # Exit status 0 means no difference.
@@ -75,6 +76,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" collinearity collinearity --epsilon -3
     run "$tree" "$out" collinearity-full collinearity --epsilon -1
     run "$tree" "$out" julia julia --epsilon -1 --seed 7
+    run "$tree" "$out" julia-complex julia --epsilon=-0.525,0.16 --seed 7
     run "$tree" "$out" b-epsilon b-epsilon --epsilon 0.1 --seed 7 --tol 1e-9
     run "$tree" "$out" excursions excursions --epsilon 0.1 --word=- --seed 7
     run "$tree" "$out" bound-528 bound-528 --epsilon -1 --seed 7 --tol 1e-9
