@@ -5,10 +5,9 @@ fixed point a: orbit words, the certified series for the height cocycle
 between two such orbits, the resulting height sets and their density
 structure, the additive semigroup of cocycle values, and the certified
 disk geometry (sigma, delta) that turns the sign law into a
-quantitative lower bound, all for the quadratic family.  Words, the
-cocycle and Julia samples carry the parameter epsilon itself; general
-rational maps (RationalMap, the Aberth root solver) serve only the
-fixed-points, classify, linearize and collinearity commands under --map.
+quantitative lower bound, all for the quadratic family.  The parameter
+epsilon is the map's only handle: words, the cocycle, Julia samples,
+periodic points and the linearizer all take it.
 The public names and submodules are imported on first use (PEP 562).
 """
 
@@ -49,11 +48,7 @@ _DEFINED_IN = {
     "escape_membership": "julia",
     "inverse_iteration_sample": "julia",
     "repelling_sample": "julia",
-    "RationalFunction": "maps",
-    "RationalMap": "maps",
-    "compose": "maps",
     "evaluate": "maps",
-    "quadratic_epsilon": "maps",
     "quadratic_map": "maps",
     "OrbitWord": "orbits",
     "PiMembership": "orbits",
@@ -66,10 +61,10 @@ _DEFINED_IN = {
     "CollinearityReport": "periodic",
     "Linearizer": "periodic",
     "PeriodicPoint": "periodic",
-    "all_roots": "periodic",
     "build_linearizer": "periodic",
     "classify": "periodic",
     "collinearity_in_linearizer": "periodic",
+    "list_1_1_member": "periodic",
     "make_periodic_point": "periodic",
     "periodic_points": "periodic",
     "preimage_points": "periodic",
@@ -92,7 +87,6 @@ _DEFINED_IN = {
     "find_sigma_delta": "quadratic",
     "fixed_point_a": "quadratic",
     "limit_decomposition_check": "quadratic",
-    "list_1_1_member": "quadratic",
     "lower_bound": "quadratic",
     "nested_decomposition_check": "quadratic",
     "normalize_word": "quadratic",

@@ -13,7 +13,6 @@ machine-readable diagnostic object.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -22,14 +21,14 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .cocycle import cocycle_field, cocycle_vs_fixed, field_mean_value
-from .errors import ConfigError, ConstructionError, HorolabError, PreconditionError, SuiteFailureError
+from .errors import ConfigError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import RationalMap, quadratic_map
+from .maps import quadratic_map
 from .periodic import (
-    PeriodicPoint,
     build_linearizer,
     collinearity_in_linearizer,
     functional_equation_residual,
+    list_1_1_member,
     make_periodic_point,
     periodic_points,
 )
@@ -43,7 +42,6 @@ from .quadratic import (
     family_word,
     fixed_point_a,
     limit_decomposition_check,
-    list_1_1_member,
     nested_decomposition_check,
     normalize_word,
     sampled_heights,
@@ -68,25 +66,12 @@ class RunConfig:
 
     command: str
     epsilon: complex | None = None
-    map: str | None = None  # path of a rational map JSON file
     word: str | None = None
     depth: int | None = None
     tol: float = 1e-12
     seed: int | None = None
     out: Path = Path("horolab-out")
     keys: dict = field(default_factory=dict)  # the command's config-only keys
-
-    def the_map(self) -> RationalMap:
-        if self.map is not None:
-            try:
-                data = json.loads(Path(self.map).read_text())
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read map file {self.map!r}: {exc}") from None
-            try:
-                return RationalMap.from_json(data)
-            except ConstructionError as exc:
-                raise ConfigError(f"map file {self.map!r} holds no admissible map: {exc}") from None
-        return quadratic_map(self.epsilon)
 
 
 def _convert(key: str, raw, kind: Callable):
@@ -141,8 +126,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unread:
         raise ConfigError(f"'{name}' reads no config key {', '.join(map(repr, unread))}")
     missing = [f"--{k}" for k in ("word", "seed") if k in spec.flags and k not in flags]
-    if "epsilon" not in flags and "map" not in flags and name != "suite":
-        missing.insert(0, "--epsilon or --map" if "map" in spec.flags else "--epsilon")
+    if "epsilon" not in flags and name != "suite":
+        missing.insert(0, "--epsilon")
     if missing:
         raise ConfigError(f"'{name}' requires {', '.join(missing)}")
     cfg = RunConfig(name, out=Path(given.get("out", "horolab-out")), keys=keys, **flags)
@@ -173,8 +158,6 @@ def _payload(cfg: RunConfig, **body) -> dict:
     head: dict = {"schema": 1, "command": cfg.command}
     if cfg.epsilon is not None:
         head["epsilon"] = cx(cfg.epsilon)
-    if cfg.map is not None:
-        head["map"] = cfg.map
     if cfg.seed is not None:
         head["seed"] = cfg.seed
     head.update(body)
@@ -186,8 +169,7 @@ def _payload(cfg: RunConfig, **body) -> dict:
 
 
 def cmd_fixed_points(cfg: RunConfig) -> dict:
-    f = cfg.the_map()
-    pts = periodic_points(f, 1)
+    pts = periodic_points(quadratic_map(cfg.epsilon), 1)
     rows = [
         (p.location.real, p.location.imag, p.classification, p.multiplier.real, p.multiplier.imag)
         for p in pts
@@ -211,9 +193,8 @@ def cmd_fixed_points(cfg: RunConfig) -> dict:
 
 
 def cmd_classify(cfg: RunConfig) -> dict:
-    f = cfg.the_map()
     period = cfg.keys["period"]
-    pts = periodic_points(f, period)
+    pts = periodic_points(quadratic_map(cfg.epsilon), period)
     counts: dict[str, int] = {}
     for p in pts:
         counts[p.classification] = counts.get(p.classification, 0) + 1
@@ -230,21 +211,10 @@ def cmd_classify(cfg: RunConfig) -> dict:
     )
 
 
-def _repelling_base(cfg: RunConfig, f: RationalMap) -> PeriodicPoint:
-    """a(epsilon) for the quadratic family, else the first repelling
-    fixed point of the --map map."""
-    if cfg.map is None:
-        return make_periodic_point(f, fixed_point_a(cfg.epsilon), 1)
-    reps = [p for p in periodic_points(f, 1) if p.classification == "repelling"]
-    if not reps:
-        raise ConfigError("map has no repelling fixed point")
-    return reps[0]
-
-
 def cmd_linearize(cfg: RunConfig) -> dict:
-    f = cfg.the_map()
-    point = _repelling_base(cfg, f)
-    lin = build_linearizer(f, point)
+    eps = quadratic_map(cfg.epsilon)
+    point = make_periodic_point(eps, fixed_point_a(cfg.epsilon), 1)
+    lin = build_linearizer(eps, point)
     return _payload(
         cfg,
         base=cx(point.location),
@@ -255,9 +225,9 @@ def cmd_linearize(cfg: RunConfig) -> dict:
 
 
 def cmd_collinearity(cfg: RunConfig) -> dict:
-    f = cfg.the_map()
-    lin = build_linearizer(f, _repelling_base(cfg, f))
-    rep = collinearity_in_linearizer(f, lin, depth=cfg.depth or 8)
+    eps = quadratic_map(cfg.epsilon)
+    lin = build_linearizer(eps, make_periodic_point(eps, fixed_point_a(cfg.epsilon), 1))
+    rep = collinearity_in_linearizer(eps, lin, depth=cfg.depth or 8)
     return _payload(
         cfg,
         depth=cfg.depth or 8,
@@ -576,7 +546,6 @@ def cmd_suite(cfg: RunConfig) -> dict:
 
 FLAGS = {  # flag -> (type, help)
     "epsilon": (parse_epsilon, "parameter, RE or RE,IM"),
-    "map": (str, "rational map JSON file"),
     "word": (str, "branch-symbol prefix string"),
     "depth": (int, "preimage-tree or inverse-iteration depth"),
     "tol": (float, "tail-bound tolerance (default 1e-12)"),
@@ -593,10 +562,10 @@ class Command(NamedTuple):
 WORD_PAIR = {"word_y": (str, "-"), "word_c": (str, "--")}
 
 COMMANDS = {
-    "fixed-points": Command(cmd_fixed_points, ("epsilon", "map")),
-    "classify": Command(cmd_classify, ("epsilon", "map"), {"period": (int, 1)}),
-    "linearize": Command(cmd_linearize, ("epsilon", "map")),
-    "collinearity": Command(cmd_collinearity, ("epsilon", "map", "depth")),
+    "fixed-points": Command(cmd_fixed_points, ("epsilon",)),
+    "classify": Command(cmd_classify, ("epsilon",), {"period": (int, 1)}),
+    "linearize": Command(cmd_linearize, ("epsilon",)),
+    "collinearity": Command(cmd_collinearity, ("epsilon", "depth")),
     "julia": Command(cmd_julia, ("epsilon", "depth", "seed"), {"n_points": (int, 2000)}),
     "cocycle": Command(cmd_cocycle, ("epsilon", "word", "tol")),
     "field": Command(cmd_field, ("epsilon", "word", "tol"), {"grid": (int, 5)}),

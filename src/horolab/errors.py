@@ -26,13 +26,13 @@ class ConfigError(HorolabError):
 
 
 class ConstructionError(HorolabError):
-    """A constructor's validation failed (degenerate map, bad residual)."""
+    """A constructor's validation failed (non-finite parameter, bad residual)."""
 
     code = "construction-error"
 
 
 class RootFindingError(HorolabError):
-    """The all-roots solver did not converge to the residual target."""
+    """The periodic-point solver did not converge to the residual target."""
 
     code = "root-finding-error"
 

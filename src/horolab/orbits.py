@@ -22,10 +22,8 @@ records the facts the closing checks read, as sorted index tuples: the
 points outside the disk, the rises of the distance (where the tail
 fails to contract) and the points within CRITICAL_PROXIMITY of the
 critical point 0.  The closing checks answer from these by bisection.
-A word carries the parameter epsilon itself: words exist for the
-quadratic family only (f'(z) = 2z, critical point 0), and a general
-RationalMap serves only the --map commands (fixed-points, classify,
-linearize, collinearity).
+A word carries the parameter epsilon itself, the map's only handle
+(f'(z) = 2z, critical point 0).
 
 A word is realized once and then extended: realize continues a
 shallower realization of the word and cuts a deeper one back

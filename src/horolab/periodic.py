@@ -1,16 +1,13 @@
-"""Periodic points, multiplier classification, and Koenigs linearization.
+"""Periodic points, multiplier classification, and Koenigs linearization
+for f = z**2 + eps, each taking the parameter eps.
 
-Roots are found by an Aberth-Ehrlich simultaneous iteration from
-deterministic start points, followed by a Newton polish.  For z**2 + eps
-the periodic points of period p are the roots of f^p(z) - z, whose
-Newton ratio is computed by iterating f p times, without expanding the
-degree-2**p polynomial, starting from the 2**p preimages under f^p of
-one point outside the filled Julia set, and preimages are
-+-sqrt(w - eps) in closed form.  For any other map (the --map
-commands) the iterate is composed into coefficients (iterated_pair) and
-all_roots solves the polynomial, as it does for such a map's preimages
-and for critical points.  A root that is not finite, or whose residual
-is above tolerance, is a RootFindingError.  make_periodic_point
+The periodic points of period p are the roots of f^p(z) - z, found by an
+Aberth-Ehrlich simultaneous iteration whose Newton ratio is computed by
+iterating f p times, without expanding the degree-2**p polynomial,
+starting from the 2**p preimages under f^p of one point outside the
+filled Julia set, followed by a Newton polish.  A root that is not
+finite, or whose residual is above tolerance, is a RootFindingError.
+Preimages are +-sqrt(w - eps) in closed form.  make_periodic_point
 polishes a root by Newton on f^p(z) - z and validates it: each Newton
 step and the validation take f^p(z) and the multiplier (f^p)'(z) from
 one walk of the cycle.
@@ -18,9 +15,9 @@ one walk of the cycle.
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
 fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
 power series of phi at a, whose coefficients follow from the Taylor
-series of f at a, summed in double precision on a disk that holds no
-critical value of f and that the a-fixing inverse branch maps into
-itself.
+series f(a + u) - a = 2a u + u**2, summed in double precision on a disk
+that holds no critical value eps and that the a-fixing inverse branch
+maps into itself.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConfigError,
@@ -39,18 +35,7 @@ from .errors import (
     PreconditionError,
     RootFindingError,
 )
-from .maps import (
-    RationalFunction,
-    RationalMap,
-    compose,
-    evaluate,
-    is_inf,
-    poly_eval,
-    poly_mul,
-    poly_sub,
-    poly_trim,
-    quadratic_epsilon,
-)
+from .maps import derivative, evaluate
 
 SUPERATTRACTING_TOL = 1e-9
 PARABOLIC_TOL = 1e-8
@@ -58,7 +43,6 @@ PARABOLIC_ORDER_BOUND = 64
 ROOT_RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 300
 CLUSTER_REL_TOL = 1e-6  # roots this close (relative) merge into one of higher multiplicity
-DEGREE_BUDGET = 4096  # largest degree of an iterate f^n composed for periodic points
 # Largest period solved for z**2 + eps.  Aberth holds n x n complex
 # matrices of pairwise differences for the n = 2**p roots: 4**p entries,
 # 16 MiB each at p = 10 but 256 MiB at p = 12.
@@ -69,57 +53,17 @@ MAX_FAMILY_PERIOD = 10
 ESCAPE_MODULUS = 1e30
 LINEARIZER_BOUNDARY_SAMPLES = 64  # circle points whose pullbacks certify a linearizer disk
 NODE_BUDGET = 65536  # largest preimage tree the collinearity check enumerates
-BRANCH_COLLISION_TOL = 1e-13
+LIST_MEMBER_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# all-roots solver
+# root solver
 
 
 @dataclass(frozen=True)
 class Root:
     value: complex
     multiplicity: int
-
-
-def all_roots(coeffs) -> list[Root]:
-    """All complex roots of an ascending-coefficient polynomial.
-
-    Aberth-Ehrlich simultaneous iteration, initial guesses equally
-    spaced on the circle of radius 1 + max |c_i / c_n| with a fixed
-    angular offset (deterministic, breaks root symmetries), followed
-    by a Newton polish.  Near-coincident roots are merged into a
-    cluster whose multiplicity is the cluster size.  Roots are sorted
-    by real part, then imaginary part.
-    """
-    c = poly_trim(coeffs)
-    zeros_at_origin = 0
-    while len(c) > 1 and c[0] == 0:
-        c = c[1:]
-        zeros_at_origin += 1
-    n = len(c) - 1
-    roots: list[complex] = []
-    if n == 1:
-        roots = [-c[0] / c[1]]
-    elif n > 1:
-        a = np.asarray(c, dtype=complex)
-        a = a / np.max(np.abs(a))
-        da = npoly.polyder(a)
-        radius = 1.0 + float(np.max(np.abs(a[:-1] / a[-1])))
-        z = _aberth(_circle(n, radius), lambda x: (npoly.polyval(x, a), npoly.polyval(x, da)))
-        roots = [complex(x) for x in z]
-        _check_residuals(c, roots)
-    clusters = _cluster(roots)
-    if zeros_at_origin:
-        clusters.append(Root(0j, zeros_at_origin))
-    clusters.sort(key=lambda r: (r.value.real, r.value.imag))
-    return clusters
-
-
-def _circle(n: int, radius: float) -> np.ndarray:
-    """n start points equally spaced on a circle, at a fixed angular offset."""
-    angles = 2.0 * np.pi * (np.arange(n) / n) + 0.4
-    return radius * np.exp(1j * angles)
 
 
 def _aberth(z: np.ndarray, newton) -> np.ndarray:
@@ -145,16 +89,6 @@ def _aberth(z: np.ndarray, newton) -> np.ndarray:
         mask = np.abs(dp) > tiny
         z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
     return z
-
-
-def _check_residuals(c, roots):
-    cs = max(abs(x) for x in c)
-    residuals = [abs(poly_eval(c, z)) / (cs * max(1.0, abs(z)) ** (len(c) - 1)) for z in roots]
-    worst = float(np.max(residuals))  # a non-finite root's NaN propagates and fails below
-    if not worst <= ROOT_RESIDUAL_TOL:
-        raise RootFindingError(
-            f"root residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_TOL:.1e}"
-        )
 
 
 def _cluster(roots: list[complex]) -> list[Root]:
@@ -234,23 +168,17 @@ def classify(multiplier: complex) -> str:
     return "indifferent"
 
 
-def make_periodic_point(f: RationalMap, z: complex, period: int) -> PeriodicPoint:
+def make_periodic_point(eps: complex, z: complex, period: int) -> PeriodicPoint:
     """Polish the candidate by Newton on f^period(z) - z, then validate."""
     if period < 1:
         raise ConfigError("period must be >= 1")
-    return _periodic_point(f, f.derivative(), z, period)
-
-
-def _periodic_point(f: RationalMap, df: RationalFunction, z: complex, period: int) -> PeriodicPoint:
-    """make_periodic_point given df = f'.  Each Newton step and the
-    validation take f^period(z) and the multiplier from one walk."""
-    w, m = _walk_cycle(f, df, z, period)
+    w, m = _walk_cycle(eps, z, period)
     for _ in range(5):
         if abs(m - 1.0) < 1e-8:  # parabolic point: Newton would blow up
             break
         step = (w - z) / (m - 1.0)
         z = z - step
-        w, m = _walk_cycle(f, df, z, period)
+        w, m = _walk_cycle(eps, z, period)
         if abs(step) < 1e-15 * (1.0 + abs(z)):
             break
     if not abs(w - z) <= 1e-9 * (1.0 + abs(z)):  # NaN fails too
@@ -260,47 +188,27 @@ def _periodic_point(f: RationalMap, df: RationalFunction, z: complex, period: in
     return PeriodicPoint(z, period, m, classify(m))
 
 
-def _walk_cycle(f: RationalMap, df: RationalFunction, z: complex, period: int) -> tuple[complex, complex]:
+def _walk_cycle(eps: complex, z: complex, period: int) -> tuple[complex, complex]:
     """f^period(z) and the multiplier, the product of f'(f^j(z)) over j < period."""
     m = 1 + 0j
     for _ in range(period):
-        m *= evaluate(df, z)
-        z = evaluate(f, z)
+        m *= derivative(z)
+        z = evaluate(eps, z)
     return z, m
 
 
-def iterated_pair(f: RationalMap, n: int) -> RationalFunction:
-    """Coefficient pair of f^n, composed step by step."""
-    if f.degree**n > DEGREE_BUDGET:
-        raise ConfigError(
-            f"degree {f.degree}^{n} exceeds the composition budget {DEGREE_BUDGET}"
-        )
-    g: RationalFunction = RationalFunction(f.num, f.den)
-    for _ in range(n - 1):
-        g = compose(RationalFunction(f.num, f.den), g)
-    return g
-
-
-def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
+def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
     """All finite points of exact period `period`, sorted by (re, im).
 
-    Roots of f^period(z) - z: for z**2 + eps by iterated evaluation
-    (_family_periodic_roots), for any other map from the coefficients of
-    the composed iterate; points whose minimal period is a proper
+    Roots of f^period(z) - z by iterated evaluation
+    (_family_periodic_roots); points whose minimal period is a proper
     divisor are discarded.
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
-    eps = quadratic_epsilon(f)
-    if eps is None:
-        fn = iterated_pair(f, period)
-        # P_n(z) - z Q_n(z) = 0
-        roots = all_roots(poly_sub(fn.num, poly_mul((0j, 1 + 0j), fn.den)))
-    else:
-        roots = _family_periodic_roots(eps, period)
-    df = f.derivative()
-    zs = [r.value for r in roots if _minimal_period(f, r.value, period) == period]
-    out = [_periodic_point(f, df, z, period) for z in zs]
+    roots = _family_periodic_roots(eps, period)
+    zs = [r.value for r in roots if _minimal_period(eps, r.value, period) == period]
+    out = [make_periodic_point(eps, z, period) for z in zs]
     return sorted(out, key=lambda p: (p.location.real, p.location.imag))
 
 
@@ -367,10 +275,10 @@ def _iterated_newton(eps: complex, period: int):
     return newton
 
 
-def _minimal_period(f: RationalMap, z: complex, period: int) -> int:
+def _minimal_period(eps: complex, z: complex, period: int) -> int:
     w = z
     for m in range(1, period):
-        w = f(w)
+        w = evaluate(eps, w)
         if period % m == 0 and abs(w - z) < 1e-7 * (1.0 + abs(z)):
             return m
     return period
@@ -380,17 +288,11 @@ def _minimal_period(f: RationalMap, z: complex, period: int) -> int:
 # preimage solving (linearizer pullback and collinearity preimage tree)
 
 
-def preimage_points(f: RationalMap, w: complex) -> list[complex]:
-    """All finite solutions of f(z) = w, sorted by argument then modulus
-    (in closed form, +-sqrt(w - eps), for z**2 + eps)."""
-    eps = quadratic_epsilon(f)
-    if eps is None:
-        roots: list[complex] = []
-        for r in all_roots(poly_sub(f.num, tuple(w * q for q in f.den))):
-            roots.extend([r.value] * r.multiplicity)
-    else:
-        s = cmath.sqrt(w - eps)
-        roots = [s, 0 - s]  # not -s: a negative real root keeps +0.0j and phase pi
+def preimage_points(eps: complex, w: complex) -> list[complex]:
+    """The solutions +-sqrt(w - eps) of f(z) = w, sorted by argument then
+    modulus."""
+    s = cmath.sqrt(w - eps)
+    roots = [s, 0 - s]  # not -s: a negative real root keeps +0.0j and phase pi
     roots.sort(key=lambda z: (cmath.phase(z), abs(z)))
     return roots
 
@@ -417,15 +319,14 @@ class Linearizer:
     and the value pushed forward by powers of the multiplier.
     """
 
-    def __init__(self, f: RationalMap, point: PeriodicPoint, radius: float):
+    def __init__(self, eps: complex, point: PeriodicPoint, radius: float):
         if point.period != 1 or point.classification != "repelling":
             raise PreconditionError("linearizer base must be a repelling fixed point")
-        self.map = f
+        self.epsilon = eps
         self.point = point
         self.radius = radius
         self._a = complex(point.location)
-        self._quad_eps = quadratic_epsilon(f)
-        self.multiplier, self._coeffs = _schroeder_series(f, self._a)
+        self.multiplier, self._coeffs = _schroeder_series(self._a)
 
     def __call__(self, z: complex) -> complex:
         w = complex(z)
@@ -435,38 +336,31 @@ class Linearizer:
             pushed += 1
             if pushed > 80:
                 raise DomainError("point did not reach the certified disk under pullback")
-        return poly_eval(self._coeffs, w - self._a) * self.multiplier**pushed
+        u, value = w - self._a, 0j
+        for c in reversed(self._coeffs):  # Horner
+            value = value * u + c
+        return value * self.multiplier**pushed
 
     def _pullback(self, w: complex) -> complex:
-        """One step of the a-fixing inverse branch: the preimage nearest
-        the linear prediction a + (w - a)/lambda (closed form for the
-        quadratic family)."""
+        """One step of the a-fixing inverse branch: the preimage
+        +-sqrt(w - eps) nearest the linear prediction a + (w - a)/lambda."""
         guess = self._a + (w - self._a) / self.multiplier
-        if self._quad_eps is not None:
-            s = cmath.sqrt(w - self._quad_eps)
-            return s if abs(s - guess) <= abs(-s - guess) else -s
-        return min(preimage_points(self.map, w), key=lambda z: abs(z - guess))
+        s = cmath.sqrt(w - self.epsilon)
+        return s if abs(s - guess) <= abs(-s - guess) else -s
 
 
-def _schroeder_series(f: RationalMap, a: complex) -> tuple[complex, tuple[complex, ...]]:
+def _schroeder_series(a: complex) -> tuple[complex, tuple[complex, ...]]:
     """The multiplier lambda and the coefficients d_0..d_N (N =
-    SERIES_TERMS) of phi(a + u) = sum d_n u^n.
+    SERIES_TERMS) of phi(a + u) = sum d_n u^n at a fixed point a.
 
-    g(u) = f(a + u) - a is expanded by a truncated series division of
-    the shifted numerator by the shifted denominator; phi(f) = lambda*phi
+    g(u) = f(a + u) - a = 2a u + u**2 for every eps; phi(f) = lambda*phi
     then gives d_1 = 1 and d_n = [u^n](sum_{k<n} d_k g^k) / (lambda - lambda^n)
     (Milnor, Dynamics in One Complex Variable, section 8).
     """
     n = SERIES_TERMS + 1
-    shifted = compose(f, RationalFunction((a, 1 + 0j)))
-    num, den = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
-    num[: len(shifted.num)] = shifted.num[:n]
-    den[: len(shifted.den)] = shifted.den[:n]
     g = np.zeros(n, dtype=complex)
-    g[0] = a  # f(a)
-    for k in range(1, n):
-        g[k] = (num[k] - np.dot(den[1 : k + 1], g[k - 1 :: -1])) / den[0]
-    g[0] = 0.0  # g(u) = f(a + u) - a
+    g[1] = 2 * a + 0j  # the sign of a zero part as the series division gave it
+    g[2] = 1.0
     lam = complex(g[1])
     d = np.zeros(n, dtype=complex)
     d[1] = 1.0
@@ -484,15 +378,15 @@ def functional_equation_residual(lin: Linearizer, n: int) -> float:
     residual = 0.0
     for k in range(n):
         z = complex(lin.point.location) + lin.radius * 0.5 * complex(math.cos(k), math.sin(k))
-        residual = max(residual, abs(lin(evaluate(lin.map, z)) - lin.multiplier * lin(z)))
+        residual = max(residual, abs(lin(evaluate(lin.epsilon, z)) - lin.multiplier * lin(z)))
     return residual
 
 
-def build_linearizer(f: RationalMap, point: PeriodicPoint) -> Linearizer:
+def build_linearizer(eps: complex, point: PeriodicPoint) -> Linearizer:
     """Certify a disk for the Koenigs coordinate by shrink-and-retry.
 
     Radii start at (1 + |a|)/2.  A candidate radius r is accepted when the closed disk of radius r
-    about a holds no finite critical value f(c), so the inverse branch
+    about a holds no critical value eps = f(0), so the inverse branch
     fixing a is analytic on it, and that branch maps the sampled
     boundary circle inside radius r*(1/|lambda| + 1)/2, so by the maximum
     principle it maps the disk into itself.  phi is then analytic on the
@@ -503,11 +397,10 @@ def build_linearizer(f: RationalMap, point: PeriodicPoint) -> Linearizer:
         raise PreconditionError("linearizer base must be repelling")
     target = (1.0 / lam + 1.0) / 2.0
     r = 0.5 * (1.0 + abs(point.location))
-    lin = Linearizer(f, point, r)
+    lin = Linearizer(eps, point, r)
     a = lin._a
-    critical_values = [v for v in map(f, f.critical_points()) if not is_inf(v)]
     for _ in range(60):
-        if all(abs(v - a) > r for v in critical_values) and _radius_certified(lin, r, target):
+        if abs(eps - a) > r and _radius_certified(lin, r, target):
             lin.radius = r
             return lin
         r *= 0.5
@@ -518,11 +411,7 @@ def _radius_certified(lin: Linearizer, r: float, target: float) -> bool:
     a = lin._a
     for k in range(LINEARIZER_BOUNDARY_SAMPLES):
         z = a + r * cmath.exp(2j * math.pi * k / LINEARIZER_BOUNDARY_SAMPLES)
-        try:
-            w = lin._pullback(z)
-        except RootFindingError:
-            return False
-        if abs(w - a) > target * r:
+        if abs(lin._pullback(z) - a) > target * r:
             return False
     return True
 
@@ -541,7 +430,7 @@ class CollinearityReport:
 
 
 def collinearity_in_linearizer(
-    f: RationalMap,
+    eps: complex,
     lin: Linearizer,
     depth: int,
 ) -> CollinearityReport:
@@ -554,20 +443,20 @@ def collinearity_in_linearizer(
     deviation is below 1e-8 of the spread, "full" otherwise,
     "inconclusive" with fewer than 3 points.
 
-    Power maps z**d put the preimages (roots of unity) on a genuine
+    The power map z**2 puts the preimages (roots of unity) on a genuine
     line in the phi coordinate, so the flag for that exceptional
-    family is reported alongside the raw verdict rather than folded
-    into it.
+    family (list_1_1_member) is reported alongside the raw verdict
+    rather than folded into it.
     """
     a = lin.point.location
-    if f.degree**depth > NODE_BUDGET:
+    if 2**depth > NODE_BUDGET:
         raise ConfigError(f"preimage tree of depth {depth} exceeds the node budget")
     level = [a]
     nodes: list[complex] = []
     for _ in range(depth):
         nxt: list[complex] = []
         for w in level:
-            nxt.extend(preimage_points(f, w))
+            nxt.extend(preimage_points(eps, w))
         # collapse duplicates so shared subtrees are walked once
         nxt.sort(key=lambda z: (z.real, z.imag))
         dedup: list[complex] = []
@@ -583,7 +472,7 @@ def collinearity_in_linearizer(
     ]
     if len(in_disk) < 3:
         return CollinearityReport(
-            "inconclusive", 0.0, 0.0, len(in_disk), _exceptional_family(f)
+            "inconclusive", 0.0, 0.0, len(in_disk), list_1_1_member(eps)
         )
     images = np.array([lin(z) for z in in_disk], dtype=complex)
     theta = 0.5 * cmath.phase(complex(np.sum(images**2)))
@@ -591,16 +480,11 @@ def collinearity_in_linearizer(
     max_dev = float(np.max(np.abs(rotated.imag)))
     spread = float(np.max(np.abs(images)))
     verdict = "line" if max_dev < 1e-8 * spread else "full"
-    return CollinearityReport(verdict, max_dev, spread, len(in_disk), _exceptional_family(f))
+    return CollinearityReport(verdict, max_dev, spread, len(in_disk), list_1_1_member(eps))
 
 
-def _exceptional_family(f: RationalMap) -> bool:
-    """Power maps and the Chebyshev-like quadratic, whose height sets
-    degenerate to arithmetic progressions."""
-    if not f.is_polynomial:
-        return False
-    if abs(f.num[-1] - 1.0) < 1e-12 and all(abs(c) < 1e-12 for c in f.num[:-1]):
-        return True
-    if len(f.num) == 3 and abs(f.num[1]) < 1e-12 and abs(f.num[2] - 1.0) < 1e-12:
-        return abs(f.num[0] + 2.0) < 1e-12
-    return False
+def list_1_1_member(epsilon: complex) -> bool:
+    """The two quadratic parameters conjugate to a power or Chebyshev
+    map, whose height sets degenerate to arithmetic progressions."""
+    eps = complex(epsilon)
+    return abs(eps) < LIST_MEMBER_TOL or abs(eps + 2.0) < LIST_MEMBER_TOL

@@ -58,10 +58,9 @@ from .orbits import (
     realize,  # unused here; perfbench/test_perfbench.py checks the tracer restores it
     shift,
 )
-from .periodic import make_periodic_point
+from .periodic import list_1_1_member, make_periodic_point
 
 BRANCH_EXCEPTIONAL_TOL = 1e-10
-LIST_MEMBER_TOL = 1e-12
 CERT_MARGIN = 1e-6
 SIGMA_FLOOR_FACTOR = 1e-4
 NEAR_BOUNDARY_PROXIMITY = 1e-3
@@ -99,13 +98,6 @@ def branch_exceptional(epsilon: complex) -> bool:
     the critical point."""
     a = fixed_point_a(epsilon)
     return abs(-a - complex(epsilon)) < BRANCH_EXCEPTIONAL_TOL
-
-
-def list_1_1_member(epsilon: complex) -> bool:
-    """The two quadratic parameters conjugate to a power or Chebyshev
-    map, whose height sets degenerate to arithmetic progressions."""
-    eps = complex(epsilon)
-    return abs(eps) < LIST_MEMBER_TOL or abs(eps + 2.0) < LIST_MEMBER_TOL
 
 
 # ---------------------------------------------------------------------------

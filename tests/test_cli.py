@@ -3,8 +3,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from horolab import periodic
 from horolab.cli import COMMANDS, main, make_parser, parse_epsilon
 from horolab.errors import ConfigError
 
@@ -163,6 +165,25 @@ def test_missing_input_file_exits_2(tmp_path, capsys, flag):
     assert payload["error"] == "config-error"
 
 
+@pytest.mark.parametrize("command", ["fixed-points", "classify", "linearize", "collinearity"])
+@pytest.mark.parametrize("given", ["flag", "config-key"])
+def test_retired_map_exits_2(tmp_path, capsys, command, given):
+    """--map (a rational map JSON file) is gone: z**2 + epsilon is the only map."""
+    path = tmp_path / "map.json"
+    path.write_text('{"num": [[0, 0], [0, 0], [1, 0]], "den": [[1, 0]]}')
+    if given == "flag":
+        argv = ["--map", str(path)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"map = {path}\n")
+        argv = ["--epsilon", "-1", "--config", str(cfg)]
+    code, payload = run(capsys, command, *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert payload["error"] == "config-error"
+    assert "map" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -196,6 +217,7 @@ def test_joined_negative_complex_epsilon_parses(tmp_path, capsys):
     ids=["malformed", "degree-1", "inf-coefficient", "nan-coefficient"],
 )
 def test_inadmissible_map_file_exits_2(tmp_path, capsys, text):
+    """No map file is admissible: --map is retired, whatever the file holds."""
     path = tmp_path / "map.json"
     path.write_text(text)
     code, payload = run(
@@ -264,7 +286,7 @@ def test_undeclared_config_key_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["fixed-points"], "--epsilon or --map"),
+        (["fixed-points"], "--epsilon"),
         (["field", "--epsilon", "0.1"], "--word"),
         (["excursions", "--word=-"], "--epsilon"),
     ],
@@ -310,12 +332,11 @@ def test_computation_error_exits_1(tmp_path, capsys):
     assert "error" in payload
 
 
-def test_non_finite_periodic_points_exit_1(tmp_path, capsys):
+def test_non_finite_periodic_points_exit_1(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("period = 4\n")
-    path = tmp_path / "map.json"  # z**3 - 1.1, solved from its composed coefficients
-    path.write_text('{"num": [[-1.1,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}')
-    code, payload = run(capsys, "classify", "--map", str(path), "--config", str(cfg), "--out", str(tmp_path))
+    monkeypatch.setattr(periodic, "_aberth", lambda z, newton: np.full_like(z, complex("nan")))
+    code, payload = run(capsys, "classify", "--epsilon", "-1.1", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 1
     assert payload["error"] == "root-finding-error"
 

@@ -1,109 +1,89 @@
 import cmath
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horolab.errors import ConstructionError
-from horolab.maps import (
-    INF,
-    RationalFunction,
-    RationalMap,
-    compose,
-    evaluate,
-    is_inf,
-    quadratic_epsilon,
-    quadratic_map,
+from horolab.maps import INF, OVERFLOW_RADIUS, derivative, evaluate, is_inf, quadratic_map
+
+
+def tagged(w):
+    return INF if not cmath.isfinite(w) or abs(w) > OVERFLOW_RADIUS else w
+
+
+def horner(coeffs, z):
+    """A polynomial with ascending coefficients at z, divided by the
+    monic denominator 1 + 0j, with escapes tagged: the arithmetic of a
+    map held as a numerator and denominator coefficient pair."""
+    z = complex(z)
+    if not cmath.isfinite(z) or abs(z) > OVERFLOW_RADIUS:
+        return INF
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return tagged(acc / (1 + 0j))
+
+
+def bits(z):
+    return repr(z.real), repr(z.imag)
+
+
+# signed zeros, values either side of the overflow radius, inf and NaN
+edge = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e-300, OVERFLOW_RADIUS, -1.0000000001 * OVERFLOW_RADIUS, 1e200])
+parts = st.one_of(
+    edge,
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(width=16, allow_nan=False, allow_infinity=False),  # small ones, often exact
 )
-
-
-def quad(eps):
-    return RationalMap(num=(eps, 0, 1), den=(1,))
-
-
-def test_monic_denominator_normalization():
-    f = RationalFunction(num=(2, 4), den=(2,))
-    assert f.den == (1,)
-    assert f.num == (1, 2)
-
-
-def test_common_root_rejected():
-    # num and den share the root z = 1
-    with pytest.raises(ConstructionError):
-        RationalFunction(num=(-1, 1), den=(-2, 1, 1))
-
-
-def test_degree_and_polynomial_flag():
-    f = quad(0.3)
-    assert f.degree == 2
-    assert f.is_polynomial
-    g = RationalFunction(num=(1,), den=(0, 1))
-    assert not g.is_polynomial
+points = st.one_of(st.builds(complex, parts, parts), st.builds(complex, parts, st.sampled_from([math.inf, math.nan])))
+params = st.builds(complex, parts, parts)
 
 
 def test_evaluate_basic_and_infinity():
-    f = quad(-1.0)
+    f = quadratic_map(-1.0)
     assert evaluate(f, 2.0) == 3.0
     assert is_inf(evaluate(f, INF))
-    inv = RationalFunction(num=(1,), den=(0, 1))
-    assert is_inf(evaluate(inv, 0.0))
-    assert evaluate(inv, INF) == 0.0
+    assert is_inf(evaluate(f, 2 * OVERFLOW_RADIUS))
+    assert is_inf(evaluate(f, 1e100))  # the value escapes past the radius
 
 
-def test_compose_degree():
-    f = quad(1.0)
-    g = compose(f, f)
-    assert g.degree == 4
-    z = 0.3 - 0.2j
-    assert abs(evaluate(g, z) - evaluate(f, evaluate(f, z))) < 1e-10
+@settings(max_examples=400, deadline=None)
+@given(z=points, eps=params)
+def test_evaluate_agrees_with_direct_formula(z, eps):
+    """Bit for bit, signs of zero parts included, Horner's rule over
+    (eps, 0, 1) then the division by 1 + 0j."""
+    e = quadratic_map(eps)
+    assert bits(evaluate(e, z)) == bits(horner((e, 0j, 1 + 0j), z))
 
 
-def test_derivative_of_quadratic():
-    f = quad(0.7)
-    df = f.derivative()
-    for z in (0.0, 1.5, -2.0 + 1.0j):
-        assert abs(evaluate(df, z) - 2 * z) < 1e-12
+@settings(max_examples=400, deadline=None)
+@given(z=points)
+def test_derivative_of_quadratic(z):
+    """Bit for bit, Horner's rule over the derivative's coefficients (0, 2)."""
+    assert bits(derivative(z)) == bits(horner((0j, 2 + 0j), z))
+    if cmath.isfinite(z) and abs(z) <= OVERFLOW_RADIUS / 2:
+        assert derivative(z) == 2 * z
+
+
+@pytest.mark.parametrize("eps", [complex(math.nan, 0.0), complex(0.1, math.nan), complex(math.inf, 0.0), -math.inf])
+def test_quadratic_map_rejects_non_finite(eps):
+    with pytest.raises(ConstructionError):
+        quadratic_map(eps)
+
+
+def test_monic_denominator_normalization():
+    """quadratic_map stores eps divided by the leading denominator
+    coefficient 1 + 0j, which drops some negative zeros and keeps others."""
+    assert bits(quadratic_map(complex(-1.0, -0.0))) == ("-1.0", "0.0")
+    assert bits(quadratic_map(complex(1.0, -0.0))) == ("1.0", "-0.0")
+    assert bits(quadratic_map(complex(-0.0, -0.0))) == ("-0.0", "0.0")
 
 
 def test_critical_points_quadratic():
-    crits = quad(0.3).critical_points()
-    assert any(abs(c) < 1e-9 for c in crits)
-
-
-def test_quadratic_epsilon_recognition():
-    assert quadratic_epsilon(quad(0.25 + 1j)) == 0.25 + 1j
-    cubic = RationalMap(num=(0, 0, 0, 1), den=(1,))
-    assert quadratic_epsilon(cubic) is None
-
-
-def test_quadratic_map_is_recognized():
-    eps = -1.5 + 0.25j
-    assert quadratic_epsilon(quadratic_map(eps)) == eps
-    assert quadratic_epsilon(RationalMap.from_json(quadratic_map(eps).to_json())) == eps
-    with pytest.raises(ConstructionError):
-        quadratic_map(complex(float("nan"), 0.0))
-
-
-def test_map_json_roundtrip():
-    f = RationalMap(num=(1, 0, 2), den=(3, 1))
-    g = RationalMap.from_json(f.to_json())
-    assert g.num == f.num and g.den == f.den
-
-
-finite = st.complex_numbers(max_magnitude=5, allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=60, deadline=None)
-@given(z=finite, eps=finite)
-def test_evaluate_agrees_with_direct_formula(z, eps):
-    f = quad(eps)
-    assert abs(evaluate(f, z) - (z * z + eps)) < 1e-9 * (1 + abs(z) ** 2 + abs(eps))
-
-
-@settings(max_examples=40, deadline=None)
-@given(z=st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
-def test_compose_is_pointwise_composition(z):
-    f = quad(0.1)
-    g = quad(-0.5)
-    h = compose(f, g)
-    assert abs(evaluate(h, z) - evaluate(f, evaluate(g, z))) < 1e-8
+    """The one finite critical point is 0 and its value is eps, the
+    critical value the linearizer's disk must exclude."""
+    for eps in (quadratic_map(0.3), quadratic_map(complex(-0.525, 0.16))):
+        assert derivative(0j) == 0
+        assert evaluate(eps, 0j) == eps

@@ -24,6 +24,8 @@ def test_package_imports_only_what_a_module_needs():
         "print(missing, horolab.suite.__name__)\n"
     )
     assert out.splitlines() == ["[]", "[] horolab.suite"]
+    out = run_python("import sys, horolab.maps\nprint('numpy' in sys.modules)\n")
+    assert out.splitlines() == ["False"]
 
 
 def test_readme_library_sketch_runs():

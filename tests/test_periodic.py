@@ -4,14 +4,15 @@ import random
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from horolab import periodic
 from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
-from horolab.maps import RationalFunction, RationalMap, evaluate
+from horolab.maps import derivative, evaluate
+from horolab.maps import quadratic_map as quad
 from horolab.periodic import (
     MAX_FAMILY_PERIOD,
-    all_roots,
     build_linearizer,
     classify,
     collinearity_in_linearizer,
@@ -19,35 +20,6 @@ from horolab.periodic import (
     periodic_points,
     preimage_points,
 )
-
-
-def quad(eps):
-    return RationalMap(num=(eps, 0, 1), den=(1,))
-
-
-def test_all_roots_quadratic_factorization():
-    # (z - 2)(z + 3) = z^2 + z - 6
-    roots = all_roots((-6, 1, 1))
-    assert abs(roots[0].value + 3) < 1e-9
-    assert abs(roots[1].value - 2) < 1e-9
-    assert all(r.multiplicity == 1 for r in roots)
-
-
-def test_all_roots_of_unity():
-    n = 7
-    coeffs = (-1,) + (0,) * (n - 1) + (1,)
-    roots = all_roots(coeffs)
-    assert len(roots) == n
-    for r in roots:
-        assert abs(r.value ** n - 1) < 1e-8
-
-
-def test_all_roots_double_root_clustered():
-    # (z - 1)^2 = z^2 - 2z + 1
-    roots = all_roots((1, -2, 1))
-    assert len(roots) == 1
-    assert roots[0].multiplicity == 2
-    assert abs(roots[0].value - 1) < 1e-6
 
 
 def test_classification_tags():
@@ -159,19 +131,6 @@ def test_make_periodic_point_rejects_non_periodic():
         make_periodic_point(quad(-1.0), 0.3 + 0.4j, 1)
 
 
-def test_periodic_points_build_the_derivative_once(monkeypatch):
-    calls = []
-    derivative = RationalFunction.derivative
-
-    def counted(self):
-        calls.append(self)
-        return derivative(self)
-
-    monkeypatch.setattr(RationalFunction, "derivative", counted)
-    assert len(periodic_points(quad(-1.1), 6)) == 54
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("period", [0, -1])
 def test_make_periodic_point_rejects_period_below_1(period):
     with pytest.raises(ConfigError):
@@ -207,17 +166,13 @@ def test_linearizer_functional_equation():
         assert worst < 1e-9
 
 
-MOBIUS_SQUARE = RationalMap(num=(0, 0, 1), den=(1, -2, 2))  # w -> w/(1-w) conjugates it to z**2
-
-
 @pytest.mark.parametrize(
     "f, a, exact",
     [
         (quad(0.0), 1.0, cmath.log),
         (quad(-2.0), 2.0, lambda z: cmath.acosh(z / 2) ** 2),
-        (MOBIUS_SQUARE, 0.5, lambda w: cmath.log(w / (1 - w)) / 4),
     ],
-    ids=["z**2", "z**2-2", "mobius"],
+    ids=["z**2", "z**2-2"],
 )
 def test_linearizer_matches_exact_koenigs_coordinate(f, a, exact):
     lin = build_linearizer(f, make_periodic_point(f, a, 1))
@@ -229,16 +184,30 @@ def test_linearizer_matches_exact_koenigs_coordinate(f, a, exact):
     assert worst < 1e-13
 
 
-def test_linearizer_disk_excludes_critical_values():
-    # the critical values 0 and 1 of MOBIUS_SQUARE lie 0.5 from a = 1/2
-    lin = build_linearizer(MOBIUS_SQUARE, make_periodic_point(MOBIUS_SQUARE, 0.5, 1))
-    assert lin.radius < 0.5
+def test_linearizer_disk_excludes_critical_values(monkeypatch):
+    """At eps 0.1 the first radius (1 + |a|)/2 = 0.944 holds the critical
+    value eps, 0.787 from a, so the disk halves."""
+    eps = quad(0.1)
+    point = make_periodic_point(eps, (1 + cmath.sqrt(0.6)) / 2, 1)
+    first = 0.5 * (1.0 + abs(point.location))
+    assert abs(eps - point.location) < first
+    assert build_linearizer(eps, point).radius == first / 2
+    # the same halving with the sampled boundary check passing every disk
+    monkeypatch.setattr(periodic, "_radius_certified", lambda lin, r, target: True)
+    assert build_linearizer(eps, point).radius == first / 2
 
 
-def test_non_finite_roots_raise():
-    # Aberth on the degree-81 period-4 polynomial of z**3 - 1.1 ends in NaN
+@pytest.mark.parametrize("a", [complex(1.618, 0.0), complex(-1.3, -0.0), complex(-0.0, -0.7), complex(0.6, 0.3)])
+def test_linearizer_multiplier_is_the_derivative_at_a(a):
+    """lambda = f'(a) bit for bit, signs of zero parts included."""
+    lam, _ = periodic._schroeder_series(a)
+    assert (repr(lam.real), repr(lam.imag)) == (repr(derivative(a).real), repr(derivative(a).imag))
+
+
+def test_non_finite_roots_raise(monkeypatch):
+    monkeypatch.setattr(periodic, "_aberth", lambda z, newton: np.full_like(z, complex("nan")))
     with pytest.raises(RootFindingError):
-        periodic_points(RationalMap(num=(-1.1, 0, 0, 1), den=(1,)), 4)
+        periodic_points(quad(-1.1), 4)
 
 
 def mobius_count(p):
@@ -275,13 +244,33 @@ def test_family_periodic_points_counted_and_solved(eps):
                 assert abs(w - z) <= 1e-9 * (1.0 + abs(z))
 
 
+def coefficient_periodic_points(eps, p):
+    """Points of exact period p from the expanded polynomial f^p(z) - z:
+    its numpy.roots, each polished by make_periodic_point, with the
+    points of a proper-divisor period dropped."""
+    z = np.polynomial.Polynomial([0, 1])
+    fp = z
+    for _ in range(p):
+        fp = fp**2 + eps
+    out = []
+    for root in np.roots((fp - z).coef[::-1]):
+        q = make_periodic_point(eps, complex(root), p)
+        w = q.location
+        for d in range(1, p):
+            w = evaluate(eps, w)
+            if p % d == 0 and abs(w - q.location) < 1e-7 * (1.0 + abs(q.location)):
+                break
+        else:
+            out.append(q)
+    return out
+
+
 @pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16), -1.0, 0.1])
-def test_family_periodic_points_match_the_coefficient_path(eps, monkeypatch):
+def test_family_periodic_points_match_the_coefficient_path(eps):
     f = quad(eps)
-    family = {p: periodic_points(f, p) for p in range(1, 5)}
-    monkeypatch.setattr(periodic, "quadratic_epsilon", lambda f: None)  # iterated_pair + all_roots
-    for p, points in family.items():
-        coefficient = periodic_points(f, p)
+    for p in range(1, 5):
+        points = periodic_points(f, p)
+        coefficient = coefficient_periodic_points(f, p)
         assert len(points) == len(coefficient)
         for q in points:
             match = min(coefficient, key=lambda r: abs(r.location - q.location))
@@ -302,12 +291,13 @@ def test_family_period_cap_raises_config_error():
 
 
 @pytest.mark.parametrize("w", [0.5, -2.0, 1j, complex(0.3, -0.2)])
-def test_family_preimages_in_closed_form(w, monkeypatch):
+def test_family_preimages_in_closed_form(w):
     f = quad(-1.1)
     closed = preimage_points(f, w)
-    monkeypatch.setattr(periodic, "quadratic_epsilon", lambda f: None)
-    solved = preimage_points(f, w)
-    assert all(abs(a - b) <= 4 * sys.float_info.epsilon * (1.0 + abs(a)) for a, b in zip(closed, solved))
+    solved = [complex(z) for z in np.roots([1, 0, f - w])]
+    assert len(closed) == len(solved) == 2
+    for a in closed:
+        assert min(abs(a - b) for b in solved) <= 4 * sys.float_info.epsilon * (1.0 + abs(a))
     assert all(abs(evaluate(f, z) - w) <= 4 * sys.float_info.epsilon * (1.0 + abs(w)) for z in closed)
 
 

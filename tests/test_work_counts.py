@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from horolab import cocycle, orbits, periodic, suite
-from horolab.maps import RationalMap
+from horolab.maps import quadratic_map
 from horolab.quadratic import family_word
 
 
@@ -186,6 +186,6 @@ def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
         return aberth(z, counted_newton)
 
     monkeypatch.setattr(periodic, "_aberth", counted)
-    assert len(periodic.periodic_points(RationalMap(num=(eps, 0, 1), den=(1,)), 8)) == 240
+    assert len(periodic.periodic_points(quadratic_map(eps), 8)) == 240
     assert set(calls) == {2**8}
     assert len(calls) - 4 <= 20  # 4 of the calls are the Newton polish

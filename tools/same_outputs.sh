@@ -8,12 +8,12 @@
 # run leaves nothing behind in .git) and runs, against both source trees:
 # the seed-7 acceptance suite, the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
-# parameter, collinearity at both verdicts, the --map commands on z**3,
-# fixed-points, classify at period 2 and linearize on a non-polynomial
-# map (a rational derivative in the periodic-point walk), fixed-points
-# at a complex parameter, classify at periods 10, 8, 6 and 4 of
-# z**2 + eps and at period 3 of the --map z**3, semigroup /
-# limit-decomp with a fixed-orbit c and with a nested junction,
+# parameter, collinearity at both verdicts, fixed-points at a complex
+# parameter, classify at periods 10, 8, 6 and 4, fixed-points, linearize
+# and julia at eps = -1 - 0i (a negative zero part, which the map's
+# division by 1 + 0j turns into +0 before the periodic points and the
+# linearizer see it, and which the Julia sampler takes as given),
+# semigroup / limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
 # shift span, sigma-delta at a complex parameter, cocycle and field
@@ -32,10 +32,6 @@ trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
-# one file per map for both trees: the report records its path
-printf '%s\n' '{"num": [[0,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}' > "$tmp/cube.json"
-# w**2/(2w**2-2w+1), conjugate to z**2; a rational map that is not a polynomial
-printf '%s\n' '{"num": [[0,0],[0,0],[1,0]], "den": [[1,0],[-2,0],[2,0]]}' > "$tmp/mobius.json"
 # an empty word_c is the fixed orbit: the one-component (degenerate) decomposition
 printf '%s\n' 'word_c =' > "$tmp/fixed-c.cfg"
 printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
@@ -43,7 +39,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
-for p in 2 3 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
+for p in 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -92,13 +88,9 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
     run "$tree" "$out" cocycle-complex cocycle --epsilon=-1,0.02 --word=-+- --tol 1e-12
     run "$tree" "$out" field-complex field --epsilon=-1,0.02 --word=-
-    run "$tree" "$out" map-fixed-points fixed-points --map "$tmp/cube.json"
-    run "$tree" "$out" map-classify-period-3 classify --map "$tmp/cube.json" --config "$tmp/period-3.cfg"
-    run "$tree" "$out" map-linearize linearize --map "$tmp/cube.json"
-    run "$tree" "$out" map-collinearity collinearity --map "$tmp/cube.json"
-    run "$tree" "$out" mobius-fixed-points fixed-points --map "$tmp/mobius.json"
-    run "$tree" "$out" mobius-classify-period-2 classify --map "$tmp/mobius.json" --config "$tmp/period-2.cfg"
-    run "$tree" "$out" mobius-linearize linearize --map "$tmp/mobius.json"
+    run "$tree" "$out" fixed-points-negative-zero fixed-points --epsilon=-1,-0
+    run "$tree" "$out" linearize-negative-zero linearize --epsilon=-1,-0
+    run "$tree" "$out" julia-negative-zero julia --epsilon=-1,-0 --seed 7
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
