@@ -33,6 +33,15 @@ continuation appends those of its new points, so either one checks
 only what it changes.  A RealizedOrbit reads like its word, so
 the membership check, concatenation, the series engine and the
 excursion count take realizations and pass them on.
+
+realize_batch realizes many words from scratch at once, stepping them
+in lockstep as numpy rows, for sample_words' membership checks, its
+only caller.  It does CPython's arithmetic in numpy (cmath.sqrt's own
+formula over real hypot and sqrt, every |.| as hypot of the parts, z*z
+from the real parts), so a row it closes is realize's realization bit
+for bit; a row whose steps are not clear of a near-tie, a collision,
+the critical point or the residual tolerance by a wide margin goes back
+to realize as its word.
 """
 
 from __future__ import annotations
@@ -218,7 +227,9 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     back (RealizedOrbit.at), with no step taken.  The steps are
     deterministic, so the result, or the error raised, is bitwise that
     of realizing from scratch.  A realization stands for its word, so
-    RealizedOrbit.word is always an OrbitWord.
+    RealizedOrbit.word is always an OrbitWord.  realize_batch takes the
+    same steps for many words at once in numpy, bitwise equal; the rows
+    it hands back, and every error, come from here.
     """
     if isinstance(word, RealizedOrbit) and word.depth > depth:
         return word.at(depth)
@@ -284,6 +295,153 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     return _settle(
         word, depth, tuple(pts), "".join(choices), tuple(dists), tuple(outside), tuple(rises), tuple(near)
     )
+
+
+def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrbit | OrbitWord]:
+    """Realize each word from scratch to its depth, the words stepped in
+    lockstep as the rows of numpy arrays; quadratic.sample_words is the
+    caller.
+
+    Each row comes back either as the RealizedOrbit that
+    realize(word, depth) returns, bit for bit, or as the word itself, for
+    realize to realize.  So a word keeps one representation, one set of
+    closing checks (_settle) and one source for each error.
+
+    Bitwise equality rests on doing CPython's arithmetic in numpy:
+    - the root is cmath.sqrt's own formula (CPython's cmathmodule.c) over
+      real np.hypot and np.sqrt.  np.sqrt of a complex array differs
+      from cmath.sqrt when a part is subnormal, which tails at real
+      parameters reach some 600 steps deep;
+    - each |.| is np.hypot of the parts, as abs(complex) is; np.abs of a
+      complex array differs from it;
+    - z*z in the residual is formed from the real parts as CPython forms
+      it; numpy's complex multiply differs.
+
+    Only the root and its sign are taken step by step: the prefix symbol,
+    or past the prefix the sign that makes p.a > 0 for the new point p
+    (the preimage nearer a).  All steps are then checked at once.  A row
+    is closed only when each of its steps has realize's outcome by a wide
+    margin, and is handed back otherwise:
+    - past the prefix, p.a > 1e-11 (1 + |p|**2 + |a|**2): _nearer takes
+      p, and not by a near-tie;
+    - |p|**2 > 10 CRITICAL_PROXIMITY**2: the branches do not collide
+      and p is not within CRITICAL_PROXIMITY of 0, so a closed row has no
+      near_critical point;
+    - the residual is at most half of RESIDUAL_TOL.
+    A NaN fails all three.  Once every row's step returns its input bit
+    for bit (looked at every 8 steps), the rest is filled, as realize
+    fills a stationary tail.  numpy is imported here, so importing this
+    module loads no numpy.
+    """
+    import numpy as np
+
+    if not words:
+        return []
+    for word, depth in zip(words, depths):
+        _check_depth(word, depth)
+    rows, steps = len(words), max(depths)
+    longest = max(len(w.prefix) for w in words)
+    # real parts in row 0 and imaginary parts in row 1, so one call takes both
+    eps = np.array([[complex(w.epsilon).real for w in words], [complex(w.epsilon).imag for w in words]])
+    a = np.array([[w.base.location.real for w in words], [w.base.location.imag for w in words]])
+    # the prefix symbols as a sign bias: +inf for '+', -inf for '-', 0 past the prefix
+    bias = np.zeros((longest, rows))
+    for i, w in enumerate(words):
+        bias[: len(w.prefix), i] = [math.inf if c == "+" else -math.inf for c in w.prefix]
+    pts = np.empty((steps + 1, 2, rows))  # pts[j] holds point j of every row
+    pts[0] = a
+    sign = np.empty((steps, rows))  # 1.0 where the step took s, -1.0 where -s
+    # buffers, and views of their parts made once (positional out= throughout)
+    z, x, x8, alt, prod = (np.empty((2, rows)) for _ in range(5))
+    t, dot, left = np.empty(rows), np.empty(rows), np.empty(rows, bool)
+    (z0, z1), (x0, x1), (x80, x81), (alt0, alt1), (prod0, prod1) = z, x, x8, alt, prod
+    z[...] = a
+    with np.errstate(all="ignore"):  # a row that fails its checks may overflow or turn NaN
+        for j in range(steps):
+            # s = cmath.sqrt(z - eps) for finite nonzero z - eps (with both
+            # parts below DBL_MIN, where cmath rescales, |s| < 1e-153 and
+            # the row fails its checks): with x = z - eps, t = sqrt(|x.real|/8
+            # + hypot(x.real/8, x.imag/8)), s = (2t, x.imag/4t), or when
+            # x.real < 0, (|x.imag/4t|, 2t with the sign of x.imag)
+            np.subtract(z, eps, x)
+            np.multiply(x, 0.125, x8)
+            np.abs(x8, x8)
+            np.hypot(x80, x81, t)
+            np.add(t, x80, t)
+            np.sqrt(t, t)
+            np.multiply(t, 2.0, z0)
+            np.multiply(t, 4.0, t)
+            np.divide(x1, t, z1)
+            np.less(x0, 0.0, left)
+            np.abs(z1, alt0)
+            np.copysign(z0, x1, alt1)
+            np.copyto(z, alt, where=left)
+            # the sign: the prefix symbol, or the sign of s.a, the preimage nearer a
+            np.multiply(z, a, prod)
+            np.add(prod0, prod1, dot)
+            if j < longest:
+                np.add(dot, bias[j], dot)
+            np.copysign(1.0, dot, sign[j])
+            np.multiply(z, sign[j], z)
+            pts[j + 1] = z
+            if j >= longest and j % 8 == 0 and (z.view(np.int64) == pts[j].view(np.int64)).all():
+                pts[j + 2 :] = z
+                sign[j + 1 :] = sign[j]
+                break
+    index, last = np.arange(steps + 1)[:, None], np.array(depths)  # last: each row's last point
+    zr, zi = pts[:, 0], pts[:, 1]
+    with np.errstate(all="ignore"):
+        square = zr * zr
+        zz = zr * zi
+        res_r = square[1:] - zi[1:] * zi[1:] + eps[0] - zr[:-1]
+        res_i = zz[1:] + zz[1:] + eps[1] - zi[:-1]
+        square += zi * zi  # |p|^2
+        # the checks of the step that made point k, for k = 1 .. steps
+        clear = square[1:] > 10 * CRITICAL_PROXIMITY**2
+        clear &= res_r * res_r + res_i * res_i <= (RESIDUAL_TOL / 2) ** 2
+        margin = zr[1:] * a[0] + zi[1:] * a[1] > 1e-11 * (1.0 + square[1:] + (a * a).sum(axis=0))
+        k = index[1:]
+        clear &= margin | (k <= np.array([len(w.prefix) for w in words]))  # a prefix step takes its symbol
+    failed = (~clear & (k <= last)).any(axis=0).tolist()
+    dists = np.hypot(zr - a[0], zi - a[1])
+    rises = np.zeros((steps + 1, rows), bool)  # a rise at j reads dists[j + 1]
+    rises[1:-1] = (dists[2:] > dists[1:-1] * (1.0 + 1e-9)) & (dists[2:] > 1e-14)
+
+    def by_row(mask):
+        """For each row i, the sorted indices j with mask[j, i]."""
+        i, j = np.nonzero(mask.T)
+        ends = np.cumsum(np.bincount(i, minlength=rows)).tolist()
+        j = j.tolist()
+        return [tuple(j[b:e]) for b, e in zip([0] + ends[:-1], ends)]
+
+    outside = by_row((dists >= np.array([w.sigma for w in words])) & (index <= last))
+    rises = by_row(rises & (index < last))
+    points = np.empty((rows, steps + 1), complex)
+    points.real, points.imag = zr.T, zi.T
+    points, dists = points.tolist(), dists.T.tolist()
+    choices = np.where(sign.T < 0.0, ord("-"), ord("+")).astype(np.uint8).tobytes().decode()
+    out: list[RealizedOrbit | OrbitWord] = []
+    for i, (word, depth) in enumerate(zip(words, depths)):
+        if failed[i]:
+            out.append(word)
+            continue
+        end = depth + 1
+        try:
+            orb = _settle(
+                word,
+                depth,
+                tuple(points[i][:end]),
+                choices[i * steps : i * steps + depth],
+                tuple(dists[i][:end]),
+                outside[i],
+                rises[i],
+                (),
+            )
+        except DivergentWordError:
+            out.append(word)
+        else:
+            out.append(orb)
+    return out
 
 
 def _settle(

@@ -56,6 +56,7 @@ from .orbits import (
     concatenate,
     is_in_Pi_a,
     realize,  # unused here; perfbench/test_perfbench.py checks the tracer restores it
+    realize_batch,
     shift,
 )
 from .periodic import list_1_1_member, make_periodic_point
@@ -67,6 +68,7 @@ NEAR_BOUNDARY_PROXIMITY = 1e-3
 NORMALIZED_TOL = 1e-9
 DEFAULT_MAX_PREFIX = 10
 MEMBERSHIP_DEPTH = 80  # a word's membership is checked this far past its prefix
+BATCH_MIN_ROWS = 32  # smaller chunks are realized word by word: a lockstep step costs ~20 numpy calls
 BOUNDARY_SAMPLES = 1024  # points on each sampled disk boundary of the sigma certificates
 SAMPLE_DEPTH = 40  # inverse-iteration depth of default_sigma_delta's Julia sample
 
@@ -138,6 +140,14 @@ def sample_words(
     comes as the realization its membership check made (MEMBERSHIP_DEPTH
     past the prefix), which reads like the word; the series engine and
     the excursion count continue it instead of realizing the word again.
+
+    Candidates are drawn in chunks: as many draws as words are still
+    needed, capped by what is left of the 80 * n attempt budget.  A
+    chunk of at least BATCH_MIN_ROWS new prefixes is realized in one
+    lockstep batch (realize_batch), and its rows are checked and
+    admitted in draw order.  The draws do not depend on the verdicts and
+    the generator is local, so the list, or the error, is bitwise that of
+    drawing and checking one candidate at a time.
     """
     if n < 1 or max_len < 1:
         raise ConfigError(f"need n >= 1 words of max_len >= 1, got n={n}, max_len={max_len}")
@@ -147,20 +157,26 @@ def sample_words(
             f" of length <= {max_len} exist"
         )
     rng = np.random.default_rng(seed)
-    out: list[OrbitWord] = []
+    out: list[RealizedOrbit] = []
     seen: set[str] = set()
     attempts = 0
     while len(out) < n and attempts < 80 * n:
-        attempts += 1
-        length = int(rng.integers(1, max_len + 1))
-        bits = rng.integers(0, 2, size=length)
-        prefix = "-" + "".join("+-"[int(b)] for b in bits[1:])  # normalized
-        if prefix in seen:
-            continue
-        seen.add(prefix)
-        mem = is_in_Pi_a(family_word(epsilon, prefix), len(prefix) + MEMBERSHIP_DEPTH)
-        if mem.member:
-            out.append(mem.orbit)
+        chunk = min(n - len(out), 80 * n - attempts)
+        attempts += chunk
+        words = []
+        for _ in range(chunk):
+            length = int(rng.integers(1, max_len + 1))
+            bits = rng.integers(0, 2, size=length)
+            prefix = "-" + "".join(["+-"[b] for b in bits[1:].tolist()])  # normalized
+            if prefix not in seen:
+                seen.add(prefix)
+                words.append(family_word(epsilon, prefix))
+        depths = [len(w.prefix) + MEMBERSHIP_DEPTH for w in words]
+        rows = realize_batch(words, depths) if len(words) >= BATCH_MIN_ROWS else words
+        for row, depth in zip(rows, depths):
+            mem = is_in_Pi_a(row, depth)
+            if mem.member:
+                out.append(mem.orbit)
     if len(out) < n:
         raise ConfigError(
             f"only {len(out)} of {n} admissible words found within the attempt budget"

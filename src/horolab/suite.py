@@ -487,36 +487,39 @@ def criterion_12(seed: int) -> CriterionResult:
     return _result(12, "complex perturbation regime", ok, details, t0)
 
 
-def criterion_13(seed: int, earlier: list[CriterionResult] | None = None) -> CriterionResult:
+def _reproduction_probes(seed: int) -> dict:
+    """Criterion 13's reruns, which read no earlier result: criterion 1
+    and a 500-point Julia sample, each run twice under the same seed."""
+    a = criterion_1(seed).details
+    b = criterion_1(seed).details
+    sample1 = inverse_iteration_sample(-1.0, 500, 40, seed)
+    sample2 = inverse_iteration_sample(-1.0, 500, 40, seed)
+    return {
+        "criterion_1_reproduced": to_json_text(a) == to_json_text(b),
+        "sampling_reproduced": sample1.points == sample2.points,
+    }
+
+
+def criterion_13(
+    seed: int, earlier: list[CriterionResult] | None = None, probes: dict | None = None
+) -> CriterionResult:
     """Determinism probe: the earlier criteria's details survive a
     serialize -> parse -> serialize round trip (floats exactly, complex
     as [re, im]), and a randomized criterion reproduces its details
-    under the same seed.  The byte-identity of two whole suite runs is
-    checked by the acceptance test through the command line."""
+    under the same seed.  probes holds the reruns' verdicts when they
+    have already run (run_battery runs them in its pool); otherwise they
+    run here.  The byte-identity of two whole suite runs is checked by
+    the acceptance test through the command line."""
     t0 = time.perf_counter()
     payload = [{"index": r.index, "ok": r.ok, "details": r.details} for r in earlier or []]
     parsed = json.loads(to_json_text(payload))
     text = to_json_text(parsed)
     plain = json.loads(json.dumps(payload, default=lambda z: [z.real, z.imag]))
     stable = parsed == plain and to_json_text(json.loads(text)) == text
-    a = criterion_1(seed).details
-    b = criterion_1(seed).details
-    reproduced = to_json_text(a) == to_json_text(b)
-    sample1 = inverse_iteration_sample(-1.0, 500, 40, seed)
-    sample2 = inverse_iteration_sample(-1.0, 500, 40, seed)
-    sampling = sample1.points == sample2.points
-    ok = stable and reproduced and sampling
-    return _result(
-        13,
-        "determinism",
-        ok,
-        {
-            "serialization_stable": stable,
-            "criterion_1_reproduced": reproduced,
-            "sampling_reproduced": sampling,
-        },
-        t0,
-    )
+    if probes is None:
+        probes = _reproduction_probes(seed)
+    ok = stable and probes["criterion_1_reproduced"] and probes["sampling_reproduced"]
+    return _result(13, "determinism", ok, {"serialization_stable": stable, **probes}, t0)
 
 
 CRITERIA = [
@@ -568,13 +571,14 @@ def _run_task(task: tuple[int, ...], seed: int) -> list[CriterionResult]:
 def run_battery(seed: int) -> list[CriterionResult]:
     """All thirteen checks, in registry order.
 
-    The TASKS run in a pool of forked processes, one per usable CPU (at
-    most one per task), picked up in registry order as workers come
-    free; criterion 13 runs here on the collected results.  A criterion's
-    exception is raised here as it would be in one process, once the
-    tasks already running have ended and the rest are cancelled.  A
-    worker that dies ends the battery in SuiteFailureError, naming the
-    criteria left unfinished.  No worker outlives the call.
+    The TASKS, and last criterion 13's reruns, run in a pool of forked
+    processes, one per usable CPU (at most one per task), picked up in
+    that order as workers come free; criterion 13's round trip of the
+    collected results runs here.  A criterion's exception is raised
+    here as it would be in one process, once the tasks already running
+    have ended and the rest are cancelled.  A worker that dies ends the
+    battery in SuiteFailureError, naming the criteria left unfinished.
+    No worker outlives the call.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -587,18 +591,20 @@ def run_battery(seed: int) -> list[CriterionResult]:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         futures = [pool.submit(_run_task, task, seed) for task in TASKS]
+        futures.append(pool.submit(_reproduction_probes, seed))
         try:
-            by_index = {i: r for task, future in zip(TASKS, futures) for i, r in zip(task, future.result())}
+            done = [future.result() for future in futures]
         except BrokenProcessPool:
             lost = [
                 index
-                for task, future in zip(TASKS, futures)
+                for task, future in zip(TASKS + [(13,)], futures)
                 if isinstance(future.exception(), BrokenProcessPool)
                 for index in task
             ]
             raise SuiteFailureError(f"a battery worker ended abruptly; criteria left unfinished: {lost}") from None
     finally:
         pool.shutdown(cancel_futures=True)
+    by_index = {i: r for task, rows in zip(TASKS, done) for i, r in zip(task, rows)}
     results = [by_index[i] for i in range(1, len(CRITERIA) + 1)]
-    results.append(criterion_13(seed, results))
+    results.append(criterion_13(seed, results, done[-1]))
     return results

@@ -1,25 +1,41 @@
 """realize against a plain step-by-step loop: the stationary-tail fill,
 the carried distances and the facts recorded for the closing checks
 change no bit of a realization, of its cuts and continuations, or of
-the error they raise."""
+the error they raise.  realize_batch against realize: a row it closes
+is realize's realization bit for bit, and sample_words, which draws its
+candidates in chunks and realizes them in lockstep, against a loop that
+draws one candidate and checks it."""
 
 import cmath
 import dataclasses
+import math
+import re
+import sys
 import types
 
+import numpy as np
 import pytest
 
-from horolab import orbits
-from horolab.errors import DivergentWordError, HorolabError
+from horolab import orbits, quadratic
+from horolab.errors import (
+    ConfigError,
+    ConstructionError,
+    DegenerateBranchError,
+    DivergentWordError,
+    HorolabError,
+)
 from horolab.orbits import (
     CRITICAL_PROXIMITY,
     DIVERGENCE_GRACE,
     TAIL_CONFIRM,
+    OrbitWord,
+    RealizedOrbit,
     _nearer,
     _same_signs,
     realize,
+    realize_batch,
 )
-from horolab.quadratic import family_word, sample_words
+from horolab.quadratic import MEMBERSHIP_DEPTH, family_word, sample_words
 
 # at eps = 0.4+0.15i the word "-+" has one rise, a tail step: its
 # distances to a fall to 0.6291 at index 6, rise to 0.6422 at index 7,
@@ -246,3 +262,195 @@ def test_stationary_tail_outside_the_disk_records_its_filled_range():
     for depth in (41, 62, 63):
         assert_as_from_scratch(lambda: realize(old, depth), w, depth)
     assert outcome(lambda: realize(old, 63))[0] is DivergentWordError
+
+
+# ---------------------------------------------------------------------------
+# the lockstep batch
+
+
+def exact(orb):
+    """Everything a realization carries, floats as bits."""
+    return (
+        bits(orb.points),
+        orb.choices,
+        orb.entry_index,
+        [d.hex() for d in orb.dists],
+        orb.outside,
+        orb.rises,
+        orb.near_critical,
+    )
+
+
+def batch_rows(words, depths):
+    """realize_batch's rows, checked: a closed row is realize's
+    realization bit for bit, and the plain loop's; any other row is its
+    word, handed back.  Returns the prefixes handed back."""
+    rows = realize_batch(words, depths)
+    assert len(rows) == len(words)
+    back = []
+    for word, depth, row in zip(words, depths, rows):
+        if isinstance(row, RealizedOrbit):
+            assert exact(row) == exact(realize(word, depth))
+            assert checked(row) == reference(word, depth)
+        else:
+            assert row is word
+            back.append(word.prefix)
+    return back
+
+
+def at_minus_a(prefix):
+    """The prefix ends at -a: past it, sqrt(-a - eps) is imaginary at a
+    real parameter above -a, an exact tie of the two preimages, which
+    realize_batch hands back to realize."""
+    return re.fullmatch(r"\+*-", prefix) is not None
+
+
+def seeded_words(eps, count, seed, max_len):
+    """Words of count seeded prefixes (duplicates dropped) of length at
+    most max_len, '+'-led ones included."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_len + 1, size=count).tolist()
+    prefixes = {"".join("+-"[b] for b in rng.integers(0, 2, size=n).tolist()) for n in lengths}
+    return [family_word(eps, p) for p in sorted(prefixes)]
+
+
+REAL_EPS = [0.1, -1.0, -3.0, 0.0]
+COMPLEX_EPS = [complex(-1.0, 0.02), complex(-0.525, 0.16)]
+
+
+@pytest.mark.parametrize("eps", REAL_EPS + COMPLEX_EPS)
+def test_batch_rows_are_realize_bit_for_bit(eps):
+    words = seeded_words(eps, 60, 11, 10)
+    for extra in (0, 1, 12, MEMBERSHIP_DEPTH):
+        back = batch_rows(words, [len(w.prefix) + extra for w in words])
+        ties = extra > 0 and eps in (0.1, -1.0, 0.0)
+        assert back == [w.prefix for w in words if ties and at_minus_a(w.prefix)]
+
+
+@pytest.mark.parametrize("eps", [0.1, -1.0, 0.0])
+def test_batch_real_parameter_tails_keep_moving(eps):
+    # the tails' imaginary parts decay toward a on the real axis and
+    # never stop moving within the depth
+    words = [w for w in seeded_words(eps, 30, 7, 8) if not at_minus_a(w.prefix)]
+    depths = [len(w.prefix) + 240 for w in words]
+    assert batch_rows(words, depths) == []
+    moving = [orb for orb in map(realize, words, depths) if orb.points[-1] != orb.points[-2]]
+    assert len(moving) >= len(words) // 2
+    assert all(0.0 < abs(orb.points[-1].imag) < 1e-50 for orb in moving)
+
+
+@pytest.mark.parametrize("eps", COMPLEX_EPS)
+def test_batch_complex_tails_become_stationary(eps):
+    words = seeded_words(eps, 30, 7, 8)
+    depths = [len(w.prefix) + 240 for w in words]
+    assert batch_rows(words, depths) == []
+    assert all(orb.points[-1] == orb.points[-2] for orb in realize_batch(words, depths))
+
+
+def test_batch_row_through_subnormal_imaginary_parts():
+    # at eps = -1 the tail's imaginary part falls below DBL_MIN near
+    # depth 606 and then to zero; there np.sqrt of a complex array and
+    # cmath.sqrt part ways, and the batch takes cmath's formula
+    words = [family_word(-1.0, p) for p in ("--", "-+-", "---+")]
+    assert batch_rows(words, [800] * 3) == []
+    closed = realize_batch(words, [800] * 3)
+    for orb in closed:
+        assert any(0.0 < abs(p.imag) < sys.float_info.min for p in orb.points)
+    xs = [p - orb.epsilon for orb in closed for p in orb.points]
+    assert any(bits([complex(np.sqrt(x))]) != bits([cmath.sqrt(x)]) for x in xs)
+
+
+def test_batch_hands_back_collisions_critical_hits_and_nan():
+    # eps = 0 orbits stay on the unit circle, so the collision (eps = -2,
+    # "-" lands on 0) and the critical hit (eps = -2 + 1e-18i, "-" passes
+    # 8.2e-10 from 0) are rows of other parameters in the same batch, and
+    # so is a word whose parameter is NaN
+    words = seeded_words(0.0, 20, 3, 6)
+    collision = family_word(-2.0, "-", sigma=0.5)
+    critical = family_word(complex(-2.0, 1e-18), "-", sigma=0.5)
+    nan = dataclasses.replace(family_word(0.1, "-+"), epsilon=complex(math.nan, 0.0))
+    batch = words + [collision, critical, nan]
+    depths = [len(w.prefix) + 60 for w in batch]
+    back = batch_rows(batch, depths)
+    assert back == [w.prefix for w in words if at_minus_a(w.prefix)] + ["-", "-", "-+"]
+    rows = realize_batch(batch, depths)
+    assert rows[-3:] == [collision, critical, nan]
+    with pytest.raises(DegenerateBranchError, match="inverse branches collide at depth 2"):
+        realize(collision, depths[-3])
+    assert realize(critical, depths[-2]).near_critical == (2,)
+    assert all(math.isnan(p.real) for p in realize(nan, depths[-1]).points[1:])
+
+
+def test_batch_hands_back_the_rows_realize_rejects_for_their_residual(monkeypatch):
+    # at this tolerance the residual check fails on some steps of some
+    # words, which realize rejects and the batch must not close
+    monkeypatch.setattr(orbits, "RESIDUAL_TOL", 3e-16)
+    words = seeded_words(-1.0, 40, 5, 8)
+    depths = [len(w.prefix) + 40 for w in words]
+    back = set(batch_rows(words, depths))
+    rejected = set()
+    for word, depth in zip(words, depths):
+        try:
+            realize(word, depth)
+        except ConstructionError:
+            rejected.add(word.prefix)
+    assert rejected and rejected <= back and len(back) < len(words)
+
+
+def draw_one_check_one(epsilon, n, seed, max_len):
+    """sample_words as one loop: draw a candidate, check its membership,
+    admit it."""
+    rng = np.random.default_rng(seed)
+    out, seen, attempts = [], set(), 0
+    while len(out) < n and attempts < 80 * n:
+        attempts += 1
+        length = int(rng.integers(1, max_len + 1))
+        bits_ = rng.integers(0, 2, size=length)
+        prefix = "-" + "".join("+-"[int(b)] for b in bits_[1:])
+        if prefix in seen:
+            continue
+        seen.add(prefix)
+        mem = quadratic.is_in_Pi_a(family_word(epsilon, prefix), len(prefix) + MEMBERSHIP_DEPTH)
+        if mem.member:
+            out.append(mem.orbit)
+    if len(out) < n:
+        raise ConfigError(f"only {len(out)} of {n} admissible words found within the attempt budget")
+    return out
+
+
+def sampled(draw, *args):
+    try:
+        return [exact(orb) for orb in draw(*args)]
+    except ConfigError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "eps, n, seed, max_len",
+    [
+        (0.1, 70, 11, 12),
+        (-1.0, 70, 5, 20),
+        (complex(-1.0, 0.02), 40, 7, 8),
+        (complex(0.1, 0.02), 70, 3, 12),
+        (-3.0, 10, 3, 6),
+    ],
+)
+def test_sample_words_admits_as_the_plain_loop(eps, n, seed, max_len):
+    assert sampled(sample_words, eps, n, seed, max_len) == sampled(draw_one_check_one, eps, n, seed, max_len)
+
+
+def test_sample_words_runs_out_of_attempts_as_the_plain_loop(monkeypatch):
+    # no short word fails membership at the usual parameters, so the
+    # budget is made to bind by admitting only the words of '-' symbols:
+    # 3 of the 7 normalized prefixes of length <= 3
+    membership = quadratic.is_in_Pi_a
+
+    def only_minus(word, depth):
+        mem = membership(word, depth)
+        return mem if "+" not in word.prefix else dataclasses.replace(mem, member=False)
+
+    monkeypatch.setattr(quadratic, "is_in_Pi_a", only_minus)
+    for n in (7, 40):
+        expected = sampled(draw_one_check_one, 0.1, n, 5, 3 if n == 7 else 6)
+        assert expected.startswith("only ")
+        assert sampled(sample_words, 0.1, n, 5, 3 if n == 7 else 6) == expected

@@ -3,10 +3,10 @@ fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
 depth; and of the family's periodic-point solve: Aberth iterations.
 
-The counts come from wrapping orbits.realize and cocycle.basic_cocycle
-in every horolab module that binds them, as the benchmark's tracer does,
-and from wrapping the Newton ratio that periodic._aberth evaluates once
-per iteration.
+The counts come from wrapping orbits.realize, orbits.realize_batch and
+cocycle.basic_cocycle in every horolab module that binds them, as the
+benchmark's tracer does, and from wrapping the Newton ratio that
+periodic._aberth evaluates once per iteration.
 """
 
 import collections
@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from horolab import cocycle, orbits, periodic, suite
+from horolab import cocycle, orbits, periodic, quadratic, suite
 from horolab.maps import quadratic_map
 from horolab.quadratic import family_word
 
@@ -29,16 +29,25 @@ def wrap_everywhere(monkeypatch, original, wrapper):
 
 def realize_steps(monkeypatch, criterion):
     """Run the criterion at seed 7 and return, per word, the (first step,
-    depth) of each realize call; a realization passed to realize is
-    continued from its own depth."""
+    depth) of each step loop: each realize call, where a realization
+    passed in is continued from its own depth, and each row that
+    realize_batch closes, which starts from scratch."""
     steps = collections.defaultdict(list)
-    realize = orbits.realize
+    realize, batch = orbits.realize, orbits.realize_batch
 
     def counted(word, depth):
         steps[word.word].append((word.depth if isinstance(word, orbits.RealizedOrbit) else 0, depth))
         return realize(word, depth)
 
+    def counted_batch(words, depths):
+        rows = batch(words, depths)
+        for row in rows:
+            if isinstance(row, orbits.RealizedOrbit):
+                steps[row.word].append((0, row.depth))
+        return rows
+
     wrap_everywhere(monkeypatch, realize, counted)
+    wrap_everywhere(monkeypatch, batch, counted_batch)
     assert criterion(7).ok
     return steps
 
@@ -65,6 +74,34 @@ def test_complex_bound_realizes_each_word_once(monkeypatch):
     """Criterion 12: 200 sampled words at eps 0.1+0.02i and at -1+0.02i,
     with their excursions and values."""
     assert_each_step_loop_runs_once(realize_steps(monkeypatch, suite.criterion_12))
+
+
+def test_sampled_words_closed_by_the_batch_are_not_realized_again(monkeypatch):
+    """sample_words realizes its candidates in lockstep (realize_batch);
+    a row the batch closes takes no realize call of its own, and only
+    the rows it hands back, and the candidates of the small chunks drawn
+    after the first, are realized one by one."""
+    closed, handed_back, realized = [], [], []
+    realize, batch = orbits.realize, orbits.realize_batch
+
+    def counted(word, depth):
+        realized.append(word.word)
+        return realize(word, depth)
+
+    def counted_batch(words, depths):
+        rows = batch(words, depths)
+        closed.extend(row.word for row in rows if isinstance(row, orbits.RealizedOrbit))
+        handed_back.extend(row for row in rows if isinstance(row, orbits.OrbitWord))
+        return rows
+
+    wrap_everywhere(monkeypatch, realize, counted)
+    wrap_everywhere(monkeypatch, batch, counted_batch)
+    words = quadratic.sample_words(-1.0, 70, 11, 12)
+    assert len(words) == 70
+    assert len(closed) >= 50
+    assert not set(closed) & set(realized)
+    assert set(handed_back) <= set(realized)
+    assert len(realized) == len(set(realized))  # each of the others once
 
 
 def test_bound_check_takes_the_sign_law_values(monkeypatch):
@@ -100,7 +137,7 @@ def test_battery_hands_criterion_4s_result_to_criterion_6(monkeypatch):
         return criterion
 
     monkeypatch.setattr(suite, "CRITERIA", [stand_in(i) for i in range(1, 13)])
-    monkeypatch.setattr(suite, "criterion_13", lambda seed, results: stand_in(13)(seed, *results))
+    monkeypatch.setattr(suite, "criterion_13", lambda seed, results, probes: stand_in(13)(seed, *results))
     results = suite.run_battery(7)
     assert [r.index for r in results] == list(range(1, 14))
     assert [r.details["earlier"] for r in results] == [

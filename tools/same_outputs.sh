@@ -16,7 +16,9 @@
 # semigroup / limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
-# shift span, sigma-delta at a complex parameter, cocycle and field
+# shift span, heights at a complex parameter and at -3 (sampled words
+# realized in lockstep where the tails stop moving and where they stay
+# on the real axis), sigma-delta at a complex parameter, cocycle and field
 # at a complex parameter, where orbit tails stop moving within the
 # realized depth, and julia at a complex parameter (the sampler's start
 # point found from epsilon, with no containment check).  Each command's --out tree, stdout, exit status and
@@ -85,6 +87,8 @@ run_all() {  # run_all TREE OUT
         --config "$tmp/fixed-c-nested.cfg"
     run "$tree" "$out" bound-528-complex bound-528 --epsilon=-1,0.02 --seed 7 --tol 1e-9
     run "$tree" "$out" heights-wide-span heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/wide-span.cfg"
+    run "$tree" "$out" heights-complex heights --epsilon=-1,0.02 --seed 7 --tol 1e-9
+    run "$tree" "$out" heights-minus-3 heights --epsilon -3 --seed 7 --tol 1e-9
     run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
     run "$tree" "$out" cocycle-complex cocycle --epsilon=-1,0.02 --word=-+- --tol 1e-12
     run "$tree" "$out" field-complex field --epsilon=-1,0.02 --word=-
