@@ -156,7 +156,7 @@ def cx(z: complex) -> list[float]:
 
 def _payload(cfg: RunConfig, **body) -> dict:
     head: dict = {"schema": 1, "command": cfg.command}
-    if cfg.epsilon is not None:
+    if cfg.epsilon is not None and cfg.command != "suite":  # no criterion reads it
         head["epsilon"] = cx(cfg.epsilon)
     if cfg.seed is not None:
         head["seed"] = cfg.seed
@@ -590,8 +590,9 @@ COMMANDS = {
         ("epsilon", "tol"),
         {**WORD_PAIR, "junctions": (int_list, (10, 20, 30, 40)), "nested_junction": (int, None)},
     ),
-    # --epsilon is only recorded in report.json (and optional); the README,
-    # the acceptance test and the benchmark run `suite --epsilon -1 --seed 7`
+    # --epsilon is accepted (and optional) but neither used nor recorded:
+    # each criterion fixes its own parameters.  The README, the acceptance
+    # test and the benchmark run `suite --epsilon -1 --seed 7`
     "suite": Command(cmd_suite, ("epsilon", "seed")),
 }
 

@@ -4,7 +4,10 @@ The inverse-iteration sampler walks random backward paths from a
 repelling fixed point; after a burn-in the visited points distribute
 over the Julia set.  Branch randomness is seeded and consumed in a
 fixed order (main sign matrix first, then per-path resampling draws),
-so the sorted sample is reproducible bit for bit.
+so the sorted sample is reproducible bit for bit.  The sample is sorted
+by (re, im) as an array, in one stable np.lexsort, and converted to
+Python complex numbers by one .tolist(): the order and the values are
+those of sorting the list of points on the key (z.real, z.imag).
 """
 
 from __future__ import annotations
@@ -109,11 +112,9 @@ def inverse_iteration_sample(
                 break
         if not cleared:
             n_passthrough += 1
-    flat = [complex(z) for z in pts.reshape(-1)[: n_points]]
-    flat.sort(key=lambda z: (z.real, z.imag))
     return JuliaSample(
         epsilon=eps,
-        points=tuple(flat),
+        points=tuple(_sorted(pts.reshape(-1)[:n_points])),
         method="inverse-iteration",
         params={
             "n_points": n_points,
@@ -124,6 +125,16 @@ def inverse_iteration_sample(
             "passthrough_paths": n_passthrough,
         },
     )
+
+
+def _sorted(points: np.ndarray) -> list[complex]:
+    """The points as Python complex numbers, sorted by (re, im).
+
+    np.lexsort is stable and orders finite floats as Python does, -0.0
+    equal to 0.0, so this is the order that sorting the list on the key
+    (z.real, z.imag) gives, ties included; .tolist() gives each part as
+    stored."""
+    return points[np.lexsort((points.imag, points.real))].tolist()
 
 
 def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex):

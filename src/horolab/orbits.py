@@ -83,6 +83,9 @@ class OrbitWord:
     sigma: float
 
     def __post_init__(self):
+        eps = complex(self.epsilon)
+        if not (math.isfinite(eps.real) and math.isfinite(eps.imag)):  # realize's checks pass a NaN orbit
+            raise ConstructionError("epsilon must be finite")
         if self.base.period != 1:
             raise PreconditionError("orbit words are based at fixed points")
         if self.base.classification != "repelling":

@@ -7,10 +7,18 @@ iterating f p times, without expanding the degree-2**p polynomial,
 starting from the 2**p preimages under f^p of one point outside the
 filled Julia set, followed by a Newton polish.  A root that is not
 finite, or whose residual is above tolerance, is a RootFindingError.
-Preimages are +-sqrt(w - eps) in closed form.  make_periodic_point
-polishes a root by Newton on f^p(z) - z and validates it: each Newton
-step and the validation take f^p(z) and the multiplier (f^p)'(z) from
-one walk of the cycle.
+Preimages are +-sqrt(w - eps) in closed form.
+
+The roots of one period are then filtered by minimal period and
+polished by Newton on f^p(z) - z together, as the rows of float arrays
+(_polish; make_periodic_point is its one-row call): each Newton step and
+the validation take f^p(z) and the multiplier (f^p)'(z) from one walk of
+the cycle, and each row stops on its own.  The array passes are CPython's
+complex arithmetic written out on the real and imaginary parts, with
+maps' infinity tag and its signs of zero parts, so every point and
+multiplier is bit for bit what the same steps on Python complex numbers
+(maps.evaluate and maps.derivative) give; numpy's complex multiply,
+divide and abs round differently.
 
 The linearizer phi conjugates the map to w -> lambda*w near a repelling
 fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
@@ -35,7 +43,7 @@ from .errors import (
     PreconditionError,
     RootFindingError,
 )
-from .maps import derivative, evaluate
+from .maps import OVERFLOW_RADIUS, evaluate
 
 SUPERATTRACTING_TOL = 1e-9
 PARABOLIC_TOL = 1e-8
@@ -169,32 +177,13 @@ def classify(multiplier: complex) -> str:
 
 
 def make_periodic_point(eps: complex, z: complex, period: int) -> PeriodicPoint:
-    """Polish the candidate by Newton on f^period(z) - z, then validate."""
+    """Polish the candidate by Newton on f^period(z) - z, then validate:
+    the one-row call of _polish."""
     if period < 1:
         raise ConfigError("period must be >= 1")
-    w, m = _walk_cycle(eps, z, period)
-    for _ in range(5):
-        if abs(m - 1.0) < 1e-8:  # parabolic point: Newton would blow up
-            break
-        step = (w - z) / (m - 1.0)
-        z = z - step
-        w, m = _walk_cycle(eps, z, period)
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    if not abs(w - z) <= 1e-9 * (1.0 + abs(z)):  # NaN fails too
-        raise ConstructionError(
-            f"|f^{period}(z) - z| = {abs(w - z):.3e}; not a period-{period} point"
-        )
+    z, m = _polish(eps, np.array([complex(z)]), period)
+    z, m = complex(z[0]), complex(m[0])
     return PeriodicPoint(z, period, m, classify(m))
-
-
-def _walk_cycle(eps: complex, z: complex, period: int) -> tuple[complex, complex]:
-    """f^period(z) and the multiplier, the product of f'(f^j(z)) over j < period."""
-    m = 1 + 0j
-    for _ in range(period):
-        m *= derivative(z)
-        z = evaluate(eps, z)
-    return z, m
 
 
 def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
@@ -202,14 +191,114 @@ def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
 
     Roots of f^period(z) - z by iterated evaluation
     (_family_periodic_roots); points whose minimal period is a proper
-    divisor are discarded.
+    divisor are discarded, and the rest polished together (_polish).
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
-    roots = _family_periodic_roots(eps, period)
-    zs = [r.value for r in roots if _minimal_period(eps, r.value, period) == period]
-    out = [make_periodic_point(eps, z, period) for z in zs]
-    return sorted(out, key=lambda p: (p.location.real, p.location.imag))
+    z = np.array([r.value for r in _family_periodic_roots(eps, period)])
+    z, m = _polish(eps, z[_exact_period(eps, z, period)], period)
+    # a stable sort, so (re, im) ties, -0.0 against 0.0 among them, keep
+    # the root order, as sorting on the key tuple keeps it
+    order = np.lexsort((z.imag, z.real))
+    return [
+        PeriodicPoint(loc, period, mult, classify(mult))
+        for loc, mult in zip(z[order].tolist(), m[order].tolist())
+    ]
+
+
+# The row passes: one candidate per row, its parts in two float arrays,
+# each |.| np.hypot of the parts as abs(complex) is (module docstring).
+
+
+def _tag(zr: np.ndarray, zi: np.ndarray) -> None:
+    """maps' infinity tag in place: a row that is not finite, or whose
+    modulus exceeds OVERFLOW_RADIUS, becomes INF = (inf, 0).  NaN fails
+    the test hypot <= OVERFLOW_RADIUS, and so does an infinite part."""
+    bad = ~(np.hypot(zr, zi) <= OVERFLOW_RADIUS)
+    if bad.any():
+        zr[bad], zi[bad] = math.inf, 0.0
+
+
+def _evaluate_rows(eps: complex, zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """maps.evaluate on tagged rows: ((z + 0j)*z + eps)/(1 + 0j), tagged.
+    The division is CPython's with ratio 0/1 = 0.0 and denominator 1.0,
+    which keep the signs of zero parts as it sets them."""
+    ur, ui = zr + 0.0, zi + 0.0
+    pr = ur * zr - ui * zi + eps.real
+    pi = ur * zi + ui * zr + eps.imag
+    wr, wi = pr + pi * 0.0, pi - pr * 0.0
+    _tag(wr, wi)
+    return wr, wi
+
+
+def _walk_rows(eps: complex, zr: np.ndarray, zi: np.ndarray, period: int):
+    """f^period(z) and the multiplier, the product of f'(f^j(z)) over
+    j < period, per row: (wr, wi, mr, mi).
+
+    f'(z) is maps.derivative's 2*z + 0j, which is (2 + 0j)*z + 0j in
+    CPython; on a tagged row (finite, or INF, whose derivative is tagged
+    anyway) that is (2 zr + 0.0, 2 zi + 0.0), tagged."""
+    zr, zi = zr.copy(), zi.copy()
+    _tag(zr, zi)  # evaluate and derivative tag their argument first
+    mr, mi = np.ones_like(zr), np.zeros_like(zr)
+    for _ in range(period):
+        dr, di = 2.0 * zr + 0.0, 2.0 * zi + 0.0
+        _tag(dr, di)
+        mr, mi = mr * dr - mi * di, mr * di + mi * dr
+        zr, zi = _evaluate_rows(eps, zr, zi)
+    return zr, zi, mr, mi
+
+
+def _divide(ar, ai, br, bi) -> tuple[np.ndarray, np.ndarray]:
+    """(a / b) per row by CPython 3.11's complex division (Smith's
+    method).  Where b has a NaN part CPython returns NaN; the formula for
+    |b.imag| > |b.real| is taken there, and its ratio b.real / b.imag is
+    NaN, so it gives NaN too.  b = 0, where CPython raises, does not reach
+    here: the polish divides by m - 1 only when |m - 1| >= 1e-8."""
+    real_first = np.abs(br) >= np.abs(bi)
+    ratio = np.where(real_first, bi / br, br / bi)
+    denom = np.where(real_first, br + bi * ratio, br * ratio + bi)
+    qr = np.where(real_first, (ar + ai * ratio) / denom, (ar * ratio + ai) / denom)
+    qi = np.where(real_first, (ai - ar * ratio) / denom, (ai * ratio - ar) / denom)
+    return qr, qi
+
+
+def _polish(eps: complex, z: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on f^period(z) - z for every candidate in z, then the
+    residual check: the polished points and their multipliers, as complex
+    arrays.
+
+    Each row runs the scalar Newton polish on its own: before a step it
+    stops at a parabolic point (|m - 1| < 1e-8, where Newton would blow
+    up), after the walk once the step is below 1e-15 (1 + |z|), and after
+    5 steps at the latest.  The walk of the cycle gives f^period(z) and
+    the multiplier m together.  A row whose residual
+    |f^period(z) - z| exceeds 1e-9 (1 + |z|), or is NaN, raises the
+    ConstructionError of the first such row.
+    """
+    zr, zi = z.real.copy(), z.imag.copy()
+    with np.errstate(all="ignore"):  # escaping or NaN rows overflow and turn NaN
+        wr, wi, mr, mi = _walk_rows(eps, zr, zi, period)
+        live = np.arange(len(zr))
+        for _ in range(5):
+            live = live[~(np.hypot(mr[live] - 1.0, mi[live]) < 1e-8)]
+            if not len(live):
+                break
+            # (w - z) / (m - 1.0); the imaginary part of m - 1.0 is mi - 0.0, which is mi
+            sr, si = _divide(wr[live] - zr[live], wi[live] - zi[live], mr[live] - 1.0, mi[live])
+            zr[live], zi[live] = zr[live] - sr, zi[live] - si
+            wr[live], wi[live], mr[live], mi[live] = _walk_rows(eps, zr[live], zi[live], period)
+            live = live[~(np.hypot(sr, si) < 1e-15 * (1.0 + np.hypot(zr[live], zi[live])))]
+        residual = np.hypot(wr - zr, wi - zi)
+        bad = np.flatnonzero(~(residual <= 1e-9 * (1.0 + np.hypot(zr, zi))))
+    if len(bad):
+        raise ConstructionError(
+            f"|f^{period}(z) - z| = {float(residual[bad[0]]):.3e}; not a period-{period} point"
+        )
+    points, multipliers = np.empty(len(zr), complex), np.empty(len(zr), complex)
+    points.real, points.imag = zr, zi
+    multipliers.real, multipliers.imag = mr, mi
+    return points, multipliers
 
 
 def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
@@ -275,13 +364,21 @@ def _iterated_newton(eps: complex, period: int):
     return newton
 
 
-def _minimal_period(eps: complex, z: complex, period: int) -> int:
-    w = z
-    for m in range(1, period):
-        w = evaluate(eps, w)
-        if period % m == 0 and abs(w - z) < 1e-7 * (1.0 + abs(z)):
-            return m
-    return period
+def _exact_period(eps: complex, z: np.ndarray, period: int) -> np.ndarray:
+    """Per root, whether its minimal period is `period`: no proper
+    divisor m of it has |f^m(z) - z| < 1e-7 (1 + |z|).  f is
+    maps.evaluate on the rows (_evaluate_rows)."""
+    zr, zi = z.real, z.imag
+    scale = 1e-7 * (1.0 + np.hypot(zr, zi))
+    exact = np.ones(len(z), bool)
+    wr, wi = zr.copy(), zi.copy()
+    with np.errstate(all="ignore"):
+        _tag(wr, wi)  # evaluate tags its argument first
+        for m in range(1, period // 2 + 1):  # the proper divisors are at most period/2
+            wr, wi = _evaluate_rows(eps, wr, wi)
+            if period % m == 0:
+                exact &= ~(np.hypot(wr - zr, wi - zi) < scale)
+    return exact
 
 
 # ---------------------------------------------------------------------------

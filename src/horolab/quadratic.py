@@ -396,18 +396,23 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
     return lo, _sigma_certificates(eps, a, lo)
 
 
-def _in_D_prime(z: complex, eps: complex, a: complex, sigma: float) -> bool:
-    """Membership in the preimage component of D_sigma(a) around -a."""
-    return abs(z * z + eps - a) < sigma and abs(z + a) < abs(z - a)
-
-
 def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
     """The certified sigma together with the log-derivative floor delta.
 
     delta is half the smallest |ln|f'(z)| - ln|f'(a)|| over sampled
-    Julia points outside D_sigma(a) and D'; the sampled minimum sits
+    Julia points outside D_sigma(a) and D' (the preimage component of
+    D_sigma(a) around -a) and other than 0; the sampled minimum sits
     above the true infimum over J, so the recorded margins carry the
     caveat that a denser sample can only shrink delta.
+
+    The sample is taken as arrays of real and imaginary parts, and the
+    exclusions are formed as CPython forms them on complex numbers: each
+    |.| is np.hypot of the parts, as abs(complex) is, and z*z + eps - a
+    is taken from the parts.  np.log may differ from math.log in the
+    last bits (a SIMD log), so it only picks the candidates for the
+    minimum, the points whose gap is within a few ulps of the smallest;
+    delta is then 0.5 * min of the math.log gaps over those, the value a
+    loop over every point in math.log gives.  The points are finite.
     """
     eps = complex(epsilon)
     if list_1_1_member(eps):
@@ -419,20 +424,25 @@ def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
     sigma, cert = find_sigma(eps)
     a = fixed_point_a(eps)
     base = math.log(2.0 * abs(a))
-    gaps = []
-    for z in sample.points:
-        if abs(z - a) < sigma or _in_D_prime(z, eps, a, sigma):
-            continue
-        if z == 0:
-            continue
-        gaps.append(abs(math.log(2.0 * abs(z)) - base))
-    if not gaps:
+    z = np.array(sample.points, dtype=complex)
+    zr, zi = z.real, z.imag
+    dist = np.hypot(zr - a.real, zi - a.imag)
+    image = np.hypot(zr * zr - zi * zi + eps.real - a.real, zr * zi + zi * zr + eps.imag - a.imag)
+    in_d_prime = (image < sigma) & (np.hypot(zr + a.real, zi + a.imag) < dist)
+    modulus = np.hypot(zr, zi)[~((dist < sigma) | in_d_prime | ((zr == 0) & (zi == 0)))]
+    if not len(modulus):
         raise ConstructionError("no sampled Julia points outside the excluded disks")
-    delta = 0.5 * min(gaps)
+    gaps = np.abs(np.log(2.0 * modulus) - base)
+    least = gaps.min()
+    # the math.log gap and the np.log gap of a point differ by a few ulps
+    # of |log| (about |base| + gap near the minimum) at most, so the
+    # points that can hold the least math.log gap lie within twice that
+    near = modulus[gaps <= least + 16 * np.spacing(abs(base) + least)]
+    delta = 0.5 * min(abs(math.log(2.0 * r) - base) for r in near.tolist())
     if delta <= 0.0:
         raise ConstructionError("sampled log-derivative floor is not positive")
     certs = dict(cert)
-    certs["delta_sample_size"] = float(len(gaps))
+    certs["delta_sample_size"] = float(len(modulus))
     return SigmaDelta(eps, sigma, delta, certs)
 
 

@@ -449,3 +449,23 @@ def test_excursions_command_counts(tmp_path, capsys):
     assert payload["total_excursion_length"] == 5
     assert payload["leaving_indices"] == [0]
     assert payload["return_indices"] == [6]
+
+
+def test_suite_accepts_epsilon_but_records_none(tmp_path, capsys, monkeypatch):
+    """No criterion reads --epsilon (each fixes its own parameters), so
+    neither report.json nor stdout names one; the flag stays accepted."""
+    from horolab import cli
+    from horolab.suite import CriterionResult
+
+    seeds = []
+
+    def battery(seed):
+        seeds.append(seed)
+        return [CriterionResult(i, "stand-in", True, {}, 0.0, {}) for i in range(1, 14)]
+
+    monkeypatch.setattr(cli, "run_battery", battery)
+    code, payload = run(capsys, "suite", "--epsilon", "-1", "--seed", "7", "--out", str(tmp_path))
+    assert code == 0 and seeds == [7]
+    assert "epsilon" not in payload
+    assert payload == json.loads((tmp_path / "report.json").read_text())
+    assert list(payload)[:3] == ["schema", "command", "seed"]

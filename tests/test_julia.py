@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from horolab import julia
 from horolab.errors import ConfigError
 from horolab.julia import (
     escape_membership,
@@ -89,3 +91,40 @@ def test_repelling_sample_sorted_and_tagged():
     )
     phi = (1 + math.sqrt(5)) / 2
     assert any(abs(z - phi) < 1e-9 for z in sample.points)
+
+
+def reference_sorted(points):
+    """The sample's order before the array sort: each point converted to
+    a Python complex, then the list sorted on the key (re, im)."""
+    flat = [complex(z) for z in points]
+    flat.sort(key=lambda z: (z.real, z.imag))
+    return flat
+
+
+def bits(points):
+    return [(repr(z.real), repr(z.imag)) for z in points]
+
+
+def test_sorted_keeps_the_draw_order_of_signed_zero_ties():
+    parts = [(0.0, 1.0), (-0.0, 1.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (-1.5, 0.0), (-1.5, -0.0)]
+    points = np.empty(len(parts), complex)
+    points.real, points.imag = zip(*parts)
+    ordered = julia._sorted(points)
+    assert bits(ordered) == bits(reference_sorted(points))
+    assert bits(ordered)[:6] == [
+        ("-1.5", "0.0"),
+        ("-1.5", "-0.0"),
+        ("0.0", "-0.0"),
+        ("-0.0", "0.0"),
+        ("-0.0", "-0.0"),
+        ("0.0", "0.0"),
+    ]
+
+
+@pytest.mark.parametrize("eps", [-1.0, -3.0, complex(-0.525, 0.16), complex(-1.0, -0.0)])
+def test_sample_bitwise_the_key_sort(eps, monkeypatch):
+    got = inverse_iteration_sample(eps, 3000, 40, seed=7)
+    monkeypatch.setattr(julia, "_sorted", reference_sorted)
+    want = inverse_iteration_sample(eps, 3000, 40, seed=7)
+    assert bits(got.points) == bits(want.points)
+    assert got.params == want.params

@@ -330,3 +330,174 @@ def test_power_map_flagged_exceptional():
     a = make_periodic_point(f, 1.0, 1)
     rep = collinearity_in_linearizer(f, build_linearizer(f, a), depth=5)
     assert rep.exceptional_family_flag
+
+
+# ---------------------------------------------------------------------------
+# the array polish against the scalar one it replaced
+
+
+def reference_walk_cycle(eps, z, period):
+    """f^period(z) and the multiplier, one Python complex step at a time."""
+    m = 1 + 0j
+    for _ in range(period):
+        m *= derivative(z)
+        z = evaluate(eps, z)
+    return z, m
+
+
+def reference_make_periodic_point(eps, z, period, stops=None):
+    """Newton on f^period(z) - z and the residual check, one candidate;
+    how the polish stopped is appended to stops."""
+    w, m = reference_walk_cycle(eps, z, period)
+    stop = "limit"
+    for _ in range(5):
+        if abs(m - 1.0) < 1e-8:
+            stop = "guard"
+            break
+        step = (w - z) / (m - 1.0)
+        z = z - step
+        w, m = reference_walk_cycle(eps, z, period)
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            stop = "step"
+            break
+    if stops is not None:
+        stops.append(stop)
+    if not abs(w - z) <= 1e-9 * (1.0 + abs(z)):
+        raise ConstructionError(f"|f^{period}(z) - z| = {abs(w - z):.3e}; not a period-{period} point")
+    return periodic.PeriodicPoint(complex(z), period, m, classify(m))
+
+
+def reference_minimal_period(eps, z, period):
+    w = z
+    for m in range(1, period):
+        w = evaluate(eps, w)
+        if period % m == 0 and abs(w - z) < 1e-7 * (1.0 + abs(z)):
+            return m
+    return period
+
+
+def reference_periodic_points(eps, period, stops=None):
+    roots = periodic._family_periodic_roots(eps, period)
+    zs = [r.value for r in roots if reference_minimal_period(eps, r.value, period) == period]
+    out = [reference_make_periodic_point(eps, z, period, stops) for z in zs]
+    return sorted(out, key=lambda p: (p.location.real, p.location.imag))
+
+
+def point_bits(p):
+    """A periodic point as the reprs of its parts: -0.0 and NaN distinct."""
+    parts = (p.location.real, p.location.imag, p.multiplier.real, p.multiplier.imag)
+    return tuple(repr(x) for x in parts) + (p.period, p.classification)
+
+
+def outcome(fn, *args):
+    """The points fn returns, as bits, or the type and text of its error."""
+    try:
+        out = fn(*args)
+    except ConstructionError as exc:
+        return ("ConstructionError", str(exc))
+    return [point_bits(p) for p in (out if isinstance(out, list) else [out])]
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [quad(-3.0), quad(-1.1), quad(complex(-0.525, 0.16)), quad(0.1), quad(complex(-1.0, 0.02)), complex(-1.0, -0.0)],
+)
+def test_periodic_points_bitwise_the_scalar_polish(eps):
+    for p in range(1, 9):
+        assert outcome(periodic_points, eps, p) == outcome(reference_periodic_points, eps, p), p
+
+
+@pytest.mark.parametrize("eps, period, stops", [(-0.75, 2, ["guard", "guard"]), (-1.75, 3, ["step", "limit", "limit"])])
+def test_near_parabolic_rows_stop_on_their_own(eps, period, stops):
+    """At -0.75 both rows stop at the parabolic guard before a step; at
+    -1.75 two rows (|m - 1| about 1e-7) take all 5 steps while the third
+    stops once its step is small."""
+    f = quad(eps)
+    seen = []
+    reference = reference_periodic_points(f, period, seen)
+    assert seen == stops
+    assert [point_bits(p) for p in periodic_points(f, period)] == [point_bits(p) for p in reference]
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        1e200,
+        7e149,  # |z| at most OVERFLOW_RADIUS, |2z| beyond it: the derivative alone is tagged
+        1e151,  # tagged before it is squared: at eps -1e302 its square would cancel
+        complex(math.nan, 0.0),
+        complex(0.0, math.nan),
+        0.3 + 0.4j,
+        (1 + math.sqrt(5)) / 2 + 1e-7,
+        complex((1 + math.sqrt(5)) / 2, -0.0),
+        1.0,
+        -0.0,
+        complex(-0.0, 0.0),
+        complex(0.0, -0.0),
+        complex(-0.0, -0.0),
+    ],
+)
+def test_make_periodic_point_bitwise_the_scalar_polish(start):
+    for eps in (quad(-1.0), quad(0.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), -1e302 + 0j):
+        for period in (1, 2):
+            got = outcome(make_periodic_point, eps, start, period)
+            assert got == outcome(reference_make_periodic_point, eps, start, period), (eps, period)
+
+
+SPECIAL_STARTS = [
+    1e200,
+    7e149,
+    1e151,
+    complex(math.nan, 0.0),
+    complex(0.0, math.inf),
+    complex(-0.0, 0.0),
+    complex(0.0, -0.0),
+    complex(-0.0, -0.0),
+    complex(1.5, -0.0),
+    complex(-0.0, 2.0),
+    0.3 + 0.4j,
+]
+
+
+def complex_bits(z):
+    z = complex(z)
+    return repr(z.real), repr(z.imag)
+
+
+@pytest.mark.parametrize("eps", [quad(-1.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.5), -1e302 + 0j])
+def test_walk_rows_bitwise_the_scalar_walk(eps):
+    """f^p(z) and the multiplier per row, tags and signs of zero parts
+    included, against maps.evaluate and maps.derivative."""
+    rng = random.Random(3)
+    starts = SPECIAL_STARTS + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
+    z = np.array(starts, complex)
+    for period in (1, 2, 3):
+        with np.errstate(all="ignore"):
+            wr, wi, mr, mi = periodic._walk_rows(eps, z.real.copy(), z.imag.copy(), period)
+        for k, start in enumerate(starts):
+            w, m = reference_walk_cycle(eps, start, period)
+            got = (complex_bits(complex(wr[k], wi[k])), complex_bits(complex(mr[k], mi[k])))
+            assert got == (complex_bits(w), complex_bits(m)), (start, period)
+
+
+def test_divide_bitwise_python_division():
+    rng = random.Random(5)
+    values = [0.0, -0.0, 1.0, -1.0, 1e-300, 3e200, math.inf, -math.inf, math.nan]
+    values += [rng.uniform(-5, 5) for _ in range(6)]
+    pairs = [(complex(a, b), complex(c, d)) for a in values[::3] for b in values[1::3] for c in values for d in values]
+    pairs = [(x, y) for x, y in pairs if y != 0]  # CPython raises on a zero divisor
+    a = np.array([x for x, _ in pairs])
+    b = np.array([y for _, y in pairs])
+    with np.errstate(all="ignore"):
+        qr, qi = periodic._divide(a.real, a.imag, b.real, b.imag)
+    for k, (x, y) in enumerate(pairs):
+        assert complex_bits(complex(qr[k], qi[k])) == complex_bits(x / y), (x, y)
+
+
+def test_merged_roots_fail_with_the_scalar_text():
+    """At eps -2, p = 8, _cluster merges two distinct roots, and the first
+    failing point's error is the one raised."""
+    f = quad(-2.0)
+    got = outcome(periodic_points, f, 8)
+    assert got[0] == "ConstructionError"
+    assert got == outcome(reference_periodic_points, f, 8)

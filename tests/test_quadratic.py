@@ -138,6 +138,49 @@ def test_sigma_delta_preconditions():
         find_sigma_delta(-1.0, empty)
 
 
+def reference_delta(eps, sample):
+    """delta and delta_sample_size by the loop over the points that the
+    array pass replaced."""
+    sigma, _ = find_sigma(eps)
+    a = fixed_point_a(eps)
+    base = math.log(2.0 * abs(a))
+    gaps = []
+    for z in sample.points:
+        if abs(z - a) < sigma or (abs(z * z + eps - a) < sigma and abs(z + a) < abs(z - a)):
+            continue
+        if z == 0:
+            continue
+        gaps.append(abs(math.log(2.0 * abs(z)) - base))
+    return repr(0.5 * min(gaps)), float(len(gaps))
+
+
+def delta_bits(sd):
+    return repr(sd.delta), sd.certificates["delta_sample_size"]
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16), 0.1, complex(-1.0, 0.02)])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_delta_bitwise_the_loop_over_points(eps, seed):
+    eps = complex(eps)
+    sample = inverse_iteration_sample(eps, 10000, 40, seed)
+    assert delta_bits(find_sigma_delta(eps, sample)) == reference_delta(eps, sample)
+
+
+def test_delta_on_a_constructed_sample_with_signed_zeros():
+    """Zeros of either sign are dropped, points in D_sigma(a) and D' are
+    excluded, and conjugate points tie for the smallest gap."""
+    eps = complex(-1.0)
+    a = fixed_point_a(eps)
+    sigma, _ = find_sigma(eps)
+    zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+    excluded = [a, a + 0.5 * sigma, -a, -a + 0.1 * sigma * 1j]
+    kept = [complex(0.7, 0.3), complex(0.7, -0.3), complex(-0.0, 1.2), complex(-1.1, -0.0), complex(0.31, 0.0)]
+    sample = JuliaSample(eps, tuple(zeros + excluded + kept), "inverse-iteration", {})
+    sd = find_sigma_delta(eps, sample)
+    assert delta_bits(sd) == reference_delta(eps, sample)
+    assert sd.certificates["delta_sample_size"] == len(kept)
+
+
 def brute_excursion_counts(eps, prefix, sigma, depth):
     """Independent excursion recount via the closed-form recursion."""
     a = (1 + cmath.sqrt(1 - 4 * eps)) / 2

@@ -360,25 +360,31 @@ def test_batch_row_through_subnormal_imaginary_parts():
     assert any(bits([complex(np.sqrt(x))]) != bits([cmath.sqrt(x)]) for x in xs)
 
 
-def test_batch_hands_back_collisions_critical_hits_and_nan():
+def test_batch_hands_back_collisions_and_critical_hits():
     # eps = 0 orbits stay on the unit circle, so the collision (eps = -2,
     # "-" lands on 0) and the critical hit (eps = -2 + 1e-18i, "-" passes
-    # 8.2e-10 from 0) are rows of other parameters in the same batch, and
-    # so is a word whose parameter is NaN
+    # 8.2e-10 from 0) are rows of other parameters in the same batch
     words = seeded_words(0.0, 20, 3, 6)
     collision = family_word(-2.0, "-", sigma=0.5)
     critical = family_word(complex(-2.0, 1e-18), "-", sigma=0.5)
-    nan = dataclasses.replace(family_word(0.1, "-+"), epsilon=complex(math.nan, 0.0))
-    batch = words + [collision, critical, nan]
+    batch = words + [collision, critical]
     depths = [len(w.prefix) + 60 for w in batch]
     back = batch_rows(batch, depths)
-    assert back == [w.prefix for w in words if at_minus_a(w.prefix)] + ["-", "-", "-+"]
+    assert back == [w.prefix for w in words if at_minus_a(w.prefix)] + ["-", "-"]
     rows = realize_batch(batch, depths)
-    assert rows[-3:] == [collision, critical, nan]
+    assert rows[-2:] == [collision, critical]
     with pytest.raises(DegenerateBranchError, match="inverse branches collide at depth 2"):
-        realize(collision, depths[-3])
-    assert realize(critical, depths[-2]).near_critical == (2,)
-    assert all(math.isnan(p.real) for p in realize(nan, depths[-1]).points[1:])
+        realize(collision, depths[-2])
+    assert realize(critical, depths[-1]).near_critical == (2,)
+
+
+@pytest.mark.parametrize("epsilon", [complex(math.nan, 0.0), complex(0.1, math.inf), complex(-math.inf, 0.0)])
+def test_word_with_non_finite_epsilon_is_refused(epsilon):
+    """Such a word would realize to NaN points that pass realize's
+    residual and collision checks (NaN compares false), so neither realize
+    nor realize_batch is handed one: the word is not built."""
+    with pytest.raises(ConstructionError, match="^epsilon must be finite$"):
+        dataclasses.replace(family_word(0.1, "-+"), epsilon=epsilon)
 
 
 def test_batch_hands_back_the_rows_realize_rejects_for_their_residual(monkeypatch):

@@ -1,12 +1,13 @@
 """Work counts of the battery: a sampled word's step loop runs once, the
 fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
-depth; and of the family's periodic-point solve: Aberth iterations.
+depth; and of the family's periodic-point solve: Aberth iterations and
+scalar map evaluations.
 
-The counts come from wrapping orbits.realize, orbits.realize_batch and
-cocycle.basic_cocycle in every horolab module that binds them, as the
-benchmark's tracer does, and from wrapping the Newton ratio that
-periodic._aberth evaluates once per iteration.
+The counts come from wrapping orbits.realize, orbits.realize_batch,
+cocycle.basic_cocycle and maps.evaluate in every horolab module that
+binds them, as the benchmark's tracer does, and from wrapping the Newton
+ratio that periodic._aberth evaluates once per iteration.
 """
 
 import collections
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from horolab import cocycle, orbits, periodic, quadratic, suite
+from horolab import cocycle, maps, orbits, periodic, quadratic, suite
 from horolab.maps import quadratic_map
 from horolab.quadratic import family_word
 
@@ -226,3 +227,19 @@ def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
     assert len(periodic.periodic_points(quadratic_map(eps), 8)) == 240
     assert set(calls) == {2**8}
     assert len(calls) - 4 <= 20  # 4 of the calls are the Newton polish
+
+
+def test_periodic_points_walk_no_cycle_point_by_point(monkeypatch):
+    """The minimal-period filter and the Newton polish run on arrays: a
+    period-8 solve calls maps.evaluate not once (the scalar walks made
+    thousands of calls)."""
+    calls = []
+    evaluate = maps.evaluate
+
+    def counted(eps, z):
+        calls.append(z)
+        return evaluate(eps, z)
+
+    wrap_everywhere(monkeypatch, evaluate, counted)
+    assert len(periodic.periodic_points(quadratic_map(-1.1), 8)) == 240
+    assert calls == []

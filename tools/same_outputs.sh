@@ -18,12 +18,17 @@
 # at a complex parameter (the half-delta floor), heights over a wide
 # shift span, heights at a complex parameter and at -3 (sampled words
 # realized in lockstep where the tails stop moving and where they stay
-# on the real axis), sigma-delta at a complex parameter, cocycle and field
-# at a complex parameter, where orbit tails stop moving within the
-# realized depth, and julia at a complex parameter (the sampler's start
-# point found from epsilon, with no containment check).  Each command's --out tree, stdout, exit status and
-# (for the suite, with its timings removed) stderr are collected per
-# tree and compared with `diff -r`.
+# on the real axis), sigma-delta at a complex parameter and at -3 and
+# -1.1, the real parameters of the benchmark's scan (the delta floor's
+# array pass), cocycle and field at a complex parameter, where orbit
+# tails stop moving within the realized depth, julia at a complex
+# parameter (the sampler's start point found from epsilon, with no
+# containment check), classify at -3 period 3 (points with zero
+# imaginary parts), and classify at the parabolic parameters -0.75
+# period 2 and -1.75 period 3 (rows of the Newton polish that stop at
+# the parabolic guard, or after 5 steps).  Each command's --out tree,
+# stdout, exit status and (for the suite, with its timings removed)
+# stderr are collected per tree and compared with `diff -r`.
 # Exit status 0 means no difference.
 set -euo pipefail
 
@@ -41,7 +46,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
-for p in 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
+for p in 2 3 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
     local tree=$1 out=$2 name=$3
@@ -95,6 +100,11 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" fixed-points-negative-zero fixed-points --epsilon=-1,-0
     run "$tree" "$out" linearize-negative-zero linearize --epsilon=-1,-0
     run "$tree" "$out" julia-negative-zero julia --epsilon=-1,-0 --seed 7
+    run "$tree" "$out" sigma-delta-minus-3 sigma-delta --epsilon -3 --seed 7
+    run "$tree" "$out" sigma-delta-minus-1.1 sigma-delta --epsilon -1.1 --seed 7
+    run "$tree" "$out" classify-period-3 classify --epsilon -3 --config "$tmp/period-3.cfg"
+    run "$tree" "$out" classify-parabolic-period-2 classify --epsilon -0.75 --config "$tmp/period-2.cfg"
+    run "$tree" "$out" classify-parabolic-period-3 classify --epsilon -1.75 --config "$tmp/period-3.cfg"
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
