@@ -51,9 +51,9 @@ PARABOLIC_ORDER_BOUND = 64
 ROOT_RESIDUAL_TOL = 1e-9
 ABERTH_MAX_ITER = 300
 CLUSTER_REL_TOL = 1e-6  # roots this close (relative) merge into one of higher multiplicity
-# Largest period solved for z**2 + eps.  Aberth holds n x n complex
-# matrices of pairwise differences for the n = 2**p roots: 4**p entries,
-# 16 MiB each at p = 10 but 256 MiB at p = 12.
+# Largest period solved for z**2 + eps.  Aberth holds one n x n complex
+# buffer of pairwise differences for the n = 2**p roots: 4**p entries,
+# 16 MiB at p = 10 but 256 MiB at p = 12.
 MAX_FAMILY_PERIOD = 10
 # Orbit points beyond this modulus are not iterated further: there the
 # Newton ratio of f^p(z) - z is finished in closed form, so nothing
@@ -77,15 +77,22 @@ class Root:
 def _aberth(z: np.ndarray, newton) -> np.ndarray:
     """Aberth-Ehrlich iteration from the start points z, then a Newton
     polish.  newton(z) gives the numerator and the denominator of the
-    Newton ratio at every point (the function and its derivative)."""
+    Newton ratio at every point (the function and its derivative).
+
+    The Aberth sums, over j != i of 1/(z_i - z_j), are made in one n x n
+    buffer per call: each iteration writes the differences into it, sets
+    its diagonal to inf (whose reciprocal is 0), takes the reciprocals in
+    place and sums each row."""
     tiny = 1e-300
+    buf = np.empty((len(z), len(z)), complex)
     for _ in range(ABERTH_MAX_ITER):
         p, dp = newton(z)
         dp = np.where(dp == 0, tiny, dp)
         w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = (1.0 / diff).sum(axis=1)
+        np.subtract(z[:, None], z[None, :], out=buf)
+        np.fill_diagonal(buf, np.inf)
+        np.divide(1.0, buf, out=buf)
+        s = buf.sum(axis=1)
         denom = 1.0 - w * s
         denom = np.where(denom == 0, tiny, denom)
         step = w / denom
@@ -324,13 +331,16 @@ def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
         raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
     newton = _iterated_newton(eps, period)
     radius = 1.05 * (1.0 + math.sqrt(1.0 + 4.0 * abs(eps))) / 2.0
-    z = np.array([radius * cmath.exp(0.4j)])
-    for _ in range(period):
-        s = np.sqrt(z - eps)
-        z = np.concatenate([s, -s])
-    z = _aberth(z, newton)
-    residual, _ = newton(z)
-    worst = float(np.max(np.abs(residual) / (1.0 + np.abs(z))))  # NaN fails below
+    # from |eps| about 4.5e307 up the radius overflows and the points turn
+    # NaN, which fails the residual check below
+    with np.errstate(all="ignore"):
+        z = np.array([radius * cmath.exp(0.4j)])
+        for _ in range(period):
+            s = np.sqrt(z - eps)
+            z = np.concatenate([s, -s])
+        z = _aberth(z, newton)
+        residual, _ = newton(z)
+        worst = float(np.max(np.abs(residual) / (1.0 + np.abs(z))))  # NaN fails below
     if not worst <= ROOT_RESIDUAL_TOL:
         raise RootFindingError(
             f"periodic-point residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_TOL:.1e}"

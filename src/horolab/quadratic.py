@@ -299,6 +299,16 @@ class SigmaDelta:
     certificates: dict
 
 
+@functools.cache
+def _unit_circle() -> np.ndarray:
+    """BOUNDARY_SAMPLES equally spaced points of the unit circle, made on
+    first use and shared (read-only) by every certificate."""
+    theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
+    circle = np.exp(1j * theta)
+    circle.flags.writeable = False
+    return circle
+
+
 def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
     """Margins for the disk certificates at this sigma.
 
@@ -313,14 +323,18 @@ def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
     chain D_sigma(a), D', f^{-1}(D'), f^{-2}(D') must be pairwise
     separated, tested via bounding circles of the sampled boundary
     clouds around their known centers.
+
+    Each sampled point of a level belongs to its nearest center, a tie
+    going to the first center in the list; each center's bounding radius
+    is the largest of those same distances over the points it owns.  A
+    center that owns no point rejects the sigma.
     """
     univalence = abs(a) - sigma
     univalence -= 4.0 * math.ulp(univalence)
     covering = sigma * (2.0 * abs(a) - sigma) - sigma
     covering -= 4.0 * math.ulp(covering)
     winding = float(1 + (2.0 * abs(a) < sigma))  # once per preimage (a, -a) of a in the disk
-    theta = 2.0 * np.pi * np.arange(BOUNDARY_SAMPLES) / BOUNDARY_SAMPLES
-    circle0 = a + sigma * np.exp(1j * theta)
+    circle0 = a + sigma * _unit_circle()
     # boundary of D' (the preimage component of D_sigma(a) at -a)
     s1 = np.sqrt(circle0 - eps)
     cloud1 = np.where(np.abs(s1 + a) <= np.abs(-s1 + a), s1, -s1)
@@ -344,12 +358,18 @@ def _sigma_certificates(eps: complex, a: complex, sigma: float) -> dict:
     }
     regions = [(a, sigma), (-a, float(np.max(np.abs(cloud1 + a))))]
     for pts, centers in ((pts2, centers2), (pts3, centers3)):
-        owner = np.argmin(np.abs(pts[:, None] - np.array(centers)[None, :]), axis=1)
-        for i, c in enumerate(centers):
-            cloud = pts[owner == i]
-            if len(cloud) == 0:
+        dists = [np.abs(pts - c) for c in centers]
+        owner = np.zeros(len(pts), np.intp)
+        best = dists[0]
+        for i, d in enumerate(dists[1:], 1):
+            nearer = d < best  # strict, so a tie stays with the earlier center
+            owner[nearer] = i
+            best = np.where(nearer, d, best)
+        for i, (c, d) in enumerate(zip(centers, dists)):
+            mine = d[owner == i]
+            if len(mine) == 0:
                 return reject
-            regions.append((c, float(np.max(np.abs(cloud - c)))))
+            regions.append((c, float(np.max(mine))))
     disjoint = math.inf
     for (ci, ri), (cj, rj) in itertools.combinations(regions, 2):
         disjoint = min(disjoint, abs(ci - cj) - ri - rj)
@@ -374,7 +394,14 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
     """Largest certified sigma <= |a(eps)|/4, by bisection on the
     boundary-sampled certificates.  Fails when nothing above the floor
     1e-4*|a| is admissible (as at the branch-exceptional parameter,
-    where the backward disks necessarily merge at the critical point)."""
+    where the backward disks necessarily merge at the critical point).
+
+    The bisection takes at most 60 steps and stops early once the
+    midpoint rounds to lo or hi: the certificate is deterministic, lo is
+    always admissible and hi never is, so from there every step would
+    leave lo and hi as they are.  The certificate returned is the one
+    made when lo was last set.
+    """
     eps = complex(epsilon)
     a = fixed_point_a(eps)
     hi = abs(a) / 4.0
@@ -389,11 +416,14 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
         )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _admissible(_sigma_certificates(eps, a, mid)):
-            lo = mid
+        if mid == lo or mid == hi:
+            break
+        cert = _sigma_certificates(eps, a, mid)
+        if _admissible(cert):
+            lo, cert_lo = mid, cert
         else:
             hi = mid
-    return lo, _sigma_certificates(eps, a, lo)
+    return lo, cert_lo
 
 
 def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:

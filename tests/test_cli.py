@@ -341,6 +341,19 @@ def test_non_finite_periodic_points_exit_1(tmp_path, capsys, monkeypatch):
     assert payload["error"] == "root-finding-error"
 
 
+@pytest.mark.parametrize("epsilon", ["1e308", "0,1e308"])
+def test_overflowing_root_solve_exits_1_without_warnings(tmp_path, epsilon):
+    proc = subprocess.run(
+        [sys.executable, "-m", "horolab.cli", "fixed-points", f"--epsilon={epsilon}", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"] == "root-finding-error"
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def test_classify_family_at_period_6(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("period = 6\n")

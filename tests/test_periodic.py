@@ -210,6 +210,61 @@ def test_non_finite_roots_raise(monkeypatch):
         periodic_points(quad(-1.1), 4)
 
 
+def reference_aberth(z, newton):
+    """_aberth as it was, with two fresh n x n arrays per iteration: the
+    reference the one reused buffer must match bit for bit."""
+    tiny = 1e-300
+    for _ in range(periodic.ABERTH_MAX_ITER):
+        p, dp = newton(z)
+        dp = np.where(dp == 0, tiny, dp)
+        w = p / dp
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = (1.0 / diff).sum(axis=1)
+        denom = 1.0 - w * s
+        denom = np.where(denom == 0, tiny, denom)
+        step = w / denom
+        z = z - step
+        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
+            break
+    for _ in range(4):
+        p, dp = newton(z)
+        mask = np.abs(dp) > tiny
+        z = np.where(mask, z - p / np.where(mask, dp, 1.0), z)
+    return z
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [-3.0, -1.1, complex(-0.525, 0.16), complex(-1, 0.02), complex(-1, -0.0), -0.75, -1.75],
+    ids=repr,
+)
+def test_aberth_buffer_matches_fresh_arrays(eps, monkeypatch):
+    """Roots and multiplicities at periods 1 to 9, repr for repr, as the
+    Aberth iteration with fresh arrays gives them."""
+    solved = [periodic._family_periodic_roots(eps, p) for p in range(1, 10)]
+    monkeypatch.setattr(periodic, "_aberth", reference_aberth)
+    for p, roots in enumerate(solved, 1):
+        assert repr(roots) == repr(periodic._family_periodic_roots(eps, p)), p
+
+
+def test_aberth_buffer_fails_as_fresh_arrays_do(monkeypatch):
+    with pytest.raises(ConstructionError) as changed:
+        periodic_points(-2.0, 8)
+    monkeypatch.setattr(periodic, "_aberth", reference_aberth)
+    with pytest.raises(ConstructionError) as reference:
+        periodic_points(-2.0, 8)
+    assert str(changed.value) == str(reference.value)
+
+
+def test_root_solve_at_an_overflowing_start_radius_warns_nothing():
+    """At |eps| = 1e308 the start radius overflows: the points turn NaN,
+    which the residual check turns into RootFindingError, and no numpy
+    RuntimeWarning escapes (the test suite makes one an error)."""
+    with pytest.raises(RootFindingError):
+        periodic_points(1e308, 1)
+
+
 def mobius_count(p):
     """Points of exact period p of a quadratic polynomial: sum over d | p of mu(p/d) 2**d."""
 

@@ -8,10 +8,13 @@ inline realization that shares nothing with the package engine.
 """
 
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+from horolab import quadratic
 from horolab.cocycle import cocycle_vs_fixed
 from horolab.errors import (
     ConfigError,
@@ -116,6 +119,114 @@ def test_sigma_delta_reuses_the_family_words_disk():
 def test_sigma_fails_where_disks_must_merge():
     with pytest.raises(ConstructionError):
         find_sigma(-2.0)
+
+
+def reference_sigma_certificates(eps, a, sigma):
+    """_sigma_certificates as it was with an argmin owner rule and a
+    second distance pass per component: the reference the one-pass
+    owner rule must match bit for bit."""
+    univalence = abs(a) - sigma
+    univalence -= 4.0 * math.ulp(univalence)
+    covering = sigma * (2.0 * abs(a) - sigma) - sigma
+    covering -= 4.0 * math.ulp(covering)
+    winding = float(1 + (2.0 * abs(a) < sigma))
+    theta = 2.0 * np.pi * np.arange(quadratic.BOUNDARY_SAMPLES) / quadratic.BOUNDARY_SAMPLES
+    circle0 = a + sigma * np.exp(1j * theta)
+    s1 = np.sqrt(circle0 - eps)
+    cloud1 = np.where(np.abs(s1 + a) <= np.abs(-s1 + a), s1, -s1)
+    c2 = cmath.sqrt(-a - eps)
+    centers2 = [c2, -c2]
+    s2 = np.sqrt(cloud1 - eps)
+    pts2 = np.concatenate([s2, -s2])
+    centers3 = []
+    for c in centers2:
+        r = cmath.sqrt(c - eps)
+        centers3.extend([r, -r])
+    s3 = np.sqrt(pts2 - eps)
+    pts3 = np.concatenate([s3, -s3])
+    reject = {
+        "univalence_margin": -1.0,
+        "covering_margin": covering,
+        "winding": winding,
+        "disjointness_margin": -1.0,
+    }
+    regions = [(a, sigma), (-a, float(np.max(np.abs(cloud1 + a))))]
+    for pts, centers in ((pts2, centers2), (pts3, centers3)):
+        owner = np.argmin(np.abs(pts[:, None] - np.array(centers)[None, :]), axis=1)
+        for i, c in enumerate(centers):
+            cloud = pts[owner == i]
+            if len(cloud) == 0:
+                return reject
+            regions.append((c, float(np.max(np.abs(cloud - c)))))
+    disjoint = math.inf
+    for (ci, ri), (cj, rj) in itertools.combinations(regions, 2):
+        disjoint = min(disjoint, abs(ci - cj) - ri - rj)
+    return {
+        "univalence_margin": univalence,
+        "covering_margin": covering,
+        "winding": winding,
+        "disjointness_margin": float(disjoint),
+    }
+
+
+def reference_find_sigma(epsilon):
+    """find_sigma as it was: all 60 bisection steps on the reference
+    certificates, then the certificate at lo made again."""
+    eps = complex(epsilon)
+    a = fixed_point_a(eps)
+    hi = abs(a) / 4.0
+    cert = reference_sigma_certificates(eps, a, hi)
+    if quadratic._admissible(cert):
+        return hi, cert
+    lo = quadratic.SIGMA_FLOOR_FACTOR * abs(a)
+    if not quadratic._admissible(reference_sigma_certificates(eps, a, lo)):
+        raise ConstructionError(f"no certified sigma above the floor {lo:.3e} at epsilon {eps}")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if quadratic._admissible(reference_sigma_certificates(eps, a, mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo, reference_sigma_certificates(eps, a, lo)
+
+
+@pytest.mark.parametrize("im", [0.0, 0.1, 0.3, 0.5])
+def test_sigma_certificates_match_the_argmin_owner_rule(im):
+    """Every margin, repr for repr, on Re eps = -3, -2.95, ..., 0.25
+    (the cut skipped) and sigma = |a| times six factors; at eps = -2 a
+    component owns no point and the certificate rejects."""
+    rejected = []
+    for k in range(66):
+        eps = complex(round(-3.0 + 0.05 * k, 2), im)
+        if eps.imag == 0.0 and eps.real >= 0.25:
+            continue
+        a = fixed_point_a(eps)
+        for factor in (1e-4, 0.25, 0.3, 0.5, 0.99, 1.5):
+            sigma = abs(a) * factor
+            cert = quadratic._sigma_certificates(eps, a, sigma)
+            assert repr(cert) == repr(reference_sigma_certificates(eps, a, sigma)), (eps, factor)
+            if cert["univalence_margin"] == -1.0:
+                rejected.append(eps)
+    assert (-2.0 in rejected) == (im == 0.0)
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [-3.0, -2.5, -1.9, -1.8, complex(-3, 0.3), complex(-1.9, 0.2), complex(-2.5, 0.3), complex(-1.55, 0.5)],
+)
+def test_find_sigma_stops_where_the_bisection_stops_moving(eps):
+    """Leaving the bisection once the midpoint rounds to an end, and
+    keeping the certificate made at lo, give sigma and every margin bit
+    for bit as all 60 steps and a last certificate did."""
+    assert repr(find_sigma.__wrapped__(eps)) == repr(reference_find_sigma(eps))
+
+
+def test_find_sigma_fails_as_the_reference_does():
+    with pytest.raises(ConstructionError) as reference:
+        reference_find_sigma(-2.0)
+    with pytest.raises(ConstructionError) as changed:
+        find_sigma.__wrapped__(-2.0)
+    assert str(changed.value) == str(reference.value)
 
 
 def test_delta_frozen_values():

@@ -1,13 +1,14 @@
 """Work counts of the battery: a sampled word's step loop runs once, the
 fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
-depth; and of the family's periodic-point solve: Aberth iterations and
-scalar map evaluations.
+depth; of the family's periodic-point solve: Aberth iterations and
+scalar map evaluations; and of the sigma bisection: certificates made.
 
 The counts come from wrapping orbits.realize, orbits.realize_batch,
 cocycle.basic_cocycle and maps.evaluate in every horolab module that
-binds them, as the benchmark's tracer does, and from wrapping the Newton
-ratio that periodic._aberth evaluates once per iteration.
+binds them, as the benchmark's tracer does, from wrapping the Newton
+ratio that periodic._aberth evaluates once per iteration, and from
+wrapping quadratic._sigma_certificates.
 """
 
 import collections
@@ -243,3 +244,20 @@ def test_periodic_points_walk_no_cycle_point_by_point(monkeypatch):
     wrap_everywhere(monkeypatch, evaluate, counted)
     assert len(periodic.periodic_points(quadratic_map(-1.1), 8)) == 240
     assert calls == []
+
+
+def test_find_sigma_stops_bisecting_when_the_midpoint_stops_moving(monkeypatch):
+    """At -3 the bisection's midpoint rounds to an end after 54 steps, and
+    the certificate made at lo is kept: 56 certificates in all, where the
+    full 60 steps and a last certificate at lo made 63."""
+    calls = []
+    certificates = quadratic._sigma_certificates
+
+    def counted(eps, a, sigma):
+        calls.append(sigma)
+        return certificates(eps, a, sigma)
+
+    quadratic.find_sigma.cache_clear()
+    monkeypatch.setattr(quadratic, "_sigma_certificates", counted)
+    quadratic.find_sigma(-3.0)
+    assert len(calls) <= 56

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Benchmark git revision REF against the working tree, in alternating pairs.
 #
-#   tools/bench_pair.sh REF OUT     (e.g. tools/bench_pair.sh HEAD~ BENCH.json)
+#   tools/bench_pair.sh REF OUT [WORKLOAD [SEED]]
+#       (e.g. tools/bench_pair.sh HEAD~ BENCH.json,
+#        tools/bench_pair.sh HEAD~ BENCH-scan.json param-scan 12)
 #
 # Extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs
-# `python3 perfbench/run.py --workload all --seed 11` 10 times in each
-# tree, each tree with its own perfbench/ and src/.  The tree
-# that goes first alternates from pair to pair, so a drift in host speed
+# `python3 perfbench/run.py --workload WORKLOAD --seed SEED` (default:
+# all workloads at seed 11) 10 times in each tree, each tree with its own
+# perfbench/ and src/.  The tree that goes first alternates from pair to pair, so a drift in host speed
 # falls on both sides.  OUT gets one JSON object: every run's metric
 # lines, record lines and result line, and per workload and end-to-end
 # metric the values of both trees and the number of pairs in which the
@@ -15,9 +17,11 @@
 # tests/*.py in both trees.
 set -euo pipefail
 
-usage="usage: tools/bench_pair.sh REF OUT"
+usage="usage: tools/bench_pair.sh REF OUT [WORKLOAD [SEED]]"
 ref=${1:?$usage}
 out=${2:?$usage}
+workload=${3:-all}
+seed=${4:-11}
 pairs=10
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse "$ref")
@@ -28,7 +32,7 @@ mkdir -p "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 bench() {  # bench TREE LOG: one benchmark run from the root of TREE
-    (cd "$1" && python3 perfbench/run.py --workload all --seed 11) > "$2"
+    (cd "$1" && python3 perfbench/run.py --workload "$workload" --seed "$seed") > "$2"
 }
 
 for ((i = 0; i < pairs; i++)); do
@@ -41,13 +45,14 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
-python3 - "$tmp" "$pairs" "$ref" "$sha" "$root" > "$out" <<'EOF'
+python3 - "$tmp" "$pairs" "$ref" "$sha" "$root" "$workload" "$seed" > "$out" <<'EOF'
 import json
 import pathlib
 import statistics
 import sys
 
-tmp, pairs, ref, sha, root = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
+tmp, pairs, ref, sha, root, workload, seed = sys.argv[1:8]
+pairs = int(pairs)
 spec = f"{root}/BENCHMARK.json"
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 runs = []
@@ -64,11 +69,12 @@ for i in range(pairs):
         })
 summary = {}
 for key in runs[0]["result"]["metrics"]:
-    workload, metric = key.split(".", 1)
+    # one workload's result names its metrics without the workload
+    name, metric = key.split(".", 1) if workload == "all" else (workload, key)
     side = {t: [r["result"]["metrics"][key]["value"] for r in runs if r["tree"] == t] for t in ("ref", "work")}
     sign = 1 if better[metric] == "higher" else -1
     wins = sum(sign * (w - r) > 0 for r, w in zip(side["ref"], side["work"]))
-    summary.setdefault(workload, {})[metric] = {
+    summary.setdefault(name, {})[metric] = {
         "ref": side["ref"],
         "work": side["work"],
         "ref_median": statistics.median(side["ref"]),
@@ -76,7 +82,7 @@ for key in runs[0]["result"]["metrics"]:
         "work_better_pairs": wins,
     }
 json.dump({
-    "command": "python3 perfbench/run.py --workload all --seed 11",
+    "command": f"python3 perfbench/run.py --workload {workload} --seed {seed}",
     "ref": ref,
     "ref_commit": sha,
     "pairs": pairs,

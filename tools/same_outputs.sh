@@ -20,7 +20,9 @@
 # realized in lockstep where the tails stop moving and where they stay
 # on the real axis), sigma-delta at a complex parameter and at -3 and
 # -1.1, the real parameters of the benchmark's scan (the delta floor's
-# array pass), cocycle and field at a complex parameter, where orbit
+# array pass), sigma-delta at -1.9 and at -1.9 + 0.2i (sigma bisected at
+# a real and at a complex parameter, where the bisection stops once its
+# midpoint stops moving), cocycle and field at a complex parameter, where orbit
 # tails stop moving within the realized depth, julia at a complex
 # parameter (the sampler's start point found from epsilon, with no
 # containment check), classify at -3 period 3 (points with zero
@@ -102,6 +104,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" julia-negative-zero julia --epsilon=-1,-0 --seed 7
     run "$tree" "$out" sigma-delta-minus-3 sigma-delta --epsilon -3 --seed 7
     run "$tree" "$out" sigma-delta-minus-1.1 sigma-delta --epsilon -1.1 --seed 7
+    run "$tree" "$out" sigma-delta-minus-1.9 sigma-delta --epsilon -1.9 --seed 7
+    run "$tree" "$out" sigma-delta-complex-bisected sigma-delta --epsilon=-1.9,0.2 --seed 7
     run "$tree" "$out" classify-period-3 classify --epsilon -3 --config "$tmp/period-3.cfg"
     run "$tree" "$out" classify-parabolic-period-2 classify --epsilon -0.75 --config "$tmp/period-2.cfg"
     run "$tree" "$out" classify-parabolic-period-3 classify --epsilon -1.75 --config "$tmp/period-3.cfg"
