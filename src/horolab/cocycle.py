@@ -10,8 +10,9 @@ gives an explicit geometric tail bound.  Every returned value carries
 that bound.
 
 The engine takes realized orbits (RealizedOrbit.at): a word's orbit,
-typically the one its membership check made, is continued to the series
-start depth SERIES_DEPTH past the prefix and continued again on a depth
+typically the one sample_words hands on, is cut or continued to the
+series start depth SERIES_DEPTH past the prefix (where a batch row
+already is, so no step is taken) and continued again on a depth
 restart, never realized afresh.  basic_cocycle's pair_at hands the
 series each orbit's points with the distances to a that the realization
 carries (RealizedOrbit.dists), so no distance is computed twice, and

@@ -34,12 +34,13 @@ only what it changes.  A RealizedOrbit reads like its word, so
 the membership check, concatenation, the series engine and the
 excursion count take realizations and pass them on.
 
-realize_batch realizes many words from scratch at once, stepping them
-in lockstep as numpy rows, for sample_words' membership checks, its
-only caller.  It does CPython's arithmetic in numpy (cmath.sqrt's own
-formula over real hypot and sqrt, every |.| as hypot of the parts, z*z
-from the real parts), so a row it closes is realize's realization bit
-for bit; a row whose steps are not clear of a near-tie, a collision,
+realize_batch realizes many words from scratch at once, stepping them in
+lockstep as numpy rows, for sample_words, its only caller: each round of
+candidates goes to the series start depth, and membership is read from a
+cut of each row.  It does CPython's arithmetic in numpy (cmath.sqrt's
+own formula over real hypot and sqrt, every |.| as hypot of the parts,
+z*z from the real parts), so a row it closes is realize's realization
+bit for bit; a row whose steps are not clear of a near-tie, a collision,
 the critical point or the residual tolerance by a wide margin goes back
 to realize as its word.
 """
@@ -303,7 +304,8 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
 def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrbit | OrbitWord]:
     """Realize each word from scratch to its depth, the words stepped in
     lockstep as the rows of numpy arrays; quadratic.sample_words is the
-    caller.
+    caller: it passes each candidate's series start depth and cuts each
+    row back (RealizedOrbit.at) for its membership check.
 
     Each row comes back either as the RealizedOrbit that
     realize(word, depth) returns, bit for bit, or as the word itself, for

@@ -14,11 +14,13 @@ from those disks.  Univalence and covering are closed forms lowered by
 a few ulps; disjointness is a dense boundary sample.  Each certificate
 records its margin.
 
-sample_words hands each admitted word on as the realization its
-membership check made (MEMBERSHIP_DEPTH past the prefix); the value,
-the excursion count and the decomposition checks continue it rather
-than realize the word again.  bound_checks and sampled_heights each
-serve a command and the criteria that check the same claim.
+sample_words hands each admitted word on realized: a word its lockstep
+batch closed comes at the series start depth (SERIES_DEPTH past the
+prefix), its membership answered from the cut at MEMBERSHIP_DEPTH, and
+any other word as the realization its scalar membership check made; the
+value, the excursion count and the decomposition checks cut or continue
+it rather than realize the word again.  bound_checks and sampled_heights
+each serve a command and the criteria that check the same claim.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ SIGMA_FLOOR_FACTOR = 1e-4
 NEAR_BOUNDARY_PROXIMITY = 1e-3
 NORMALIZED_TOL = 1e-9
 DEFAULT_MAX_PREFIX = 10
-MEMBERSHIP_DEPTH = 80  # a word's membership is checked this far past its prefix
-BATCH_MIN_ROWS = 32  # smaller chunks are realized word by word: a lockstep step costs ~20 numpy calls
+MEMBERSHIP_DEPTH = 80  # membership is checked this far past the prefix, on a batch row's cut
+BATCH_MIN_ROWS = 32  # smaller rounds are realized word by word: a lockstep step costs ~20 numpy calls
 BOUNDARY_SAMPLES = 1024  # points on each sampled disk boundary of the sigma certificates
 SAMPLE_DEPTH = 40  # inverse-iteration depth of default_sigma_delta's Julia sample
 
@@ -136,18 +138,24 @@ def sample_words(
     """n distinct admissible words with seeded random prefixes.
 
     Every word is normalized, starting with '-' (first backward step to
-    -a), the hypothesis under which excursion statistics are defined.  Each word
-    comes as the realization its membership check made (MEMBERSHIP_DEPTH
-    past the prefix), which reads like the word; the series engine and
-    the excursion count continue it instead of realizing the word again.
+    -a), the hypothesis under which excursion statistics are defined.
+    Each word comes realized, which reads like the word; the series
+    engine and the excursion count cut or continue it instead of
+    realizing the word again.
 
-    Candidates are drawn in chunks: as many draws as words are still
-    needed, capped by what is left of the 80 * n attempt budget.  A
-    chunk of at least BATCH_MIN_ROWS new prefixes is realized in one
-    lockstep batch (realize_batch), and its rows are checked and
-    admitted in draw order.  The draws do not depend on the verdicts and
-    the generator is local, so the list, or the error, is bitwise that of
-    drawing and checking one candidate at a time.
+    Candidates are drawn in rounds: one draw at a time, each counted
+    against the 80 * n attempt budget, until the round holds as many new
+    prefixes as words are still needed or the budget is spent.  A round
+    of at least BATCH_MIN_ROWS words is realized in one lockstep batch
+    (realize_batch) to the series start depth, SERIES_DEPTH past the
+    prefix; a row's membership is answered from its cut at
+    MEMBERSHIP_DEPTH, and the deeper row is admitted.  A row the batch
+    hands back, and each word of a smaller round, is checked by
+    is_in_Pi_a at MEMBERSHIP_DEPTH and admitted with that realization.
+    Words are admitted in draw order.  The draws do not depend on the
+    verdicts and the generator is local, so the list of words, or the
+    error, is bitwise that of drawing and checking one candidate at a
+    time.
     """
     if n < 1 or max_len < 1:
         raise ConfigError(f"need n >= 1 words of max_len >= 1, got n={n}, max_len={max_len}")
@@ -161,22 +169,21 @@ def sample_words(
     seen: set[str] = set()
     attempts = 0
     while len(out) < n and attempts < 80 * n:
-        chunk = min(n - len(out), 80 * n - attempts)
-        attempts += chunk
         words = []
-        for _ in range(chunk):
+        while len(words) < n - len(out) and attempts < 80 * n:
+            attempts += 1
             length = int(rng.integers(1, max_len + 1))
             bits = rng.integers(0, 2, size=length)
             prefix = "-" + "".join(["+-"[b] for b in bits[1:].tolist()])  # normalized
             if prefix not in seen:
                 seen.add(prefix)
                 words.append(family_word(epsilon, prefix))
-        depths = [len(w.prefix) + MEMBERSHIP_DEPTH for w in words]
+        depths = [len(w.prefix) + SERIES_DEPTH for w in words]
         rows = realize_batch(words, depths) if len(words) >= BATCH_MIN_ROWS else words
-        for row, depth in zip(rows, depths):
-            mem = is_in_Pi_a(row, depth)
+        for row in rows:
+            mem = is_in_Pi_a(row, len(row.prefix) + MEMBERSHIP_DEPTH)  # a batch row is cut
             if mem.member:
-                out.append(mem.orbit)
+                out.append(row if isinstance(row, RealizedOrbit) else mem.orbit)
     if len(out) < n:
         raise ConfigError(
             f"only {len(out)} of {n} admissible words found within the attempt budget"

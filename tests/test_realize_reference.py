@@ -3,8 +3,8 @@ the carried distances and the facts recorded for the closing checks
 change no bit of a realization, of its cuts and continuations, or of
 the error they raise.  realize_batch against realize: a row it closes
 is realize's realization bit for bit, and sample_words, which draws its
-candidates in chunks and realizes them in lockstep, against a loop that
-draws one candidate and checks it."""
+candidates in rounds and realizes each round in lockstep to the series
+start depth, against a loop that draws one candidate and checks it."""
 
 import cmath
 import dataclasses
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from horolab import orbits, quadratic
+from horolab.cocycle import SERIES_DEPTH
 from horolab.errors import (
     ConfigError,
     ConstructionError,
@@ -424,6 +425,15 @@ def draw_one_check_one(epsilon, n, seed, max_len):
     return out
 
 
+def exact_outcome(make):
+    """exact(make()), or the type and message of the error it raises."""
+    try:
+        orb = make()
+    except HorolabError as err:
+        return type(err), str(err)
+    return exact(orb)
+
+
 def sampled(draw, *args):
     try:
         return [exact(orb) for orb in draw(*args)]
@@ -442,7 +452,54 @@ def sampled(draw, *args):
     ],
 )
 def test_sample_words_admits_as_the_plain_loop(eps, n, seed, max_len):
-    assert sampled(sample_words, eps, n, seed, max_len) == sampled(draw_one_check_one, eps, n, seed, max_len)
+    # the same words in the same order; each comes at the series start
+    # depth (a batch row) or at the membership depth (checked by realize),
+    # is the plain loop's realization when cut to the membership depth,
+    # and is realize's at the series start depth, or raises its error
+    words = sample_words(eps, n, seed, max_len)
+    plain = draw_one_check_one(eps, n, seed, max_len)
+    assert [w.prefix for w in words] == [w.prefix for w in plain]
+    for orb, checked_orb in zip(words, plain):
+        m = len(orb.prefix)
+        assert orb.depth in (m + SERIES_DEPTH, m + MEMBERSHIP_DEPTH)
+        assert exact(orb.at(m + MEMBERSHIP_DEPTH)) == exact(checked_orb)
+        series = exact_outcome(lambda: orb.at(m + SERIES_DEPTH))
+        assert series == exact_outcome(lambda: realize(orb.word, m + SERIES_DEPTH))
+
+
+def test_sample_words_admits_a_row_that_diverges_deeper_with_its_membership_orbit(monkeypatch):
+    # no sampled word passes membership and then diverges before the
+    # series start depth, so the closing checks are made to reject one
+    # word there: the batch hands its row back, and the word is admitted
+    # with the realization its membership check made, as before
+    plain = sample_words(-1.0, 40, 5, 8)
+    word = plain[3].word
+    settle = orbits._settle
+
+    def diverges_deeper(w, depth, *rest):
+        if w == word and depth == len(word.prefix) + SERIES_DEPTH:
+            raise DivergentWordError("forced at the series start depth")
+        return settle(w, depth, *rest)
+
+    monkeypatch.setattr(orbits, "_settle", diverges_deeper)
+    batch, handed_back = orbits.realize_batch, []
+
+    def counted_batch(words, depths):
+        rows = batch(words, depths)
+        handed_back.extend(row.prefix for row in rows if isinstance(row, OrbitWord))
+        return rows
+
+    monkeypatch.setattr(quadratic, "realize_batch", counted_batch)
+    words = sample_words(-1.0, 40, 5, 8)
+    assert word.prefix in handed_back
+    assert [w.prefix for w in words] == [w.prefix for w in plain]
+    m = len(word.prefix)
+    assert words[3].depth == m + MEMBERSHIP_DEPTH
+    assert exact(words[3]) == exact(realize(word, m + MEMBERSHIP_DEPTH))
+    assert exact(words[3]) == exact(plain[3].at(m + MEMBERSHIP_DEPTH))
+    with pytest.raises(DivergentWordError, match="^forced at the series start depth$"):
+        words[3].at(m + SERIES_DEPTH)
+    assert all(w.depth == len(w.prefix) + SERIES_DEPTH for w in words if w.prefix not in handed_back)
 
 
 def test_sample_words_runs_out_of_attempts_as_the_plain_loop(monkeypatch):

@@ -81,8 +81,9 @@ def test_complex_bound_realizes_each_word_once(monkeypatch):
 def test_sampled_words_closed_by_the_batch_are_not_realized_again(monkeypatch):
     """sample_words realizes its candidates in lockstep (realize_batch);
     a row the batch closes takes no realize call of its own, and only
-    the rows it hands back, and the candidates of the small chunks drawn
-    after the first, are realized one by one."""
+    the rows it hands back, and the words of a round short of
+    BATCH_MIN_ROWS (when fewer words are still needed), are realized one
+    by one."""
     closed, handed_back, realized = [], [], []
     realize, batch = orbits.realize, orbits.realize_batch
 
@@ -104,6 +105,51 @@ def test_sampled_words_closed_by_the_batch_are_not_realized_again(monkeypatch):
     assert not set(closed) & set(realized)
     assert set(handed_back) <= set(realized)
     assert len(realized) == len(set(realized))  # each of the others once
+
+
+def test_a_round_of_batch_size_is_realized_in_one_batch(monkeypatch):
+    """Criterion 7's call draws until its one round holds 60 new prefixes
+    (of the 63 of length <= 6), and realizes them in one batch; drawing
+    60 times, repeats included, left rounds too small to batch."""
+    calls = []
+    batch = orbits.realize_batch
+
+    def counted_batch(words, depths):
+        calls.append(len(words))
+        return batch(words, depths)
+
+    wrap_everywhere(monkeypatch, batch, counted_batch)
+    assert len(quadratic.sample_words(0.1, 60, 7, 6)) == 60
+    assert calls == [60]
+
+
+def test_value_of_a_batch_row_realizes_only_the_fixed_orbit(monkeypatch):
+    """A row the batch closed comes at the series start depth, so its
+    value against the fixed orbit takes no step of its own: realize runs
+    for the fixed orbit alone."""
+    closed = []
+    batch = orbits.realize_batch
+
+    def counted_batch(words, depths):
+        rows = batch(words, depths)
+        closed.extend(row.word for row in rows if isinstance(row, orbits.RealizedOrbit))
+        return rows
+
+    wrap_everywhere(monkeypatch, batch, counted_batch)
+    words = [w for w in quadratic.sample_words(-1.0, 40, 5, 8) if w.word in closed]
+    assert len(words) >= 30
+    realized = []
+    realize = orbits.realize
+
+    def counted(word, depth):
+        realized.append(word.prefix)
+        return realize(word, depth)
+
+    wrap_everywhere(monkeypatch, realize, counted)
+    for w in words:
+        realized.clear()
+        cocycle.cocycle_vs_fixed(w, 1e-12)
+        assert realized == [""]
 
 
 def test_bound_check_takes_the_sign_law_values(monkeypatch):

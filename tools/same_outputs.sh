@@ -18,9 +18,11 @@
 # at a complex parameter (the half-delta floor), heights over a wide
 # shift span, heights at a complex parameter and at -3 (sampled words
 # realized in lockstep where the tails stop moving and where they stay
-# on the real axis), sigma-delta at a complex parameter and at -3 and
-# -1.1, the real parameters of the benchmark's scan (the delta floor's
-# array pass), sigma-delta at -1.9 and at -1.9 + 0.2i (sigma bisected at
+# on the real axis), heights with 60 words of length <= 6 (60 of the 63
+# normalized prefixes, so many draw rounds, most draws repeats),
+# sigma-delta at a complex parameter and at -3 and -1.1, the real
+# parameters of the benchmark's scan (the delta floor's array pass),
+# sigma-delta at -1.9 and at -1.9 + 0.2i (sigma bisected at
 # a real and at a complex parameter, where the bisection stops once its
 # midpoint stops moving), cocycle and field at a complex parameter, where orbit
 # tails stop moving within the realized depth, julia at a complex
@@ -48,6 +50,7 @@ printf '%s\n' 'nested_junction = 35' > "$tmp/nested.cfg"
 printf '%s\n' 'word_c = --+--+--+--+' > "$tmp/long-c.cfg"
 printf '%s\n' 'word_c =' 'nested_junction = 35' > "$tmp/fixed-c-nested.cfg"
 printf '%s\n' 'm_span = 400' > "$tmp/wide-span.cfg"
+printf '%s\n' 'n_words = 60' 'max_len = 6' > "$tmp/many-rounds.cfg"
 for p in 2 3 4 6 8 10; do printf '%s\n' "period = $p" > "$tmp/period-$p.cfg"; done
 
 run() {  # run TREE OUT NAME ARGS...: one horolab command into OUT/NAME*
@@ -96,6 +99,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" heights-wide-span heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/wide-span.cfg"
     run "$tree" "$out" heights-complex heights --epsilon=-1,0.02 --seed 7 --tol 1e-9
     run "$tree" "$out" heights-minus-3 heights --epsilon -3 --seed 7 --tol 1e-9
+    run "$tree" "$out" heights-many-rounds heights --epsilon -1 --seed 7 --tol 1e-9 --config "$tmp/many-rounds.cfg"
     run "$tree" "$out" sigma-delta-complex sigma-delta --epsilon=0.1,0.02 --seed 7
     run "$tree" "$out" cocycle-complex cocycle --epsilon=-1,0.02 --word=-+- --tol 1e-12
     run "$tree" "$out" field-complex field --epsilon=-1,0.02 --word=-
