@@ -21,7 +21,6 @@ _SUBMODULES = ("cli", "cocycle", "errors", "julia", "maps", "orbits", "periodic"
 _DEFINED_IN = {
     "CocycleValue": "cocycle",
     "DensityReport": "cocycle",
-    "HeightPoint": "cocycle",
     "ProgressionReport": "cocycle",
     "basic_cocycle": "cocycle",
     "cocycle_field": "cocycle",
@@ -29,7 +28,6 @@ _DEFINED_IN = {
     "height_set": "cocycle",
     "make_density_report": "cocycle",
     "progression_density_check": "cocycle",
-    "pushforward_height": "cocycle",
     "series_terms": "cocycle",
     "values_vs_fixed": "cocycle",
     "ConfigError": "errors",
@@ -43,11 +41,8 @@ _DEFINED_IN = {
     "RootFindingError": "errors",
     "SingularTermError": "errors",
     "SuiteFailureError": "errors",
-    "EscapeResult": "julia",
     "JuliaSample": "julia",
-    "escape_membership": "julia",
     "inverse_iteration_sample": "julia",
-    "repelling_sample": "julia",
     "evaluate": "maps",
     "quadratic_map": "maps",
     "OrbitWord": "orbits",
@@ -93,7 +88,6 @@ _DEFINED_IN = {
     "sample_words": "quadratic",
     "sampled_heights": "quadratic",
     "value_sums": "quadratic",
-    "word_from_json": "quadratic",
 }
 
 __all__ = sorted(_DEFINED_IN)

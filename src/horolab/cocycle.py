@@ -15,12 +15,15 @@ series start depth SERIES_DEPTH past the prefix (where a batch row
 already is, so no step is taken) and continued again on a depth
 restart, never realized afresh.  basic_cocycle's pair_at hands the
 series each orbit's points with the distances to a that the realization
-carries (RealizedOrbit.dists), so no distance is computed twice, and
-the indices of its points near the critical point 0 that the steps
-recorded (RealizedOrbit.near_critical), so no point is tested twice.
-values_vs_fixed, the one routine that values words against the fixed
-orbit, realizes that orbit once, at the deepest start depth its batch
-needs, and cuts it back for each word.  The field's own backward orbits
+carries (RealizedOrbit.dists), so no distance is computed twice, the
+indices of its points near the critical point 0 that the steps
+recorded (RealizedOrbit.near_critical), so no point is tested twice,
+and the end of its above-floor distances (RealizedOrbit.signal_end),
+where the contraction scan stops.  values_vs_fixed, the one routine
+that values words against the fixed orbit, realizes that orbit once, at
+the deepest start depth its batch needs, and cuts it back for each
+word; past its first point the orbit stands still, and the sum takes a
+repeated x-point's term once.  The field's own backward orbits
 (_follow) pick preimages by the same nearest-preimage rule, which also
 gives the distances of the principal sequence to a.  Callers compute
 each word's value once and hand the CocycleValues on: height_set takes
@@ -49,9 +52,9 @@ from .orbits import (
     RealizedOrbit,
     _entry_index,
     _nearer,
+    _signal_end,
     fixed_word,
     realize,
-    shift,
     tail_contraction,
 )
 
@@ -68,12 +71,6 @@ class CocycleValue:
     value: float
     tail_bound: float
     depth_used: int
-
-
-@dataclass(frozen=True)
-class HeightPoint:
-    word: OrbitWord
-    height: float
 
 
 @dataclass(frozen=True)
@@ -120,25 +117,35 @@ def _check_tol(tol: float) -> None:
 def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int) -> CocycleValue:
     """Sum sum_j [ln|f'(y_j)| - ln|f'(x_j)|] with a certified tail.
 
-    pair_at(depth) -> ((x_points, x_dists, x_entry, x_near), (y_points,
-    ...)), aligned backward orbits starting at index 0, with their
-    distances to a, their entry indices into the disk
-    (orbits._entry_index) and the sorted indices of their points within
-    CRITICAL_PROXIMITY of the critical point 0.  The truncation depth k
-    is the first index, past both entries, where L * rho/(1-rho) *
-    (|x_k - a| + |y_k - a|) drops below tol; that expression bounds the
-    discarded tail, and a near-critical point at an index in [1, k]
-    makes a term singular.  rho is 1.1 times the larger measured tail
-    contraction, or the local theoretical rate 1/|f'(a)| = 1/|2a| (plus
-    0.05) when both tails sit at rounding scale.  Without such a k the
-    depth doubles, up to DEPTH_BUDGET.
+    pair_at(depth) -> ((x_points, x_dists, x_entry, x_near,
+    x_signal_end), (y_points, ...)), aligned backward orbits starting at
+    index 0, with their distances to a, their entry indices into the
+    disk (orbits._entry_index), the sorted indices of their points
+    within CRITICAL_PROXIMITY of the critical point 0, and one past
+    their last distance above RHO_SIGNAL_FLOOR
+    (RealizedOrbit.signal_end).  The truncation depth k is the first
+    index, past both entries, where L * rho/(1-rho) * (|x_k - a| +
+    |y_k - a|) drops below tol; that expression bounds the discarded
+    tail, and a near-critical point at an index in [1, k] makes a term
+    singular.  rho is 1.1 times the larger measured tail contraction
+    (tail_contraction, which scans from the entry to the signal end),
+    or the local theoretical rate 1/|f'(a)| = 1/|2a| (plus 0.05) when
+    both tails sit at rounding scale.  Without such a k the depth
+    doubles, up to DEPTH_BUDGET.
+
+    The sum is value += ln|2 y_j| - ln|2 x_j| in index order; while
+    x_j equals the point before it (==, so -0.0 and 0.0 parts match,
+    which abs does not tell apart, and NaN never does), the previous
+    ln|2 x_j| is reused, the same operands giving the same bits.  The
+    fixed orbit thus takes one x-term per value.
     """
     L = _log_deriv_lipschitz(a, sigma)
     fallback_rho = 1.0 / abs(2 * a) + 0.05
     while True:
-        (px, dx, ex, cx), (py, dy, ey, cy) = pair_at(depth)
+        (px, dx, ex, cx, sx), (py, dy, ey, cy, sy) = pair_at(depth)
         if ex is not None and ey is not None:
-            measured = [r for r in (tail_contraction(dx, ex), tail_contraction(dy, ey)) if r is not None]
+            measured = [tail_contraction(dx, ex, sx), tail_contraction(dy, ey, sy)]
+            measured = [r for r in measured if r is not None]
             rho = 1.1 * max(measured) if measured else fallback_rho
             if rho >= 0.999:
                 raise DivergentWordError(
@@ -161,8 +168,12 @@ def _certified_series(a: complex, sigma: float, tol: float, pair_at, depth: int)
                         f" {CRITICAL_PROXIMITY:g} of the critical point 0"
                     )
                 value = 0.0
+                x = lx = math.nan  # equal to no point
                 for j in range(1, k + 1):
-                    value += math.log(abs(2 * py[j])) - math.log(abs(2 * px[j]))
+                    if px[j] != x:
+                        x = px[j]
+                        lx = math.log(abs(2 * x))
+                    value += math.log(abs(2 * py[j])) - lx
                 return CocycleValue(value, bound, k)
         if depth >= DEPTH_BUDGET:
             raise DepthBudgetError(
@@ -195,7 +206,7 @@ def basic_cocycle(x: OrbitWord | RealizedOrbit, y: OrbitWord | RealizedOrbit, to
 
     def pair_at(depth):
         orbs[:] = [o.at(depth) for o in orbs]
-        return [(o.points, o.dists, o.entry_index, o.near_critical) for o in orbs]
+        return [(o.points, o.dists, o.entry_index, o.near_critical, o.signal_end) for o in orbs]
 
     depth0 = max(len(x.prefix), len(y.prefix)) + SERIES_DEPTH
     return _certified_series(x.base.location, x.sigma, tol, pair_at, depth0)
@@ -257,7 +268,7 @@ def cocycle_field(c: OrbitWord | RealizedOrbit, z: complex, tol: float) -> float
         for pts, d in ((principal, [dz, *d_principal]), (germ, [abs(p - a) for p in germ])):
             outside = [j for j, x in enumerate(d) if x >= sigma]
             near = [j for j, p in enumerate(pts) if abs(p) <= CRITICAL_PROXIMITY]
-            pair.append((pts, d, _entry_index(outside, len(d)), near))
+            pair.append((pts, d, _entry_index(outside, len(d)), near, _signal_end(d, len(d))))
         return pair
 
     return _certified_series(a, sigma, tol, pair_at, len(c.prefix) + SERIES_DEPTH).value
@@ -306,12 +317,6 @@ def _follow(z, eps, targets, sigma=None):
         pts.append(w)
         dists.append(d)
     return pts, dists
-
-
-def pushforward_height(p: HeightPoint, n: int) -> HeightPoint:
-    """Shift the word n steps and move the height by n*ln|multiplier|."""
-    lam = abs(p.word.base.multiplier)
-    return HeightPoint(shift(p.word, n), p.height + n * math.log(lam))
 
 
 def make_density_report(

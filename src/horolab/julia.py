@@ -1,4 +1,4 @@
-"""Julia set sampling: escape tests, inverse iteration, repelling cycles.
+"""Julia set sampling by inverse iteration.
 
 The inverse-iteration sampler walks random backward paths from a
 repelling fixed point; after a burn-in the visited points distribute
@@ -25,40 +25,14 @@ from .periodic import PeriodicPoint, periodic_points
 
 BURN_IN = 20
 MAX_RESAMPLE = 5
-ESCAPE_BUDGET_MAX = 100000
 
 
 @dataclass(frozen=True)
 class JuliaSample:
     epsilon: complex  # the sample is drawn for z**2 + epsilon
     points: tuple[complex, ...]
-    method: str  # "escape-boundary" | "inverse-iteration" | "repelling-periodic"
+    method: str  # "inverse-iteration"
     params: dict
-
-
-@dataclass(frozen=True)
-class EscapeResult:
-    status: str  # "inside-filled" | "escaped" | "undecided"
-    steps: int
-
-
-def escape_membership(epsilon: complex, z: complex, budget: int) -> EscapeResult:
-    """Bounded-orbit test for the filled Julia set of z**2 + epsilon.
-
-    |z| > max(2, |eps|) implies |z**2 + eps| >= |z|**2 - |eps| > |z|,
-    so radius R = max(2, |eps|) + 1 certifies escape.
-    """
-    if budget > ESCAPE_BUDGET_MAX:
-        raise ConfigError(f"escape budget exceeds the configured max {ESCAPE_BUDGET_MAX}")
-    if budget <= 0:
-        return EscapeResult("undecided", 0)
-    radius = max(2.0, abs(epsilon)) + 1.0
-    w = z
-    for n in range(budget + 1):
-        if abs(w) > radius:
-            return EscapeResult("escaped", n)
-        w = w * w + epsilon
-    return EscapeResult("inside-filled", budget)
 
 
 def _starting_point(eps: complex) -> PeriodicPoint:
@@ -150,24 +124,3 @@ def _run_paths(z0: np.ndarray, signs: np.ndarray, eps: complex):
         if step >= BURN_IN:
             collected[:, step - BURN_IN] = z
     return collected, collided
-
-
-def repelling_sample(epsilon: complex, max_period: int) -> JuliaSample:
-    """All repelling periodic points of z**2 + epsilon of period up to
-    max_period."""
-    if max_period < 1:
-        raise ConfigError("max_period must be >= 1")
-    eps = complex(epsilon)
-    f = quadratic_map(eps)
-    pts: list[complex] = []
-    for period in range(1, max_period + 1):
-        for p in periodic_points(f, period):
-            if p.classification == "repelling":
-                pts.append(p.location)
-    pts.sort(key=lambda z: (z.real, z.imag))
-    return JuliaSample(
-        epsilon=eps,
-        points=tuple(pts),
-        method="repelling-periodic",
-        params={"max_period": max_period},
-    )

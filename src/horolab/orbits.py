@@ -22,6 +22,10 @@ records the facts the closing checks read, as sorted index tuples: the
 points outside the disk, the rises of the distance (where the tail
 fails to contract) and the points within CRITICAL_PROXIMITY of the
 critical point 0.  The closing checks answer from these by bisection.
+It records as well where the distances stop carrying signal
+(RealizedOrbit.signal_end), so the series engine's contraction scan
+(tail_contraction) stops there instead of reading the tail below
+RHO_SIGNAL_FLOOR.
 A word carries the parameter epsilon itself, the map's only handle
 (f'(z) = 2z, critical point 0).
 
@@ -106,10 +110,6 @@ class OrbitWord:
         """The word's realization to the given depth (realize)."""
         return realize(self, depth)
 
-    def to_json(self) -> dict:
-        eps = self.epsilon
-        return {"epsilon": [eps.real, eps.imag], "prefix": self.prefix, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class RealizedOrbit:
@@ -123,7 +123,12 @@ class RealizedOrbit:
     outside, the j with dists[j] >= sigma (a NaN distance counts as
     inside); rises, the j >= 1 with dists[j+1] > dists[j]*(1 + 1e-9)
     and dists[j+1] > 1e-14; near_critical, the j with |points[j]| <=
-    CRITICAL_PROXIMITY.
+    CRITICAL_PROXIMITY.  And signal_end, one past the last j with
+    dists[j] > RHO_SIGNAL_FLOOR, or 0 when there is none (a NaN
+    distance is not above the floor): tail_contraction scans no
+    further.  A cut keeps signal_end when it is at most depth + 1, and
+    otherwise walks back from the cut depth (_signal_end), which takes
+    no step while the distance at the cut is above the floor.
     """
 
     word: OrbitWord
@@ -135,6 +140,7 @@ class RealizedOrbit:
     outside: tuple[int, ...] = field(repr=False, compare=False)
     rises: tuple[int, ...] = field(repr=False, compare=False)
     near_critical: tuple[int, ...] = field(repr=False, compare=False)
+    signal_end: int = field(repr=False, compare=False)
 
     prefix = property(lambda self: self.word.prefix)
     epsilon = property(lambda self: self.word.epsilon)
@@ -153,6 +159,7 @@ class RealizedOrbit:
             return self
         _check_depth(self.word, depth)
         end = depth + 1
+        signal_end = self.signal_end if self.signal_end <= end else _signal_end(self.dists, end)
         return _settle(
             self.word,
             depth,
@@ -162,15 +169,27 @@ class RealizedOrbit:
             self.outside[: bisect_right(self.outside, depth)],
             self.rises[: bisect_left(self.rises, depth)],  # a rise at j reads dists[j + 1]
             self.near_critical[: bisect_right(self.near_critical, depth)],
+            signal_end,
         )
 
 
-def tail_contraction(dists, entry: int) -> float | None:
+def tail_contraction(dists, entry: int, signal_end: int) -> float | None:
     """Largest step ratio |p_{j+1} - a| / |p_j - a| from the entry index
     on, over steps still above the double-precision noise floor; dists
-    holds the distances |p_j - a|."""
-    steps = range(max(entry, 1), len(dists) - 1)
+    holds the distances |p_j - a|.  No distance at or past signal_end
+    (RealizedOrbit.signal_end) is above the floor, so the scan stops
+    there."""
+    steps = range(max(entry, 1), min(signal_end, len(dists) - 1))
     return max((dists[j + 1] / dists[j] for j in steps if dists[j] > RHO_SIGNAL_FLOOR), default=None)
+
+
+def _signal_end(dists, end: int) -> int:
+    """One past the last index j < end with dists[j] > RHO_SIGNAL_FLOOR,
+    or 0 when there is none, found by walking back from end - 1."""
+    j = end - 1
+    while j >= 0 and not dists[j] > RHO_SIGNAL_FLOOR:
+        j -= 1
+    return j + 1
 
 
 def _nearer(s: complex, target: complex) -> tuple[complex, float, float]:
@@ -223,7 +242,8 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     step that made it (the tail rule measures it) and is carried on the
     realization as dists, with the facts the step recorded for the
     closing checks (RealizedOrbit); a filled tail records its filled
-    range, which has no rise.
+    range, which has no rise, and ends the signal at the depth when its
+    distance is above the floor.
 
     Given a realization no deeper than depth, the pass continues from
     its last point instead of starting over, and appends the facts of
@@ -247,9 +267,11 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
     if start is None:
         pts, choices, dists = [a], [], [0.0]
         outside, rises, near = [], [], []  # a is in the disk, and |a| > 1/2 as a is repelling
+        signal_end = 0
     else:
         pts, choices, dists = list(start.points), list(start.choices), list(start.dists)
         outside, rises, near = list(start.outside), list(start.rises), list(start.near_critical)
+        signal_end = start.signal_end
     n = len(prefix)
     w = pts[-1]
     rw = abs(w)
@@ -284,6 +306,8 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
             rises.append(j)
         if r <= CRITICAL_PROXIMITY:
             near.append(j + 1)
+        if dz > RHO_SIGNAL_FLOOR:
+            signal_end = j + 2
         if j >= n and z == w and _same_signs(z, w):
             rest = depth - j - 1
             pts.extend([z] * rest)
@@ -294,11 +318,12 @@ def realize(word: OrbitWord | RealizedOrbit, depth: int) -> RealizedOrbit:
                 outside.extend(filled)
             if r <= CRITICAL_PROXIMITY:
                 near.extend(filled)
+            if dz > RHO_SIGNAL_FLOOR:
+                signal_end = depth + 1
             break
         w, rw, dw = z, r, dz
-    return _settle(
-        word, depth, tuple(pts), "".join(choices), tuple(dists), tuple(outside), tuple(rises), tuple(near)
-    )
+    facts = tuple(outside), tuple(rises), tuple(near), signal_end
+    return _settle(word, depth, tuple(pts), "".join(choices), tuple(dists), *facts)
 
 
 def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrbit | OrbitWord]:
@@ -335,8 +360,9 @@ def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrb
     - the residual is at most half of RESIDUAL_TOL.
     A NaN fails all three.  Once every row's step returns its input bit
     for bit (looked at every 8 steps), the rest is filled, as realize
-    fills a stationary tail.  numpy is imported here, so importing this
-    module loads no numpy.
+    fills a stationary tail.  Each row's signal_end comes from one
+    masked reduction over its distances.  numpy is imported here, so
+    importing this module loads no numpy.
     """
     import numpy as np
 
@@ -421,6 +447,7 @@ def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrb
 
     outside = by_row((dists >= np.array([w.sigma for w in words])) & (index <= last))
     rises = by_row(rises & (index < last))
+    signal_end = np.where((dists > RHO_SIGNAL_FLOOR) & (index <= last), index + 1, 0).max(axis=0).tolist()
     points = np.empty((rows, steps + 1), complex)
     points.real, points.imag = zr.T, zi.T
     points, dists = points.tolist(), dists.T.tolist()
@@ -441,6 +468,7 @@ def realize_batch(words: list[OrbitWord], depths: list[int]) -> list[RealizedOrb
                 outside[i],
                 rises[i],
                 (),
+                signal_end[i],
             )
         except DivergentWordError:
             out.append(word)
@@ -458,6 +486,7 @@ def _settle(
     outside: tuple[int, ...],
     rises: tuple[int, ...],
     near_critical: tuple[int, ...],
+    signal_end: int,
 ) -> RealizedOrbit:
     """The checks that close a realization, answered from the facts its
     steps recorded: the tail must have entered the disk once it had room
@@ -475,7 +504,7 @@ def _settle(
                 f"in-disk tail fails to contract at depth {j + 1}:"
                 f" {dists[j]:.3e} -> {dists[j + 1]:.3e}"
             )
-    return RealizedOrbit(word, depth, pts, choices, entry, dists, outside, rises, near_critical)
+    return RealizedOrbit(word, depth, pts, choices, entry, dists, outside, rises, near_critical, signal_end)
 
 
 def _entry_index(outside, n: int) -> int | None:

@@ -124,11 +124,6 @@ def family_word(epsilon: complex, prefix: str, sigma: float | None = None) -> Or
     return OrbitWord(eps, point, prefix, sigma)
 
 
-def word_from_json(data: dict) -> OrbitWord:
-    eps = complex(data["epsilon"][0], data["epsilon"][1])
-    return family_word(eps, data["prefix"], data["sigma"])
-
-
 def sample_words(
     epsilon: complex,
     n: int,

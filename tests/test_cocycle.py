@@ -16,19 +16,18 @@ from hypothesis import strategies as st
 
 from horolab.cocycle import (
     CocycleValue,
-    HeightPoint,
     basic_cocycle,
     cocycle_field,
     cocycle_vs_fixed,
     height_set,
     make_density_report,
     progression_density_check,
-    pushforward_height,
     series_terms,
     values_vs_fixed,
 )
 from horolab.errors import ConfigError, DomainError, PreconditionError, SingularTermError
-from horolab.quadratic import family_word, fixed_point_a, limit_decomposition_check
+from horolab.orbits import fixed_word
+from horolab.quadratic import family_word, fixed_point_a, limit_decomposition_check, sample_words
 
 SEED_WORD_TOL = 1e-9
 
@@ -163,6 +162,38 @@ def test_engine_within_tail_bound_of_brute_force(eps, p, q):
     assert abs(xy.value + yx.value) <= xy.tail_bound + yx.tail_bound
 
 
+def plain_sum(x, y, k):
+    """The series to index k as the engine summed it before it reused a
+    repeated x-point's term: both logarithms of every term, in index
+    order."""
+    depth = max(k, len(x.prefix), len(y.prefix))
+    px, py = x.at(depth).points, y.at(depth).points
+    value = 0.0
+    for j in range(1, k + 1):
+        value += math.log(abs(2 * py[j])) - math.log(abs(2 * px[j]))
+    return value
+
+
+@pytest.mark.parametrize("eps", [0.1, -1.0, complex(-1.0, 0.02), complex(-0.525, 0.16)])
+def test_series_sum_is_the_plain_loop_bit_for_bit(eps):
+    words = sample_words(eps, 12, seed=5, max_len=8)
+    for y, v in zip(words, values_vs_fixed(words, 1e-12)):
+        assert v.value.hex() == plain_sum(fixed_word(y), y, v.depth_used).hex()
+    # x orbits that are not the fixed one; past the 90-symbol prefix's
+    # late entry, the series runs on beyond index 100
+    short, long = family_word(eps, "-"), family_word(eps, "-" * 90)
+    pairs = list(zip(words, words[1:])) + [(short, long), (long, short)]
+    for x, y in pairs:
+        v = basic_cocycle(x, y, 1e-12)
+        assert v.value.hex() == plain_sum(x, y, v.depth_used).hex()
+    k = basic_cocycle(short, long, 1e-12).depth_used
+    points = short.at(k).points
+    if isinstance(eps, complex):  # the x tail stops moving before k, so its terms repeat
+        assert points[k - 40] == points[k]
+    else:
+        assert len(set(points[k - 40 :])) == 41
+
+
 def test_near_critical_point_makes_a_singular_term():
     # eps = -2 + 1e-18i: the "-" orbit passes 8.2e-10 from the critical
     # point at depth 2
@@ -204,16 +235,6 @@ def test_field_varies_over_the_disk():
         for k in range(6)
     ]
     assert max(vals) - min(vals) > 1e-6
-
-
-def test_pushforward_moves_height_by_log_multiplier():
-    w = family_word(0.1, "-")
-    v = cocycle_vs_fixed(w, SEED_WORD_TOL)
-    p = HeightPoint(w, v.value)
-    q = pushforward_height(p, 3)
-    lam = abs(w.base.multiplier)
-    assert q.height == pytest.approx(v.value + 3 * math.log(lam))
-    assert q.word.prefix == "+++-"
 
 
 def test_density_report_counts_edge_gaps():

@@ -57,7 +57,7 @@ def test_entry_index_and_contraction():
     orb = realize(family_word(eps, "-"), 60)
     assert orb.entry_index == 6
     lam = 2 * fixed_point_a(eps)
-    tc = orbits.tail_contraction(orb.dists, orb.entry_index)
+    tc = orbits.tail_contraction(orb.dists, orb.entry_index, orb.signal_end)
     assert tc is not None
     assert abs(tc - 1 / lam) < 5e-3
 

@@ -43,7 +43,6 @@ from horolab.quadratic import (
     normalize_word,
     quadratic_map,
     sample_words,
-    word_from_json,
 )
 
 TOL = 1e-9
@@ -445,11 +444,6 @@ def test_closed_form_covering_margin_bounds_a_dense_sample(eps):
     assert cert["covering_margin"] <= sampled <= cert["covering_margin"] + 1e-9
     assert cert["univalence_margin"] < abs(a) - sigma
     assert cert["winding"] == 1.0
-
-
-def test_word_json_round_trip():
-    w = family_word(0.1, "-+")
-    assert word_from_json(w.to_json()) == w
 
 
 def test_build_B_window_touches_zero_and_misses_neighborhood():

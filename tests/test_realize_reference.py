@@ -1,10 +1,13 @@
 """realize against a plain step-by-step loop: the stationary-tail fill,
 the carried distances and the facts recorded for the closing checks
 change no bit of a realization, of its cuts and continuations, or of
-the error they raise.  realize_batch against realize: a row it closes
-is realize's realization bit for bit, and sample_words, which draws its
-candidates in rounds and realizes each round in lockstep to the series
-start depth, against a loop that draws one candidate and checks it."""
+the error they raise.  The signal end every kind of realization records
+against a plain scan of its distances, and the contraction scan that
+stops there against the scan over the whole tail.  realize_batch
+against realize: a row it closes is realize's realization bit for bit,
+and sample_words, which draws its candidates in rounds and realizes
+each round in lockstep to the series start depth, against a loop that
+draws one candidate and checks it."""
 
 import cmath
 import dataclasses
@@ -15,6 +18,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from test_cocycle import CERTIFIED_EPSILON, PREFIX
 
 from horolab import orbits, quadratic
 from horolab.cocycle import SERIES_DEPTH
@@ -29,12 +34,14 @@ from horolab.orbits import (
     CRITICAL_PROXIMITY,
     DIVERGENCE_GRACE,
     TAIL_CONFIRM,
+    RHO_SIGNAL_FLOOR,
     OrbitWord,
     RealizedOrbit,
     _nearer,
     _same_signs,
     realize,
     realize_batch,
+    tail_contraction,
 )
 from horolab.quadratic import MEMBERSHIP_DEPTH, family_word, sample_words
 
@@ -517,3 +524,83 @@ def test_sample_words_runs_out_of_attempts_as_the_plain_loop(monkeypatch):
         expected = sampled(draw_one_check_one, 0.1, n, 5, 3 if n == 7 else 6)
         assert expected.startswith("only ")
         assert sampled(sample_words, 0.1, n, 5, 3 if n == 7 else 6) == expected
+
+
+# ---------------------------------------------------------------------------
+# the signal end
+
+
+def scanned_signal_end(dists, floor=RHO_SIGNAL_FLOOR):
+    """One past the last index whose distance is above the floor, or 0,
+    by a scan of every distance."""
+    return max((j + 1 for j, d in enumerate(dists) if d > floor), default=0)
+
+
+def full_scan_contraction(dists, entry):
+    """tail_contraction as it was before it stopped at the signal end: the
+    largest above-floor step ratio over every index from the entry on."""
+    steps = range(max(entry, 1), len(dists) - 1)
+    return max((dists[j + 1] / dists[j] for j in steps if dists[j] > RHO_SIGNAL_FLOOR), default=None)
+
+
+def assert_signal_end(orb):
+    """orb records the scanned signal end, and the contraction scan that
+    stops there finds what the scan over the whole tail finds."""
+    assert orb.signal_end == scanned_signal_end(orb.dists)
+    if orb.entry_index is not None:
+        assert tail_contraction(orb.dists, orb.entry_index, orb.signal_end) == full_scan_contraction(
+            orb.dists, orb.entry_index
+        )
+
+
+def realized(make):
+    """make(), or None when it raises."""
+    try:
+        return make()
+    except HorolabError:
+        return None
+
+
+@settings(deadline=None, max_examples=25)
+@given(eps=CERTIFIED_EPSILON, prefix=PREFIX)
+@example(eps=complex(-1.0, 0.02), prefix="-++")  # the tail stops moving, and is filled
+@example(eps=-1.0, prefix="-+-")  # the tail keeps moving below the floor
+def test_every_realization_records_the_scanned_signal_end(eps, prefix):
+    w = family_word(eps, prefix)
+    n = len(prefix)
+    depths = (n, n + 1, n + 12, n + 80, n + 120, n + 240)
+    fresh = [realized(lambda: realize(w, d)) for d in depths]
+    for orb in fresh:
+        if orb is not None:
+            assert_signal_end(orb)
+    for i, start in enumerate(fresh):  # continued from each shallower depth
+        for d in depths[i + 1 :]:
+            if start is not None:
+                orb = realized(lambda: realize(start, d))
+                if orb is not None:
+                    assert_signal_end(orb)
+    for orb in realize_batch([w] * len(depths), list(depths)):
+        if isinstance(orb, RealizedOrbit):
+            assert_signal_end(orb)
+    deep = fresh[-1]
+    if deep is not None:
+        for d in range(n, deep.depth + 1):  # a cut at every depth
+            orb = realized(lambda: deep.at(d))
+            if orb is not None:
+                assert_signal_end(orb)
+
+
+def test_filled_tail_above_the_floor_ends_the_signal_at_the_depth(monkeypatch):
+    # at eps = -1+0.02i the word "-++" stops moving 1.7e-18 from a, under
+    # the floor; with the floor below that distance the filled tail
+    # carries signal to the end, in realize, in a batch row and in a cut
+    w = family_word(complex(-1.0, 0.02), "-++")
+    monkeypatch.setattr(orbits, "RHO_SIGNAL_FLOOR", 1e-20)
+    orb = realize(w, 200)
+    assert orb.points[-1] == orb.points[-2] and 1e-20 < orb.dists[-1] < RHO_SIGNAL_FLOOR
+    assert orb.signal_end == 201 == scanned_signal_end(orb.dists, 1e-20)
+    assert realize(realize(w, 100), 200).signal_end == 201
+    [row] = realize_batch([w], [200])
+    assert row.signal_end == 201
+    for d in (150, 100, 60):
+        assert orb.at(d).signal_end == d + 1

@@ -1,18 +1,23 @@
 """Work counts of the battery: a sampled word's step loop runs once, the
 fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
-depth; of the family's periodic-point solve: Aberth iterations and
-scalar map evaluations; and of the sigma bisection: certificates made.
+depth; of the certified series: distances its contraction scan reads
+and logarithms its sum takes; of the family's periodic-point solve:
+Aberth iterations and scalar map evaluations; and of the sigma
+bisection: certificates made.
 
 The counts come from wrapping orbits.realize, orbits.realize_batch,
 cocycle.basic_cocycle and maps.evaluate in every horolab module that
 binds them, as the benchmark's tracer does, from wrapping the Newton
-ratio that periodic._aberth evaluates once per iteration, and from
-wrapping quadratic._sigma_certificates.
+ratio that periodic._aberth evaluates once per iteration, from wrapping
+quadratic._sigma_certificates, and from wrapping the distances
+cocycle.tail_contraction is handed and the math.log cocycle calls.
 """
 
 import collections
+import math
 import sys
+import types
 
 import pytest
 
@@ -253,6 +258,59 @@ def test_closing_checks_read_as_many_distances_at_any_depth(monkeypatch):
         assert longer == orbits.realize(w, orb.depth + 1)
         assert shorter == orbits.realize(w, orb.depth - 1)
     assert counts[0] == counts[1]
+
+
+def test_contraction_scan_stops_at_the_signal_end(monkeypatch):
+    """Over values against the fixed orbit and between sampled words,
+    tail_contraction tests no distance at or past the end of the
+    above-floor distances against the floor: the one distance it reads
+    there is the numerator of the last step ratio.  The fixed orbit's
+    distances all lie below the floor, and it reads none of them."""
+    calls = []
+    contraction = cocycle.tail_contraction
+
+    class CountedReads(tuple):
+        def __getitem__(self, i):
+            calls[-1][1].append(i)
+            return tuple.__getitem__(self, i)
+
+    def counted(dists, entry, *rest):
+        end = max((j + 1 for j, d in enumerate(dists) if d > orbits.RHO_SIGNAL_FLOOR), default=0)
+        calls.append((end, []))
+        return contraction(CountedReads(dists), entry, *rest)
+
+    monkeypatch.setattr(cocycle, "tail_contraction", counted)
+    for eps in (-1.0, complex(-1.0, 0.02)):
+        words = quadratic.sample_words(eps, 40, 5, 8)
+        cocycle.values_vs_fixed(words, 1e-12)
+        for x, y in zip(words, words[1:]):
+            cocycle.basic_cocycle(x, y, 1e-12)
+    assert len(calls) == 2 * 2 * (40 + 39)  # both orbits of each value, at two parameters
+    for end, reads in calls:
+        assert max(reads, default=0) <= end and reads.count(end) <= 1
+    unread = [reads for end, reads in calls if end == 0]  # the fixed orbit's, among others
+    assert len(unread) >= 80 and not any(unread)
+
+
+def test_values_vs_fixed_takes_one_log_of_the_constant_fixed_orbit(monkeypatch):
+    """The fixed orbit is constant past its first point (a itself at
+    real parameters, a point 1 ulp from a at -0.525+0.16i), so each
+    value against it takes its x-term once: the sum over N words takes
+    sum(k) + N logarithms, where it took 2 sum(k)."""
+    logs = []
+
+    def log(x):
+        logs.append(x)
+        return math.log(x)
+
+    names = {n: getattr(math, n) for n in dir(math) if not n.startswith("_")}
+    monkeypatch.setattr(cocycle, "math", types.SimpleNamespace(**{**names, "log": log}))
+    for eps in (-1.0, 0.1, complex(-1.0, 0.02), complex(-0.525, 0.16)):
+        words = quadratic.sample_words(eps, 40, 5, 8)
+        assert len(set(orbits.realize(orbits.fixed_word(words[0]), 200).points[1:])) == 1
+        logs.clear()
+        values = cocycle.values_vs_fixed(words, 1e-12)
+        assert len(logs) == sum(v.depth_used for v in values) + len(words)
 
 
 @pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16)])
