@@ -20,12 +20,10 @@ multiplier is bit for bit what the same steps on Python complex numbers
 (maps.evaluate and maps.derivative) give; numpy's complex multiply,
 divide and abs round differently.
 
-The linearizer phi conjugates the map to w -> lambda*w near a repelling
-fixed point a, normalized phi(a) = 0, phi'(a) = 1.  It is the Schroeder
-power series of phi at a, whose coefficients follow from the Taylor
-series f(a + u) - a = 2a u + u**2, summed in double precision on a disk
-that holds no critical value eps and that the a-fixing inverse branch
-maps into itself.
+The Koenigs linearizer phi at a repelling fixed point a is its Schroeder
+series (Linearizer), summed on a disk that the a-fixing inverse branch
+maps into itself.  build_linearizer decides the disk by that branch's
+maximum over it in closed form, rounded outward.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ MAX_FAMILY_PERIOD = 10
 # Newton ratio of f^p(z) - z is finished in closed form, so nothing
 # overflows (see _iterated_newton).
 ESCAPE_MODULUS = 1e30
-LINEARIZER_BOUNDARY_SAMPLES = 64  # circle points whose pullbacks certify a linearizer disk
 NODE_BUDGET = 65536  # largest preimage tree the collinearity check enumerates
 LIST_MEMBER_TOL = 1e-12
 
@@ -407,11 +404,11 @@ def preimage_points(eps: complex, w: complex) -> list[complex]:
 # ---------------------------------------------------------------------------
 # Koenigs linearizer
 
-# Terms of the Schroeder series.  phi is analytic on the certified disk
-# and the series is summed at most half its radius from a, where the
-# Cauchy estimate bounds term n by 2^-n * max|phi| on the disk: 64 terms
-# leave a truncation error of 2^-64 (5e-20) of that maximum, below
-# double-precision rounding.
+# Terms of the Schroeder series.  phi = lambda**n phi(g^n), with g the
+# injective a-fixing branch, is univalent on the certified disk D_r(a), so
+# Koebe's growth theorem bounds |phi| by 0.9r/0.01 on D_0.9r(a) (Duren,
+# Univalent Functions, ch. 2).  The Cauchy estimate there puts the terms past
+# 64, summed at |u| <= r/2, below 202.5 r (5/9)**65 < 1e-14 r.
 SERIES_TERMS = 64
 
 
@@ -427,8 +424,6 @@ class Linearizer:
     """
 
     def __init__(self, eps: complex, point: PeriodicPoint, radius: float):
-        if point.period != 1 or point.classification != "repelling":
-            raise PreconditionError("linearizer base must be a repelling fixed point")
         self.epsilon = eps
         self.point = point
         self.radius = radius
@@ -492,35 +487,40 @@ def functional_equation_residual(lin: Linearizer, n: int) -> float:
 def build_linearizer(eps: complex, point: PeriodicPoint) -> Linearizer:
     """Certify a disk for the Koenigs coordinate by shrink-and-retry.
 
-    Radii start at (1 + |a|)/2.  A candidate radius r is accepted when the closed disk of radius r
-    about a holds no critical value eps = f(0), so the inverse branch
-    fixing a is analytic on it, and that branch maps the sampled
-    boundary circle inside radius r*(1/|lambda| + 1)/2, so by the maximum
-    principle it maps the disk into itself.  phi is then analytic on the
-    disk, which is what the series evaluation needs.  Otherwise r halves.
+    Radii start at (1 + |a|)/2 and halve until D_r(a) holds no critical
+    value eps and the branch g of f^-1 fixing a*, the fixed point nearest a,
+    maps it into D_{target r}(a): as u(u + 2a*) = z - a* for u = g(z) - a*,
+    |u| <= t on D_R(a*) if R <= t(2|a*| - t), tight if u is antiparallel to
+    a*.  Rounded outward, R = r + e, t = target r - e, m <= |a*| for |a*|, and
+    e >= |a - a*|: a**2 - a + eps = (a - a*)(a - 1 + a*), |a - 1 + a*| >= |2a - 1|/2.
     """
     lam = abs(point.multiplier)
     if lam <= 1.0:
         raise PreconditionError("linearizer base must be repelling")
+    if point.period != 1 or point.classification != "repelling":
+        raise PreconditionError("linearizer base must be a repelling fixed point")
     target = (1.0 / lam + 1.0) / 2.0
+    a = complex(point.location)
+    # Each part of w is four rounded operations, within gamma_4 < 1e-15 of 2(|a|**2 + |a| + |eps|)
+    # (Higham, ch. 3); d rounds only in its real part, by 1 ulp of |d|; hypot is within 1 ulp.
+    w, d = a * a - a + eps, 2.0 * a - 1.0
+    res = _step(_step(math.hypot(w.real, w.imag), 2) + 2e-15 * (abs(a) ** 2 + abs(a) + abs(eps)), 1)
+    e = _step(2.0 * res / _step(math.hypot(d.real, d.imag), -3), 1)
+    m = _step(_step(math.hypot(a.real, a.imag), -2) - e, -1)
     r = 0.5 * (1.0 + abs(point.location))
-    lin = Linearizer(eps, point, r)
-    a = lin._a
     for _ in range(60):
-        if abs(eps - a) > r and _radius_certified(lin, r, target):
-            lin.radius = r
-            return lin
+        t = _step(target * r - e, -1)
+        if abs(eps - a) > r and _step(r + e, 1) <= _step(t * _step(2.0 * m - t, -1), -1):
+            return Linearizer(eps, point, r)
         r *= 0.5
     raise ConstructionError("no certified linearization disk found")
 
 
-def _radius_certified(lin: Linearizer, r: float, target: float) -> bool:
-    a = lin._a
-    for k in range(LINEARIZER_BOUNDARY_SAMPLES):
-        z = a + r * cmath.exp(2j * math.pi * k / LINEARIZER_BOUNDARY_SAMPLES)
-        if abs(lin._pullback(z) - a) > target * r:
-            return False
-    return True
+def _step(x: float, n: int) -> float:
+    """x moved n floats up (n > 0) or down (n < 0), to round outward."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
 
 
 # ---------------------------------------------------------------------------

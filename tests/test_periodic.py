@@ -3,14 +3,18 @@ import math
 import random
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horolab import periodic
 from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
 from horolab.maps import derivative, evaluate
 from horolab.maps import quadratic_map as quad
+from horolab.quadratic import fixed_point_a
 from horolab.periodic import (
     MAX_FAMILY_PERIOD,
     build_linearizer,
@@ -184,17 +188,122 @@ def test_linearizer_matches_exact_koenigs_coordinate(f, a, exact):
     assert worst < 1e-13
 
 
-def test_linearizer_disk_excludes_critical_values(monkeypatch):
+def test_linearizer_disk_excludes_critical_values():
     """At eps 0.1 the first radius (1 + |a|)/2 = 0.944 holds the critical
-    value eps, 0.787 from a, so the disk halves."""
+    value eps, |a - eps| = |a|**2 = 0.787 from a, so the disk halves."""
     eps = quad(0.1)
     point = make_periodic_point(eps, (1 + cmath.sqrt(0.6)) / 2, 1)
     first = 0.5 * (1.0 + abs(point.location))
-    assert abs(eps - point.location) < first
+    assert abs(eps - point.location) == pytest.approx(abs(point.location) ** 2, rel=1e-15)
+    assert first >= abs(point.location) ** 2
     assert build_linearizer(eps, point).radius == first / 2
-    # the same halving with the sampled boundary check passing every disk
-    monkeypatch.setattr(periodic, "_radius_certified", lambda lin, r, target: True)
-    assert build_linearizer(eps, point).radius == first / 2
+
+
+def test_linearizer_rejects_a_periodic_base_before_any_radius(monkeypatch):
+    """A repelling period-2 point (1 at eps -3, multiplier -8) raises
+    PreconditionError, and no linearizer is built for it."""
+    eps = quad(-3.0)
+    point = make_periodic_point(eps, 1.0, 2)
+    assert point.classification == "repelling"
+    monkeypatch.setattr(periodic, "Linearizer", None)
+    with pytest.raises(PreconditionError, match="repelling fixed point"):
+        build_linearizer(eps, point)
+
+
+# The disk grid: Re eps from -3 to 0.25 in steps of 0.05 by Im eps, where
+# fixed_point_a is defined (not at the real 0.25), and parameters near the
+# parabolic 0.25, at parabolic cycles, at tiny and signed-zero parts.
+DISK_GRID = [
+    complex(k / 20, im) for im in (0.0, 0.1, 0.3, 0.5, 0.8) for k in range(-60, 6) if complex(k / 20, im) != 0.25
+] + [0.1, 0.2, 0.24, 0.249, 0.2499999, -0.75, -1.75, -1.9, -2.0, 1e-300j, complex(-1.0, -0.0),
+     -0.525 + 0.16j, 0.26 + 0.3j, -2.5 + 1.2j]
+
+
+def sampled_disk(eps, point, pullback):
+    """build_linearizer's radius as 64 boundary samples decided it before
+    the closed form, the reference it must equal bit for bit, and the
+    largest sampled |g(z) - a| at that radius."""
+    a = complex(point.location)
+    target = (1.0 / abs(point.multiplier) + 1.0) / 2.0
+    r = 0.5 * (1.0 + abs(point.location))
+    for _ in range(60):
+        if abs(eps - a) > r:
+            dists = [abs(pullback(a + r * cmath.exp(2j * math.pi * k / 64)) - a) for k in range(64)]
+            if not any(d > target * r for d in dists):
+                return r, max(dists)
+        r *= 0.5
+
+
+def sqrt_bounds(x):
+    """Rationals lo <= sqrt(x) <= hi, within 2**-64 relative, for a rational x >= 0."""
+    if x == 0:
+        return x, x
+    k = max(0, 64 - (x.numerator.bit_length() - x.denominator.bit_length()) // 2)
+    n = x * 4**k
+    lo = math.isqrt(n.numerator // n.denominator)
+    return Fraction(lo, 2**k), Fraction(lo + 1, 2**k)
+
+
+def test_linearizer_disk_matches_the_sampler_and_the_closed_form():
+    """Over the grid the closed-form radius is the sampler's, bit for bit.
+    At it, the pullback where u is antiparallel to a (z - a = -r (a/|a|)**2)
+    meets the closed form rho = |a| - sqrt(|a|**2 - r) within a few ulps of
+    |a|, no sampled pullback exceeds it by more, and the disk test holds in
+    exact rational arithmetic, with |a - a*| bounded by the exact residual."""
+    for p in DISK_GRID:
+        eps = quad(p)
+        point = make_periodic_point(eps, fixed_point_a(p), 1)
+        lin = build_linearizer(eps, point)
+        r, a = lin.radius, complex(point.location)
+        sampled_r, sampled_max = sampled_disk(eps, point, lin._pullback)
+        assert r == sampled_r, p
+        rho = r / (abs(a) + math.sqrt(abs(a) ** 2 - r))
+        unit = a / abs(a)
+        assert abs(abs(lin._pullback(a - r * unit * unit) - a) - rho) <= 4 * math.ulp(abs(a)), p
+        assert sampled_max <= rho + 4 * math.ulp(abs(a)), p
+        ar, ai, er, ei = (Fraction(x) for x in (a.real, a.imag, eps.real, eps.imag))
+        residual2 = (ar * ar - ai * ai - ar + er) ** 2 + (2 * ar * ai - ai + ei) ** 2
+        e = sqrt_bounds(4 * residual2 / ((2 * ar - 1) ** 2 + (2 * ai) ** 2))[1]
+        m = sqrt_bounds(ar * ar + ai * ai)[0] - e
+        t = Fraction((1.0 / abs(point.multiplier) + 1.0) / 2.0 * r) - e
+        assert 0 <= t and Fraction(r) + e <= t * (2 * m - t), p
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    re=st.floats(-3.0, 0.2499),
+    im=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    s=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, 2 * math.pi),
+)
+def test_pullback_is_the_a_fixing_branch_on_the_disk(re, im, s, theta):
+    """On the certified disk _pullback is the branch fixing a: it lands
+    within rho(r) = |a| - sqrt(|a|**2 - r) of a, and the other preimage
+    -(a + u) lies at least 2|a| - rho(r) from a."""
+    eps = quad(complex(re, im))
+    point = make_periodic_point(eps, fixed_point_a(eps), 1)
+    lin = build_linearizer(eps, point)
+    a, r = complex(point.location), lin.radius
+    rho = r / (abs(a) + math.sqrt(abs(a) ** 2 - r))
+    u = lin._pullback(a + s * r * cmath.exp(1j * theta)) - a
+    assert abs(u) <= rho + 4 * math.ulp(abs(a))
+    assert abs(-(a + u) - a) >= 2 * abs(a) - rho - 4 * math.ulp(abs(a))
+
+
+# Every parameter at which tools/same_outputs.sh builds a linearizer.
+SAME_OUTPUTS_LINEARIZERS = [-1.0, -0.525 + 0.16j, complex(-1.0, -0.0), 0.1, 0.2499999, 1e-300j, -3.0, 0.2]
+
+
+@pytest.mark.parametrize("p", SAME_OUTPUTS_LINEARIZERS)
+def test_schroeder_coefficients_meet_the_koebe_cauchy_bound(p):
+    """phi is univalent on the certified disk with phi'(a) = 1, so Koebe's
+    growth theorem gives |phi| <= 0.9r/0.01 on D_0.9r(a), and the Cauchy
+    estimate there |d_n| (0.9r)**n <= 0.9r/0.01: the bound behind
+    SERIES_TERMS."""
+    eps = quad(p)
+    lin = build_linearizer(eps, make_periodic_point(eps, fixed_point_a(p), 1))
+    rho = 0.9 * lin.radius
+    assert all(abs(d) * rho**n <= rho / 0.01 for n, d in enumerate(lin._coeffs))
 
 
 @pytest.mark.parametrize("a", [complex(1.618, 0.0), complex(-1.3, -0.0), complex(-0.0, -0.7), complex(0.6, 0.3)])

@@ -30,7 +30,11 @@
 # containment check), classify at -3 period 3 (points with zero
 # imaginary parts), and classify at the parabolic parameters -0.75
 # period 2 and -1.75 period 3 (rows of the Newton polish that stop at
-# the parabolic guard, or after 5 steps).  Each command's --out tree,
+# the parabolic guard, or after 5 steps), and the linearizer disk's
+# decisions: linearize at 0.1 (the critical value halves the first
+# disk), at 0.2499999 (many halvings, and the widest gap between the
+# polished and the exact fixed point) and at 1e-300i, and collinearity
+# at 0.2 with depth 12.  Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.
 # Exit status 0 means no difference.
@@ -113,6 +117,10 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" classify-period-3 classify --epsilon -3 --config "$tmp/period-3.cfg"
     run "$tree" "$out" classify-parabolic-period-2 classify --epsilon -0.75 --config "$tmp/period-2.cfg"
     run "$tree" "$out" classify-parabolic-period-3 classify --epsilon -1.75 --config "$tmp/period-3.cfg"
+    run "$tree" "$out" linearize-critical-value linearize --epsilon 0.1
+    run "$tree" "$out" linearize-near-parabolic linearize --epsilon 0.2499999
+    run "$tree" "$out" linearize-tiny-imaginary linearize --epsilon=0,1e-300
+    run "$tree" "$out" collinearity-depth-12 collinearity --epsilon 0.2 --depth 12
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
