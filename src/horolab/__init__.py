@@ -56,9 +56,11 @@ _DEFINED_IN = {
     "CollinearityReport": "periodic",
     "Linearizer": "periodic",
     "PeriodicPoint": "periodic",
+    "base_point": "periodic",
     "build_linearizer": "periodic",
     "classify": "periodic",
     "collinearity_in_linearizer": "periodic",
+    "fixed_point_a": "periodic",
     "list_1_1_member": "periodic",
     "make_periodic_point": "periodic",
     "periodic_points": "periodic",
@@ -80,7 +82,6 @@ _DEFINED_IN = {
     "family_word": "quadratic",
     "find_sigma": "quadratic",
     "find_sigma_delta": "quadratic",
-    "fixed_point_a": "quadratic",
     "limit_decomposition_check": "quadratic",
     "lower_bound": "quadratic",
     "nested_decomposition_check": "quadratic",

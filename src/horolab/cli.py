@@ -25,11 +25,12 @@ from .errors import ConfigError, HorolabError, PreconditionError, SuiteFailureEr
 from .julia import inverse_iteration_sample
 from .maps import quadratic_map
 from .periodic import (
+    base_point,
     build_linearizer,
     collinearity_in_linearizer,
+    fixed_point_a,
     functional_equation_residual,
     list_1_1_member,
-    make_periodic_point,
     periodic_points,
 )
 from .quadratic import (
@@ -40,7 +41,6 @@ from .quadratic import (
     disk_containment_check,
     excursion_stats,
     family_word,
-    fixed_point_a,
     limit_decomposition_check,
     nested_decomposition_check,
     normalize_word,
@@ -213,7 +213,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
 
 def cmd_linearize(cfg: RunConfig) -> dict:
     eps = quadratic_map(cfg.epsilon)
-    point = make_periodic_point(eps, fixed_point_a(cfg.epsilon), 1)
+    point = base_point(cfg.epsilon)
     lin = build_linearizer(eps, point)
     return _payload(
         cfg,
@@ -226,7 +226,7 @@ def cmd_linearize(cfg: RunConfig) -> dict:
 
 def cmd_collinearity(cfg: RunConfig) -> dict:
     eps = quadratic_map(cfg.epsilon)
-    lin = build_linearizer(eps, make_periodic_point(eps, fixed_point_a(cfg.epsilon), 1))
+    lin = build_linearizer(eps, base_point(cfg.epsilon))
     rep = collinearity_in_linearizer(eps, lin, depth=cfg.depth or 8)
     return _payload(
         cfg,

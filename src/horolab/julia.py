@@ -1,10 +1,11 @@
 """Julia set sampling by inverse iteration.
 
-The inverse-iteration sampler walks random backward paths from a
-repelling fixed point; after a burn-in the visited points distribute
-over the Julia set.  Branch randomness is seeded and consumed in a
-fixed order (main sign matrix first, then per-path resampling draws),
-so the sorted sample is reproducible bit for bit.  The sample is sorted
+The inverse-iteration sampler walks random backward paths from the
+distinguished fixed point a(eps), the periodic.base_point every layer
+starts from, when it is repelling; after a burn-in the visited points
+distribute over the Julia set.  Branch randomness is seeded and
+consumed in a fixed order (main sign matrix first, then per-path
+resampling draws), so the sorted sample is reproducible bit for bit.  The sample is sorted
 by (re, im) as an array, in one stable np.lexsort, and converted to
 Python complex numbers by one .tolist(): the order and the values are
 those of sorting the list of points on the key (z.real, z.imag).
@@ -12,16 +13,14 @@ those of sorting the list of points on the key (z.real, z.imag).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, PreconditionError
-from .maps import quadratic_map
 from .orbits import CRITICAL_PROXIMITY
-from .periodic import PeriodicPoint, periodic_points
+from .periodic import base_point
 
 BURN_IN = 20
 MAX_RESAMPLE = 5
@@ -35,17 +34,6 @@ class JuliaSample:
     params: dict
 
 
-def _starting_point(eps: complex) -> PeriodicPoint:
-    """The distinguished fixed point (1 + sqrt(1 - 4 eps))/2, when it is
-    repelling.  Its multiplier is at least the other fixed point's in
-    modulus, so when it is not repelling neither fixed point is."""
-    a = (1.0 + cmath.sqrt(1.0 - 4.0 * eps)) / 2.0
-    for p in periodic_points(quadratic_map(eps), 1):
-        if p.classification == "repelling" and abs(p.location - a) < 1e-6 * (1 + abs(a)):
-            return p
-    raise PreconditionError("inverse iteration needs a repelling fixed point")
-
-
 def inverse_iteration_sample(
     epsilon: complex,
     n_points: int,
@@ -53,7 +41,9 @@ def inverse_iteration_sample(
     seed: int,
 ) -> JuliaSample:
     """Random backward orbits of z**2 + epsilon from its repelling
-    fixed point a, pooled.
+    fixed point a, pooled.  The multiplier of a is at least the other
+    fixed point's in modulus, so when a is not repelling neither fixed
+    point is, which is a PreconditionError.
 
     The inverse branches are closed-form.  Paths whose branch choice
     hits the critical value (both preimages collide) are resampled with
@@ -67,7 +57,9 @@ def inverse_iteration_sample(
         raise ConfigError(f"depth must exceed the burn-in ({BURN_IN})")
     if n_points < 1:
         raise ConfigError("n_points must be positive")
-    start = _starting_point(eps)
+    start = base_point(eps)
+    if start.classification != "repelling":
+        raise PreconditionError("inverse iteration needs a repelling fixed point")
     per_path = depth - BURN_IN
     n_paths = math.ceil(n_points / per_path)
     rng = np.random.default_rng(seed)

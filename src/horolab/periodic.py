@@ -1,5 +1,9 @@
 """Periodic points, multiplier classification, and Koenigs linearization
-for f = z**2 + eps, each taking the parameter eps.
+for f = z**2 + eps, each taking the parameter eps, and the distinguished
+fixed point a(eps) = (1 + sqrt(1 - 4 eps))/2 that every layer's backward
+orbits, Julia samples and linearizers start from: fixed_point_a is its
+closed form, and base_point the PeriodicPoint polished from it, cached
+per parameter.
 
 The periodic points of period p are the roots of f^p(z) - z, found by an
 Aberth-Ehrlich simultaneous iteration whose Newton ratio is computed by
@@ -29,6 +33,7 @@ maximum over it in closed form, rounded outward.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +46,7 @@ from .errors import (
     PreconditionError,
     RootFindingError,
 )
-from .maps import OVERFLOW_RADIUS, evaluate
+from .maps import OVERFLOW_RADIUS, evaluate, quadratic_map
 
 SUPERATTRACTING_TOL = 1e-9
 PARABOLIC_TOL = 1e-8
@@ -188,6 +193,29 @@ def make_periodic_point(eps: complex, z: complex, period: int) -> PeriodicPoint:
     z, m = _polish(eps, np.array([complex(z)]), period)
     z, m = complex(z[0]), complex(m[0])
     return PeriodicPoint(z, period, m, classify(m))
+
+
+def fixed_point_a(epsilon: complex) -> complex:
+    """(1 + sqrt(1 - 4 epsilon))/2 with the principal square root.
+
+    For real epsilon < 1/4 this is the larger real fixed point; real
+    epsilon >= 1/4 puts 1 - 4 epsilon on the closed negative axis where
+    the branch is ill-defined (the fixed points collide or leave the
+    real line), which is a domain error.
+    """
+    eps = complex(epsilon)
+    w = 1.0 - 4.0 * eps
+    if w.imag == 0.0 and w.real <= 0.0:
+        raise DomainError(
+            "1 - 4*epsilon lies on the negative real cut; no distinguished fixed point"
+        )
+    return (1.0 + cmath.sqrt(w)) / 2.0
+
+
+@functools.lru_cache(maxsize=128)
+def base_point(eps: complex) -> PeriodicPoint:
+    """The distinguished fixed point a(eps) of z**2 + eps, polished."""
+    return make_periodic_point(quadratic_map(eps), fixed_point_a(eps), 1)
 
 
 def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:

@@ -1,11 +1,12 @@
-"""The quadratic family z**2 + epsilon: distinguished fixed point,
-certified disk construction, excursion statistics, cocycle floor checks,
-the sign-definite value semigroup, and semigroup convergence under
-concatenation (limit_decomposition_check, the one routine that values
-concatenated words against beta(y) + beta(c)).
+"""The quadratic family z**2 + epsilon: certified disk construction,
+excursion statistics, cocycle floor checks, the sign-definite value
+semigroup, and semigroup convergence under concatenation
+(limit_decomposition_check, the one routine that values concatenated
+words against beta(y) + beta(c)).
 
-The distinguished fixed point is a(eps) = (1 + sqrt(1 - 4 eps))/2, the
-repelling one for real eps < 1/4.  All Julia-geometry checks in this
+The distinguished fixed point a(eps) = (1 + sqrt(1 - 4 eps))/2, the
+repelling one for real eps < 1/4, is periodic.fixed_point_a, and words
+start from periodic.base_point.  All Julia-geometry checks in this
 module hang off two certified radii: sigma, below which the map is
 injective on D_sigma(a) with image covering the closed disk and with
 the first three backward disks pairwise disjoint, and delta, half the
@@ -44,14 +45,9 @@ from .cocycle import (
     make_density_report,
     values_vs_fixed,
 )
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    DomainError,
-    PreconditionError,
-)
+from .errors import ConfigError, ConstructionError, PreconditionError
 from .julia import JuliaSample, inverse_iteration_sample
-from .maps import quadratic_map
+from .maps import quadratic_map  # unused here; perfbench/workloads.py reads it from here
 from .orbits import (
     OrbitWord,
     RealizedOrbit,
@@ -61,7 +57,7 @@ from .orbits import (
     realize_batch,
     shift,
 )
-from .periodic import list_1_1_member, make_periodic_point
+from .periodic import base_point, fixed_point_a, list_1_1_member
 
 BRANCH_EXCEPTIONAL_TOL = 1e-10
 CERT_MARGIN = 1e-6
@@ -76,24 +72,7 @@ SAMPLE_DEPTH = 40  # inverse-iteration depth of default_sigma_delta's Julia samp
 
 
 # ---------------------------------------------------------------------------
-# the distinguished fixed point and the exceptional parameters
-
-
-def fixed_point_a(epsilon: complex) -> complex:
-    """(1 + sqrt(1 - 4 epsilon))/2 with the principal square root.
-
-    For real epsilon < 1/4 this is the larger real fixed point; real
-    epsilon >= 1/4 puts 1 - 4 epsilon on the closed negative axis where
-    the branch is ill-defined (the fixed points collide or leave the
-    real line), which is a domain error.
-    """
-    eps = complex(epsilon)
-    w = 1.0 - 4.0 * eps
-    if w.imag == 0.0 and w.real <= 0.0:
-        raise DomainError(
-            "1 - 4*epsilon lies on the negative real cut; no distinguished fixed point"
-        )
-    return (1.0 + cmath.sqrt(w)) / 2.0
+# the exceptional parameters
 
 
 def branch_exceptional(epsilon: complex) -> bool:
@@ -108,17 +87,12 @@ def branch_exceptional(epsilon: complex) -> bool:
 # word construction for the family
 
 
-@functools.lru_cache(maxsize=128)
-def _family_base(eps: complex):
-    return make_periodic_point(quadratic_map(eps), fixed_point_a(eps), 1)
-
-
 def family_word(epsilon: complex, prefix: str, sigma: float | None = None) -> OrbitWord:
     """An orbit word at a(epsilon); sigma defaults to the certified
     radius (pass one explicitly for parameters where the certificate
     construction fails, such as the branch-exceptional point)."""
     eps = complex(epsilon)
-    point = _family_base(eps)
+    point = base_point(eps)
     if sigma is None:
         sigma = find_sigma(eps)[0]
     return OrbitWord(eps, point, prefix, sigma)

@@ -45,10 +45,11 @@ from .julia import inverse_iteration_sample
 from .maps import evaluate, quadratic_map
 from .orbits import is_in_Pi_a, shift
 from .periodic import (
+    base_point,
     build_linearizer,
     collinearity_in_linearizer,
+    fixed_point_a,
     functional_equation_residual,
-    make_periodic_point,
 )
 from .quadratic import (
     DEFAULT_MAX_PREFIX,
@@ -60,7 +61,6 @@ from .quadratic import (
     disk_containment_check,
     excursion_stats,
     family_word,
-    fixed_point_a,
     limit_decomposition_check,
     lower_bound,
     nested_decomposition_check,
@@ -100,7 +100,7 @@ def criterion_1(seed: int) -> CriterionResult:
     tags = []
     for e in (-3.0, -1.0, -0.5, 0.1, 0.2):
         a = fixed_point_a(e)
-        p = make_periodic_point(quadratic_map(e), a, 1)
+        p = base_point(e)
         tags.append(p.classification)
         mult_err = max(mult_err, abs(p.multiplier - 2.0 * a))
     ok = res < 1e-12 and all(t == "repelling" for t in tags) and mult_err < 1e-9
@@ -443,8 +443,7 @@ def criterion_11(seed: int) -> CriterionResult:
     verdicts = {}
     for eps in (-3.0, -1.0):
         f = quadratic_map(eps)
-        p = make_periodic_point(f, fixed_point_a(eps), 1)
-        lin = build_linearizer(f, p)
+        lin = build_linearizer(f, base_point(eps))
         rep = collinearity_in_linearizer(f, lin, depth=8)
         verdicts[eps] = rep
         residual = max(residual, functional_equation_residual(lin, 8))

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from horolab import julia
+from horolab import julia, periodic
 from horolab.errors import ConfigError
 from horolab.julia import inverse_iteration_sample
 
@@ -36,6 +38,22 @@ def test_inverse_iteration_passthrough_on_critical_parameter():
     assert sample.params["resampled_paths"] == sample.params["passthrough_paths"] > 0
     assert all(abs(z.imag) < 1e-7 for z in sample.points)
     assert all(-2.0 - 1e-9 <= z.real <= 2.0 + 1e-9 for z in sample.points)
+
+
+def test_sample_starts_at_the_base_point_without_a_root_solve(monkeypatch):
+    """The Julia set of z**2 - 3 lies on the real line, and so does every
+    sample point: the walk starts at the polished closed-form fixed point,
+    not at a root solve's, whose imaginary part was rounding noise.  The
+    real parts, frozen as a digest, are those drawn from the solved root."""
+
+    def no_solve(eps, period):
+        raise AssertionError("the sampler solved for its start point")
+
+    monkeypatch.setattr(periodic, "_family_periodic_roots", no_solve)
+    sample = inverse_iteration_sample(-3.0, 2000, 40, 7)
+    assert all(z.imag == 0.0 for z in sample.points)
+    reals = repr([z.real for z in sample.points]).encode()
+    assert hashlib.sha256(reals).hexdigest() == "2c966119dc1d9beef11e233e9c60fe87b338f44ecd5e4af952b92e90fcd235bc"
 
 
 def test_inverse_iteration_config_errors():

@@ -14,16 +14,18 @@ from horolab import periodic
 from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
 from horolab.maps import derivative, evaluate
 from horolab.maps import quadratic_map as quad
-from horolab.quadratic import fixed_point_a
 from horolab.periodic import (
     MAX_FAMILY_PERIOD,
+    base_point,
     build_linearizer,
     classify,
     collinearity_in_linearizer,
+    fixed_point_a,
     make_periodic_point,
     periodic_points,
     preimage_points,
 )
+from horolab.quadratic import family_word
 
 
 def test_classification_tags():
@@ -139,6 +141,14 @@ def test_make_periodic_point_rejects_non_periodic():
 def test_make_periodic_point_rejects_period_below_1(period):
     with pytest.raises(ConfigError):
         make_periodic_point(quad(-1.0), (1 + math.sqrt(5)) / 2, period)
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.0, complex(-0.525, 0.16)])
+def test_words_and_linearizers_share_the_base_point(eps):
+    point = base_point(eps)
+    assert point == make_periodic_point(quad(eps), fixed_point_a(eps), 1)
+    assert family_word(eps, "-").base is point
+    assert build_linearizer(quad(eps), point).point is point
 
 
 def test_linearizer_rejects_attracting_base():

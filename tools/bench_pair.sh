@@ -5,7 +5,12 @@
 #       (e.g. tools/bench_pair.sh HEAD~ BENCH.json,
 #        tools/bench_pair.sh HEAD~ BENCH-scan.json param-scan 12)
 #
-# Extracts REF into a temporary directory (git archive, so an interrupted
+# First runs `python3 perfbench/run.py --workload WORKLOAD --seed SEED
+# --seconds 1 --trace 1` once in the working tree, and stops with its
+# output if that run exits non-zero or prints `"correct": false`: the
+# tracer wraps the layers' public functions by module and name, so a
+# function moved between modules shows there before any pair is timed.
+# Then extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs
 # `python3 perfbench/run.py --workload WORKLOAD --seed SEED` (default:
 # all workloads at seed 11) 10 times in each tree, each tree with its own
@@ -27,6 +32,13 @@ root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse "$ref")
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+if ! (cd "$root" && python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 1 --trace 1) \
+        > "$tmp/traced.log" 2>&1 || grep -q '"correct": false' "$tmp/traced.log"; then
+    cat "$tmp/traced.log" >&2
+    echo "the traced run of the working tree failed; no pairs run" >&2
+    exit 1
+fi
 
 mkdir -p "$tmp/ref"
 git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"

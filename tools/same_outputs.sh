@@ -34,7 +34,12 @@
 # decisions: linearize at 0.1 (the critical value halves the first
 # disk), at 0.2499999 (many halvings, and the widest gap between the
 # polished and the exact fixed point) and at 1e-300i, and collinearity
-# at 0.2 with depth 12.  Each command's --out tree,
+# at 0.2 with depth 12, and three julia cases from the distinguished fixed
+# point:
+#   julia at -3: a real Julia set, whose points have imaginary parts 0;
+#   julia at -0.75 + 0.1i: a start point whose real part an Aberth solve misses by 1 ulp;
+#   julia at 0.25: no distinguished fixed point, the error path.
+# Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.
 # Exit status 0 means no difference.
@@ -121,6 +126,9 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" linearize-near-parabolic linearize --epsilon 0.2499999
     run "$tree" "$out" linearize-tiny-imaginary linearize --epsilon=0,1e-300
     run "$tree" "$out" collinearity-depth-12 collinearity --epsilon 0.2 --depth 12
+    run "$tree" "$out" julia-real julia --epsilon -3 --seed 7
+    run "$tree" "$out" julia-moved-start julia --epsilon=-0.75,0.1 --seed 7
+    run "$tree" "$out" julia-no-fixed-point julia --epsilon 0.25 --seed 7
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
