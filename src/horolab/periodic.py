@@ -381,6 +381,8 @@ def _iterated_newton(eps: complex, period: int):
     An orbit point z_j beyond ESCAPE_MODULUS is not iterated further:
     from there the ratio is z_j / ((f^j)'(z) 2**(period - j)) to a
     relative 1/ESCAPE_MODULUS, so that is returned and nothing overflows.
+    A step where no point has escaped, the usual case, is taken on the
+    whole arrays, with the masked step's arithmetic.
     """
 
     def newton(z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,6 +391,10 @@ def _iterated_newton(eps: complex, period: int):
         tail = np.ones(len(z0))  # 2**(period - j) once z_j has escaped
         for _ in range(period):
             live = np.abs(z) <= ESCAPE_MODULUS
+            if live.all():
+                d *= 2.0 * z
+                z = z * z + eps
+                continue
             tail[~live] *= 2.0
             zl = z[live]
             d[live] *= 2.0 * zl

@@ -365,6 +365,67 @@ def _admissible(cert: dict) -> bool:
     )
 
 
+def _gap(cert: dict) -> float:
+    """The smallest certified margin less CERT_MARGIN: >= 0 exactly when
+    cert is admissible."""
+    margins = (cert["univalence_margin"], cert["covering_margin"], cert["disjointness_margin"])
+    return min(margins) - CERT_MARGIN
+
+
+def _edge_bracket(eps: complex, a: complex, lo: float, cert_lo: dict, hi: float, cert_hi: dict):
+    """(L, cert at L, H) with L admissible and H refused, shrunk from
+    [lo, hi] by Illinois regula falsi on _gap (Dowell & Jarratt, BIT 11
+    (1971) 168-174), one certificate a step, until H - L <= 4 ulp or 12
+    steps.  A secant point that rounds onto L or H puts the edge within
+    an ulp of that end, so the float next to it is tried instead."""
+    L, cert_L, g_lo = lo, cert_lo, _gap(cert_lo)
+    H, g_hi = hi, _gap(cert_hi)
+    side = 0  # which end the last step moved: 1 for L, -1 for H
+    for _ in range(12):
+        if H - L <= 4.0 * math.ulp(H):
+            break
+        s = H - g_hi * (H - L) / (g_hi - g_lo)
+        if s <= L:
+            s = math.nextafter(L, H)
+        elif s >= H:
+            s = math.nextafter(H, L)
+        cert = _sigma_certificates(eps, a, s)
+        if _admissible(cert):
+            if side == 1:  # L moved twice running: halve the weight kept at H
+                g_hi *= 0.5
+            L, cert_L, g_lo, side = s, cert, _gap(cert), 1
+        else:
+            if side == -1:
+                g_lo *= 0.5
+            H, g_hi, side = s, _gap(cert), -1
+    return L, cert_L, H
+
+
+def _bisect(eps: complex, a: complex, lo: float, cert_lo: dict, hi: float, bracket=None):
+    """Bisection from admissible lo and refused hi: at most 60 steps,
+    stopping once the midpoint rounds to lo or hi, as the certificate is
+    deterministic and from there no step would move lo or hi.  With
+    bracket = (L, cert at L, H), a midpoint <= L counts as admissible and
+    one >= H as refused, uncertified.  Returns lo and its certificate,
+    None where lo was so decided below L."""
+    L, cert_L, H = bracket or (-math.inf, None, math.inf)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if mid <= L:
+            lo, cert_lo = mid, cert_L if mid == L else None
+        elif mid >= H:
+            hi = mid
+        else:
+            cert = _sigma_certificates(eps, a, mid)
+            if _admissible(cert):
+                lo, cert_lo = mid, cert
+            else:
+                hi = mid
+    return lo, cert_lo
+
+
 @functools.lru_cache(maxsize=128)
 def find_sigma(epsilon: complex) -> tuple[float, dict]:
     """Largest certified sigma <= |a(eps)|/4, by bisection on the
@@ -372,11 +433,16 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
     1e-4*|a| is admissible (as at the branch-exceptional parameter,
     where the backward disks necessarily merge at the critical point).
 
-    The bisection takes at most 60 steps and stops early once the
-    midpoint rounds to lo or hi: the certificate is deterministic, lo is
-    always admissible and hi never is, so from there every step would
-    leave lo and hi as they are.  The certificate returned is the one
-    made when lo was last set.
+    The bisection only certifies near the edge of the admissible
+    sigmas.  A regula falsi first brackets that edge in [L, H], L
+    admissible and H refused (_edge_bracket); the bisection then runs
+    from the same lo and hi, taking a midpoint <= L as admissible and
+    one >= H as refused without a certificate, and certifying only those
+    strictly inside (L, H).  Where admissibility is monotone in sigma,
+    that replays the plain bisection decision for decision, so sigma is
+    the plain bisection's bit for bit.  The certificate returned is one
+    made at the returned sigma; if it is not admissible, admissibility
+    was not monotone, and the plain bisection decides instead.
     """
     eps = complex(epsilon)
     a = fixed_point_a(eps)
@@ -390,16 +456,13 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
         raise ConstructionError(
             f"no certified sigma above the floor {lo:.3e} at epsilon {eps}"
         )
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        cert = _sigma_certificates(eps, a, mid)
-        if _admissible(cert):
-            lo, cert_lo = mid, cert
-        else:
-            hi = mid
-    return lo, cert_lo
+    bracket = _edge_bracket(eps, a, lo, cert_lo, hi, cert)
+    sigma, cert = _bisect(eps, a, lo, cert_lo, hi, bracket)
+    if cert is None:
+        cert = _sigma_certificates(eps, a, sigma)
+    if not _admissible(cert):
+        sigma, cert = _bisect(eps, a, lo, cert_lo, hi)
+    return sigma, cert
 
 
 def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:

@@ -376,6 +376,42 @@ def test_aberth_buffer_fails_as_fresh_arrays_do(monkeypatch):
     assert str(changed.value) == str(reference.value)
 
 
+def reference_iterated_newton(eps, period):
+    """_iterated_newton as it was, every step through the masks: the
+    reference the whole-array step must match bit for bit."""
+
+    def newton(z0):
+        z = z0.copy()
+        d = np.ones_like(z0)
+        tail = np.ones(len(z0))
+        for _ in range(period):
+            live = np.abs(z) <= periodic.ESCAPE_MODULUS
+            tail[~live] *= 2.0
+            zl = z[live]
+            d[live] *= 2.0 * zl
+            z[live] = zl * zl + eps
+        escaped = tail > 1.0
+        return np.where(escaped, z, z - z0), np.where(escaped, d * tail, d - 1.0)
+
+    return newton
+
+
+@pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16)], ids=repr)
+@pytest.mark.parametrize("period", [1, 2, 5, 8])
+def test_iterated_newton_whole_array_steps_match_the_masked_walk(eps, period):
+    """Numerator and denominator, bit for bit: on points that never
+    escape (every step on the whole arrays), with a point that escapes
+    part way (whole-array steps, then masked ones) and with one beyond
+    ESCAPE_MODULUS from the start (every step masked)."""
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(-1.5, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64)
+    for z0 in (inside, np.append(inside, 1e20 + 1e19j), np.append(inside, 2.0 * periodic.ESCAPE_MODULUS)):
+        changed = periodic._iterated_newton(eps, period)(z0)
+        reference = reference_iterated_newton(eps, period)(z0)
+        for x, y in zip(changed, reference):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_root_solve_at_an_overflowing_start_radius_warns_nothing():
     """At |eps| = 1e308 the start radius overflows: the points turn NaN,
     which the residual check turns into RootFindingError, and no numpy

@@ -168,25 +168,25 @@ def reference_sigma_certificates(eps, a, sigma):
     }
 
 
-def reference_find_sigma(epsilon):
-    """find_sigma as it was: all 60 bisection steps on the reference
-    certificates, then the certificate at lo made again."""
+def reference_find_sigma(epsilon, certificates=reference_sigma_certificates):
+    """find_sigma as it was: all 60 bisection steps with a certificate
+    at every midpoint, then the certificate at lo made again."""
     eps = complex(epsilon)
     a = fixed_point_a(eps)
     hi = abs(a) / 4.0
-    cert = reference_sigma_certificates(eps, a, hi)
+    cert = certificates(eps, a, hi)
     if quadratic._admissible(cert):
         return hi, cert
     lo = quadratic.SIGMA_FLOOR_FACTOR * abs(a)
-    if not quadratic._admissible(reference_sigma_certificates(eps, a, lo)):
+    if not quadratic._admissible(certificates(eps, a, lo)):
         raise ConstructionError(f"no certified sigma above the floor {lo:.3e} at epsilon {eps}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if quadratic._admissible(reference_sigma_certificates(eps, a, mid)):
+        if quadratic._admissible(certificates(eps, a, mid)):
             lo = mid
         else:
             hi = mid
-    return lo, reference_sigma_certificates(eps, a, lo)
+    return lo, certificates(eps, a, lo)
 
 
 @pytest.mark.parametrize("im", [0.0, 0.1, 0.3, 0.5])
@@ -209,15 +209,60 @@ def test_sigma_certificates_match_the_argmin_owner_rule(im):
     assert (-2.0 in rejected) == (im == 0.0)
 
 
-@pytest.mark.parametrize(
-    "eps",
-    [-3.0, -2.5, -1.9, -1.8, complex(-3, 0.3), complex(-1.9, 0.2), complex(-2.5, 0.3), complex(-1.55, 0.5)],
-)
+BISECTED = [-3.0, -2.5, -1.9, -1.8, complex(-3, 0.3), complex(-1.9, 0.2), complex(-2.5, 0.3), complex(-1.55, 0.5)]
+# Re eps = -3.5, -3.25, ..., 0.25 by Im eps in {0, 0.1, 0.3, 0.5, 0.8}, without
+# 0.25 (no fixed point a) and -2 (no sigma: test_find_sigma_fails_as_the_reference_does)
+QUARTER_GRID = [
+    eps
+    for im in (0.0, 0.1, 0.3, 0.5, 0.8)
+    for k in range(16)
+    if (eps := complex(-3.5 + 0.25 * k, im) if im else -3.5 + 0.25 * k) not in (0.25, -2.0, *BISECTED)
+]
+
+
+@pytest.mark.parametrize("eps", BISECTED + QUARTER_GRID)
 def test_find_sigma_stops_where_the_bisection_stops_moving(eps):
-    """Leaving the bisection once the midpoint rounds to an end, and
-    keeping the certificate made at lo, give sigma and every margin bit
-    for bit as all 60 steps and a last certificate did."""
+    """The regula falsi bracket, the bisection that certifies only the
+    midpoints inside it, and the certificate kept from lo give sigma and
+    every margin bit for bit as all 60 steps, a certificate at every
+    midpoint and a last certificate at lo did.  |a|/4 is refused, so
+    sigma is bisected, at 39 parameters of the grid and at all of
+    BISECTED."""
     assert repr(find_sigma.__wrapped__(eps)) == repr(reference_find_sigma(eps))
+
+
+def test_find_sigma_falls_back_to_the_plain_bisection_across_a_hole(monkeypatch):
+    """With its edge at 1.5 times the floor, a certificate runs the
+    bisection to its 60-step cap before adjacent floats, so lo ends on a
+    midpoint below the bracket, taken as admissible without a
+    certificate.  Refusing just that sigma puts a hole in the admissible
+    set: the certificate then made at lo refuses, and find_sigma returns
+    what the plain bisection does."""
+    eps = -3.0
+    a = fixed_point_a(eps)
+    floor = quadratic.SIGMA_FLOOR_FACTOR * abs(a)
+    edge = 1.5 * floor
+    hole = set()
+
+    def certificates(eps, a, sigma):
+        disjoint = -1.0 if sigma in hole else quadratic.CERT_MARGIN + (edge - sigma)
+        return {
+            "univalence_margin": 1.0,
+            "covering_margin": 1.0,
+            "winding": 1.0,
+            "disjointness_margin": disjoint,
+        }
+
+    monkeypatch.setattr(quadratic, "_sigma_certificates", certificates)
+    monotone = reference_find_sigma(eps, certificates)
+    hi = abs(a) / 4.0
+    L, _, _ = quadratic._edge_bracket(eps, a, floor, certificates(eps, a, floor), hi, certificates(eps, a, hi))
+    assert monotone[0] < L
+    assert find_sigma.__wrapped__(eps) == monotone
+    hole.add(monotone[0])
+    plain = reference_find_sigma(eps, certificates)
+    assert plain[0] < monotone[0] and quadratic._admissible(plain[1])
+    assert find_sigma.__wrapped__(eps) == plain
 
 
 def test_find_sigma_fails_as_the_reference_does():

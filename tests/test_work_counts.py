@@ -351,9 +351,12 @@ def test_periodic_points_walk_no_cycle_point_by_point(monkeypatch):
 
 
 def test_find_sigma_stops_bisecting_when_the_midpoint_stops_moving(monkeypatch):
-    """At -3 the bisection's midpoint rounds to an end after 54 steps, and
-    the certificate made at lo is kept: 56 certificates in all, where the
-    full 60 steps and a last certificate at lo made 63."""
+    """At -3 a regula falsi closes the bracket about the edge of the
+    admissible sigmas to adjacent floats in 9 certificates, after those
+    at |a|/4 and the floor; the bisection then decides every midpoint
+    from the bracket, without one, and keeps the certificate made at lo:
+    11 certificates in all, where a certificate at every midpoint made
+    55 and the full 60 steps and a last certificate at lo made 63."""
     calls = []
     certificates = quadratic._sigma_certificates
 
@@ -364,4 +367,4 @@ def test_find_sigma_stops_bisecting_when_the_midpoint_stops_moving(monkeypatch):
     quadratic.find_sigma.cache_clear()
     monkeypatch.setattr(quadratic, "_sigma_certificates", counted)
     quadratic.find_sigma(-3.0)
-    assert len(calls) <= 56
+    assert len(calls) <= 15

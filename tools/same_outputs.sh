@@ -39,6 +39,10 @@
 #   julia at -3: a real Julia set, whose points have imaginary parts 0;
 #   julia at -0.75 + 0.1i: a start point whose real part an Aberth solve misses by 1 ulp;
 #   julia at 0.25: no distinguished fixed point, the error path.
+# Two more where sigma is bisected, the regula falsi bracket deciding the
+# midpoints far from the edge:
+#   sigma-delta at -3 + 0.3i: a complex parameter;
+#   cocycle at -1.9 with word -+: a command other than sigma-delta.
 # Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.
@@ -129,6 +133,8 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" julia-real julia --epsilon -3 --seed 7
     run "$tree" "$out" julia-moved-start julia --epsilon=-0.75,0.1 --seed 7
     run "$tree" "$out" julia-no-fixed-point julia --epsilon 0.25 --seed 7
+    run "$tree" "$out" sigma-delta-complex-minus-3 sigma-delta --epsilon=-3,0.3 --seed 7
+    run "$tree" "$out" cocycle-bisected-sigma cocycle --epsilon -1.9 --word=-+
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
