@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from .cocycle import cocycle_field, cocycle_vs_fixed, field_mean_value
 from .errors import ConfigError, HorolabError, PreconditionError, SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import quadratic_map
 from .periodic import (
     base_point,
     build_linearizer,
@@ -169,7 +168,7 @@ def _payload(cfg: RunConfig, **body) -> dict:
 
 
 def cmd_fixed_points(cfg: RunConfig) -> dict:
-    pts = periodic_points(quadratic_map(cfg.epsilon), 1)
+    pts = periodic_points(cfg.epsilon, 1)
     rows = [
         (p.location.real, p.location.imag, p.classification, p.multiplier.real, p.multiplier.imag)
         for p in pts
@@ -194,7 +193,7 @@ def cmd_fixed_points(cfg: RunConfig) -> dict:
 
 def cmd_classify(cfg: RunConfig) -> dict:
     period = cfg.keys["period"]
-    pts = periodic_points(quadratic_map(cfg.epsilon), period)
+    pts = periodic_points(cfg.epsilon, period)
     counts: dict[str, int] = {}
     for p in pts:
         counts[p.classification] = counts.get(p.classification, 0) + 1
@@ -212,9 +211,8 @@ def cmd_classify(cfg: RunConfig) -> dict:
 
 
 def cmd_linearize(cfg: RunConfig) -> dict:
-    eps = quadratic_map(cfg.epsilon)
     point = base_point(cfg.epsilon)
-    lin = build_linearizer(eps, point)
+    lin = build_linearizer(cfg.epsilon, point)
     return _payload(
         cfg,
         base=cx(point.location),
@@ -225,9 +223,8 @@ def cmd_linearize(cfg: RunConfig) -> dict:
 
 
 def cmd_collinearity(cfg: RunConfig) -> dict:
-    eps = quadratic_map(cfg.epsilon)
-    lin = build_linearizer(eps, base_point(cfg.epsilon))
-    rep = collinearity_in_linearizer(eps, lin, depth=cfg.depth or 8)
+    lin = build_linearizer(cfg.epsilon, base_point(cfg.epsilon))
+    rep = collinearity_in_linearizer(cfg.epsilon, lin, depth=cfg.depth or 8)
     return _payload(
         cfg,
         depth=cfg.depth or 8,

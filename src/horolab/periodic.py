@@ -18,11 +18,10 @@ polished by Newton on f^p(z) - z together, as the rows of float arrays
 (_polish; make_periodic_point is its one-row call): each Newton step and
 the validation take f^p(z) and the multiplier (f^p)'(z) from one walk of
 the cycle, and each row stops on its own.  The array passes are CPython's
-complex arithmetic written out on the real and imaginary parts, with
-maps' infinity tag and its signs of zero parts, so every point and
-multiplier is bit for bit what the same steps on Python complex numbers
-(maps.evaluate and maps.derivative) give; numpy's complex multiply,
-divide and abs round differently.
+complex arithmetic written out on the real and imaginary parts, so every
+point and multiplier is bit for bit what the same steps on Python complex
+numbers give, f(z) as z*z + eps and f'(z) as 2*z on the parts; numpy's
+complex multiply, divide and abs round differently.
 
 The Koenigs linearizer phi at a repelling fixed point a is its Schroeder
 series (Linearizer), summed on a disk that the a-fixing inverse branch
@@ -46,7 +45,6 @@ from .errors import (
     PreconditionError,
     RootFindingError,
 )
-from .maps import OVERFLOW_RADIUS, evaluate, quadratic_map
 
 SUPERATTRACTING_TOL = 1e-9
 PARABOLIC_TOL = 1e-8
@@ -215,7 +213,7 @@ def fixed_point_a(epsilon: complex) -> complex:
 @functools.lru_cache(maxsize=128)
 def base_point(eps: complex) -> PeriodicPoint:
     """The distinguished fixed point a(eps) of z**2 + eps, polished."""
-    return make_periodic_point(quadratic_map(eps), fixed_point_a(eps), 1)
+    return make_periodic_point(eps, fixed_point_a(eps), 1)
 
 
 def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
@@ -242,40 +240,17 @@ def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
 # each |.| np.hypot of the parts as abs(complex) is (module docstring).
 
 
-def _tag(zr: np.ndarray, zi: np.ndarray) -> None:
-    """maps' infinity tag in place: a row that is not finite, or whose
-    modulus exceeds OVERFLOW_RADIUS, becomes INF = (inf, 0).  NaN fails
-    the test hypot <= OVERFLOW_RADIUS, and so does an infinite part."""
-    bad = ~(np.hypot(zr, zi) <= OVERFLOW_RADIUS)
-    if bad.any():
-        zr[bad], zi[bad] = math.inf, 0.0
-
-
 def _evaluate_rows(eps: complex, zr: np.ndarray, zi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """maps.evaluate on tagged rows: ((z + 0j)*z + eps)/(1 + 0j), tagged.
-    The division is CPython's with ratio 0/1 = 0.0 and denominator 1.0,
-    which keep the signs of zero parts as it sets them."""
-    ur, ui = zr + 0.0, zi + 0.0
-    pr = ur * zr - ui * zi + eps.real
-    pi = ur * zi + ui * zr + eps.imag
-    wr, wi = pr + pi * 0.0, pi - pr * 0.0
-    _tag(wr, wi)
-    return wr, wi
+    """z*z + eps per row."""
+    return zr * zr - zi * zi + eps.real, zr * zi + zi * zr + eps.imag
 
 
 def _walk_rows(eps: complex, zr: np.ndarray, zi: np.ndarray, period: int):
-    """f^period(z) and the multiplier, the product of f'(f^j(z)) over
-    j < period, per row: (wr, wi, mr, mi).
-
-    f'(z) is maps.derivative's 2*z + 0j, which is (2 + 0j)*z + 0j in
-    CPython; on a tagged row (finite, or INF, whose derivative is tagged
-    anyway) that is (2 zr + 0.0, 2 zi + 0.0), tagged."""
-    zr, zi = zr.copy(), zi.copy()
-    _tag(zr, zi)  # evaluate and derivative tag their argument first
+    """f^period(z) and the multiplier, the product of f'(f^j(z)) = 2 f^j(z)
+    over j < period, per row: (wr, wi, mr, mi)."""
     mr, mi = np.ones_like(zr), np.zeros_like(zr)
     for _ in range(period):
-        dr, di = 2.0 * zr + 0.0, 2.0 * zi + 0.0
-        _tag(dr, di)
+        dr, di = 2.0 * zr, 2.0 * zi
         mr, mi = mr * dr - mi * di, mr * di + mi * dr
         zr, zi = _evaluate_rows(eps, zr, zi)
     return zr, zi, mr, mi
@@ -407,14 +382,12 @@ def _iterated_newton(eps: complex, period: int):
 
 def _exact_period(eps: complex, z: np.ndarray, period: int) -> np.ndarray:
     """Per root, whether its minimal period is `period`: no proper
-    divisor m of it has |f^m(z) - z| < 1e-7 (1 + |z|).  f is
-    maps.evaluate on the rows (_evaluate_rows)."""
+    divisor m of it has |f^m(z) - z| < 1e-7 (1 + |z|)."""
     zr, zi = z.real, z.imag
     scale = 1e-7 * (1.0 + np.hypot(zr, zi))
     exact = np.ones(len(z), bool)
-    wr, wi = zr.copy(), zi.copy()
+    wr, wi = zr, zi
     with np.errstate(all="ignore"):
-        _tag(wr, wi)  # evaluate tags its argument first
         for m in range(1, period // 2 + 1):  # the proper divisors are at most period/2
             wr, wi = _evaluate_rows(eps, wr, wi)
             if period % m == 0:
@@ -495,7 +468,7 @@ def _schroeder_series(a: complex) -> tuple[complex, tuple[complex, ...]]:
     """
     n = SERIES_TERMS + 1
     g = np.zeros(n, dtype=complex)
-    g[1] = 2 * a + 0j  # the sign of a zero part as the series division gave it
+    g[1] = 2 * a
     g[2] = 1.0
     lam = complex(g[1])
     d = np.zeros(n, dtype=complex)
@@ -514,7 +487,7 @@ def functional_equation_residual(lin: Linearizer, n: int) -> float:
     residual = 0.0
     for k in range(n):
         z = complex(lin.point.location) + lin.radius * 0.5 * complex(math.cos(k), math.sin(k))
-        residual = max(residual, abs(lin(evaluate(lin.epsilon, z)) - lin.multiplier * lin(z)))
+        residual = max(residual, abs(lin(z * z + lin.epsilon) - lin.multiplier * lin(z)))
     return residual
 
 

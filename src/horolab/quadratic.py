@@ -465,6 +465,13 @@ def find_sigma(epsilon: complex) -> tuple[float, dict]:
     return sigma, cert
 
 
+def _sigma_delta_parameter(epsilon: complex) -> complex:
+    eps = complex(epsilon)
+    if list_1_1_member(eps):
+        raise PreconditionError("sigma/delta construction excludes epsilon in {0, -2}")
+    return eps
+
+
 def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
     """The certified sigma together with the log-derivative floor delta.
 
@@ -483,9 +490,7 @@ def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
     delta is then 0.5 * min of the math.log gaps over those, the value a
     loop over every point in math.log gives.  The points are finite.
     """
-    eps = complex(epsilon)
-    if list_1_1_member(eps):
-        raise PreconditionError("sigma/delta construction excludes epsilon in {0, -2}")
+    eps = _sigma_delta_parameter(epsilon)
     if not sample.points:
         raise PreconditionError("need a nonempty Julia sample")
     if sample.epsilon != eps:
@@ -517,8 +522,8 @@ def find_sigma_delta(epsilon: complex, sample: JuliaSample) -> SigmaDelta:
 
 def default_sigma_delta(epsilon: complex, seed: int, n_points: int = 10000) -> SigmaDelta:
     """find_sigma_delta over a fresh seeded inverse-iteration sample of
-    SAMPLE_DEPTH steps per path."""
-    eps = complex(epsilon)
+    SAMPLE_DEPTH steps per path, drawn once the parameter is admitted."""
+    eps = _sigma_delta_parameter(epsilon)
     sample = inverse_iteration_sample(eps, n_points, SAMPLE_DEPTH, seed)
     return find_sigma_delta(eps, sample)
 

@@ -42,7 +42,6 @@ from .cocycle import (
 )
 from .errors import SuiteFailureError
 from .julia import inverse_iteration_sample
-from .maps import evaluate, quadratic_map
 from .orbits import is_in_Pi_a, shift
 from .periodic import (
     base_point,
@@ -95,7 +94,7 @@ def criterion_1(seed: int) -> CriterionResult:
     for _ in range(1000):
         eps = complex(rng.uniform(-3.0, 0.2), rng.uniform(-1.0, 1.0))
         a = fixed_point_a(eps)
-        res = max(res, abs(evaluate(quadratic_map(eps), a) - a))
+        res = max(res, abs(a * a + eps - a))
     mult_err = 0.0
     tags = []
     for e in (-3.0, -1.0, -0.5, 0.1, 0.2):
@@ -442,9 +441,8 @@ def criterion_11(seed: int) -> CriterionResult:
     residual = 0.0
     verdicts = {}
     for eps in (-3.0, -1.0):
-        f = quadratic_map(eps)
-        lin = build_linearizer(f, base_point(eps))
-        rep = collinearity_in_linearizer(f, lin, depth=8)
+        lin = build_linearizer(eps, base_point(eps))
+        rep = collinearity_in_linearizer(eps, lin, depth=8)
         verdicts[eps] = rep
         residual = max(residual, functional_equation_residual(lin, 8))
         key = "line" if eps == -3.0 else "full"

@@ -13,7 +13,6 @@ from horolab.errors import (
     HorolabError,
     PreconditionError,
 )
-from horolab.maps import evaluate, quadratic_map
 from horolab import orbits
 from horolab.orbits import (
     OrbitWord,
@@ -40,7 +39,7 @@ def test_realize_forward_residuals():
     w = family_word(-1.0, "-+-")
     orb = realize(w, 30)
     for j in range(orb.depth):
-        assert abs(evaluate(quadratic_map(w.epsilon), orb.points[j + 1]) - orb.points[j]) < 1e-11
+        assert abs(orb.points[j + 1] ** 2 + w.epsilon - orb.points[j]) < 1e-11
 
 
 def test_tie_breaks_toward_positive_imaginary():
@@ -286,7 +285,7 @@ def test_orbit_word_requires_repelling_base():
     w = family_word(0.0, "-")
     from horolab.periodic import make_periodic_point
 
-    attracting = make_periodic_point(quadratic_map(w.epsilon), 0.0, 1)
+    attracting = make_periodic_point(w.epsilon, 0.0, 1)
     with pytest.raises(PreconditionError):
         dataclasses.replace(w, base=attracting)
 
@@ -301,6 +300,6 @@ def test_realized_orbits_respect_the_map(prefix, eps):
     orb = realize(w, len(prefix) + 40)
     for j in range(orb.depth):
         scale = max(1.0, abs(orb.points[j]))
-        assert abs(evaluate(quadratic_map(w.epsilon), orb.points[j + 1]) - orb.points[j]) < 1e-11 * scale
+        assert abs(orb.points[j + 1] ** 2 + w.epsilon - orb.points[j]) < 1e-11 * scale
     assert len(orb.choices) == orb.depth
     assert orb.choices[: len(prefix)] == prefix

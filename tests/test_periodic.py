@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from horolab import periodic
 from horolab.errors import ConfigError, ConstructionError, PreconditionError, RootFindingError
-from horolab.maps import derivative, evaluate
-from horolab.maps import quadratic_map as quad
 from horolab.periodic import (
     MAX_FAMILY_PERIOD,
     base_point,
@@ -90,7 +88,7 @@ def test_cluster_scan_cut_keeps_the_clusters():
 
 
 def test_fixed_points_of_squaring_map():
-    pts = periodic_points(quad(0.0), 1)
+    pts = periodic_points(complex(0.0), 1)
     locs = sorted((p.location for p in pts), key=lambda z: z.real)
     assert abs(locs[0]) < 1e-9 and abs(locs[1] - 1) < 1e-9
     by_loc = {round(p.location.real): p for p in pts}
@@ -103,7 +101,7 @@ def test_periodic_points_squaring_map_period_2_and_3():
     """For z**2 the period-n points are the (2**n - 1)-th roots of unity
     of exact order; period 2 gives the primitive cube roots, period 3 the
     primitive 7th roots."""
-    f = quad(0.0)
+    f = complex(0.0)
     p2 = periodic_points(f, 2)
     assert len(p2) == 2
     for p in p2:
@@ -118,73 +116,73 @@ def test_periodic_points_squaring_map_period_2_and_3():
 
 def test_minimal_period_filter():
     # fixed points must not reappear as period-2 points
-    f = quad(-1.0)
+    f = complex(-1.0)
     locs2 = [p.location for p in periodic_points(f, 2)]
     for q in periodic_points(f, 1):
         assert all(abs(q.location - z) > 1e-6 for z in locs2)
 
 
 def test_make_periodic_point_polishes_residual():
-    f = quad(-1.0)
+    f = complex(-1.0)
     a = (1 + math.sqrt(5)) / 2
     p = make_periodic_point(f, a + 1e-7, 1)
-    assert abs(evaluate(f, p.location) - p.location) < 1e-11
+    assert abs(p.location * p.location + f - p.location) < 1e-11
     assert p.classification == "repelling"
 
 
 def test_make_periodic_point_rejects_non_periodic():
     with pytest.raises(ConstructionError):
-        make_periodic_point(quad(-1.0), 0.3 + 0.4j, 1)
+        make_periodic_point(complex(-1.0), 0.3 + 0.4j, 1)
 
 
 @pytest.mark.parametrize("period", [0, -1])
 def test_make_periodic_point_rejects_period_below_1(period):
     with pytest.raises(ConfigError):
-        make_periodic_point(quad(-1.0), (1 + math.sqrt(5)) / 2, period)
+        make_periodic_point(complex(-1.0), (1 + math.sqrt(5)) / 2, period)
 
 
 @pytest.mark.parametrize("eps", [-3.0, -1.0, complex(-0.525, 0.16)])
 def test_words_and_linearizers_share_the_base_point(eps):
     point = base_point(eps)
-    assert point == make_periodic_point(quad(eps), fixed_point_a(eps), 1)
+    assert point == make_periodic_point(complex(eps), fixed_point_a(eps), 1)
     assert family_word(eps, "-").base is point
-    assert build_linearizer(quad(eps), point).point is point
+    assert build_linearizer(complex(eps), point).point is point
 
 
 def test_linearizer_rejects_attracting_base():
-    f = quad(0.0)
+    f = complex(0.0)
     p = make_periodic_point(f, 0.0, 1)
     with pytest.raises(PreconditionError):
         build_linearizer(f, p)
 
 
 def test_preimage_points_deterministic_order():
-    f = quad(0.1)
+    f = complex(0.1)
     a = preimage_points(f, 0.5)
     b = preimage_points(f, 0.5)
     assert a == b
     for r in a:
-        assert abs(evaluate(f, r) - 0.5) < 1e-9
+        assert abs(r * r + f - 0.5) < 1e-9
 
 
 def test_linearizer_functional_equation():
     for eps in (-3.0, -1.0, 0.1):
-        f = quad(eps)
+        f = complex(eps)
         a = (1 + cmath.sqrt(1 - 4 * eps)) / 2
         p = make_periodic_point(f, a, 1)
         lin = build_linearizer(f, p)
         worst = 0.0
         for k in range(12):
             z = complex(p.location) + lin.radius * 0.4 * cmath.exp(1j * k)
-            worst = max(worst, abs(lin(evaluate(f, z)) - lin.multiplier * lin(z)))
+            worst = max(worst, abs(lin(z * z + f) - lin.multiplier * lin(z)))
         assert worst < 1e-9
 
 
 @pytest.mark.parametrize(
     "f, a, exact",
     [
-        (quad(0.0), 1.0, cmath.log),
-        (quad(-2.0), 2.0, lambda z: cmath.acosh(z / 2) ** 2),
+        (complex(0.0), 1.0, cmath.log),
+        (complex(-2.0), 2.0, lambda z: cmath.acosh(z / 2) ** 2),
     ],
     ids=["z**2", "z**2-2"],
 )
@@ -201,7 +199,7 @@ def test_linearizer_matches_exact_koenigs_coordinate(f, a, exact):
 def test_linearizer_disk_excludes_critical_values():
     """At eps 0.1 the first radius (1 + |a|)/2 = 0.944 holds the critical
     value eps, |a - eps| = |a|**2 = 0.787 from a, so the disk halves."""
-    eps = quad(0.1)
+    eps = complex(0.1)
     point = make_periodic_point(eps, (1 + cmath.sqrt(0.6)) / 2, 1)
     first = 0.5 * (1.0 + abs(point.location))
     assert abs(eps - point.location) == pytest.approx(abs(point.location) ** 2, rel=1e-15)
@@ -212,7 +210,7 @@ def test_linearizer_disk_excludes_critical_values():
 def test_linearizer_rejects_a_periodic_base_before_any_radius(monkeypatch):
     """A repelling period-2 point (1 at eps -3, multiplier -8) raises
     PreconditionError, and no linearizer is built for it."""
-    eps = quad(-3.0)
+    eps = complex(-3.0)
     point = make_periodic_point(eps, 1.0, 2)
     assert point.classification == "repelling"
     monkeypatch.setattr(periodic, "Linearizer", None)
@@ -261,7 +259,7 @@ def test_linearizer_disk_matches_the_sampler_and_the_closed_form():
     |a|, no sampled pullback exceeds it by more, and the disk test holds in
     exact rational arithmetic, with |a - a*| bounded by the exact residual."""
     for p in DISK_GRID:
-        eps = quad(p)
+        eps = complex(p)
         point = make_periodic_point(eps, fixed_point_a(p), 1)
         lin = build_linearizer(eps, point)
         r, a = lin.radius, complex(point.location)
@@ -290,7 +288,7 @@ def test_pullback_is_the_a_fixing_branch_on_the_disk(re, im, s, theta):
     """On the certified disk _pullback is the branch fixing a: it lands
     within rho(r) = |a| - sqrt(|a|**2 - r) of a, and the other preimage
     -(a + u) lies at least 2|a| - rho(r) from a."""
-    eps = quad(complex(re, im))
+    eps = complex(re, im)
     point = make_periodic_point(eps, fixed_point_a(eps), 1)
     lin = build_linearizer(eps, point)
     a, r = complex(point.location), lin.radius
@@ -310,7 +308,7 @@ def test_schroeder_coefficients_meet_the_koebe_cauchy_bound(p):
     growth theorem gives |phi| <= 0.9r/0.01 on D_0.9r(a), and the Cauchy
     estimate there |d_n| (0.9r)**n <= 0.9r/0.01: the bound behind
     SERIES_TERMS."""
-    eps = quad(p)
+    eps = complex(p)
     lin = build_linearizer(eps, make_periodic_point(eps, fixed_point_a(p), 1))
     rho = 0.9 * lin.radius
     assert all(abs(d) * rho**n <= rho / 0.01 for n, d in enumerate(lin._coeffs))
@@ -318,15 +316,17 @@ def test_schroeder_coefficients_meet_the_koebe_cauchy_bound(p):
 
 @pytest.mark.parametrize("a", [complex(1.618, 0.0), complex(-1.3, -0.0), complex(-0.0, -0.7), complex(0.6, 0.3)])
 def test_linearizer_multiplier_is_the_derivative_at_a(a):
-    """lambda = f'(a) bit for bit, signs of zero parts included."""
+    """lambda = f'(a) bit for bit, signs of zero parts included: the
+    multiplier the polish's walk of a period-1 cycle takes at a."""
     lam, _ = periodic._schroeder_series(a)
-    assert (repr(lam.real), repr(lam.imag)) == (repr(derivative(a).real), repr(derivative(a).imag))
+    _, _, mr, mi = periodic._walk_rows(0j, np.array([a.real]), np.array([a.imag]), 1)
+    assert complex_bits(lam) == complex_bits(complex(mr[0], mi[0]))
 
 
 def test_non_finite_roots_raise(monkeypatch):
     monkeypatch.setattr(periodic, "_aberth", lambda z, newton: np.full_like(z, complex("nan")))
     with pytest.raises(RootFindingError):
-        periodic_points(quad(-1.1), 4)
+        periodic_points(complex(-1.1), 4)
 
 
 def reference_aberth(z, newton):
@@ -441,7 +441,7 @@ def mobius_count(p):
 def test_family_periodic_points_counted_and_solved(eps):
     # the expanded period-p polynomial overflows in evaluation for p >= 6
     # (p >= 5 at -3); iterating f never forms it
-    f = quad(eps)
+    f = complex(eps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
         for p in range(1, 9):
@@ -450,7 +450,7 @@ def test_family_periodic_points_counted_and_solved(eps):
             for q in pts:
                 z = w = q.location
                 for _ in range(p):
-                    w = evaluate(f, w)
+                    w = w * w + f
                 assert abs(w - z) <= 1e-9 * (1.0 + abs(z))
 
 
@@ -467,7 +467,7 @@ def coefficient_periodic_points(eps, p):
         q = make_periodic_point(eps, complex(root), p)
         w = q.location
         for d in range(1, p):
-            w = evaluate(eps, w)
+            w = w * w + eps
             if p % d == 0 and abs(w - q.location) < 1e-7 * (1.0 + abs(q.location)):
                 break
         else:
@@ -477,7 +477,7 @@ def coefficient_periodic_points(eps, p):
 
 @pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16), -1.0, 0.1])
 def test_family_periodic_points_match_the_coefficient_path(eps):
-    f = quad(eps)
+    f = complex(eps)
     for p in range(1, 5):
         points = periodic_points(f, p)
         coefficient = coefficient_periodic_points(f, p)
@@ -490,29 +490,29 @@ def test_family_periodic_points_match_the_coefficient_path(eps):
 
 @pytest.mark.parametrize("eps", [-1.1, 1j])
 def test_family_periodic_points_solved_at_the_largest_period(eps):
-    pts = periodic_points(quad(eps), MAX_FAMILY_PERIOD)
+    pts = periodic_points(complex(eps), MAX_FAMILY_PERIOD)
     assert len(pts) == mobius_count(MAX_FAMILY_PERIOD) == 990
     assert all(cmath.isfinite(q.location) for q in pts)
 
 
 def test_family_period_cap_raises_config_error():
     with pytest.raises(ConfigError):
-        periodic_points(quad(-1.0), MAX_FAMILY_PERIOD + 1)
+        periodic_points(complex(-1.0), MAX_FAMILY_PERIOD + 1)
 
 
 @pytest.mark.parametrize("w", [0.5, -2.0, 1j, complex(0.3, -0.2)])
 def test_family_preimages_in_closed_form(w):
-    f = quad(-1.1)
+    f = complex(-1.1)
     closed = preimage_points(f, w)
     solved = [complex(z) for z in np.roots([1, 0, f - w])]
     assert len(closed) == len(solved) == 2
     for a in closed:
         assert min(abs(a - b) for b in solved) <= 4 * sys.float_info.epsilon * (1.0 + abs(a))
-    assert all(abs(evaluate(f, z) - w) <= 4 * sys.float_info.epsilon * (1.0 + abs(w)) for z in closed)
+    assert all(abs(z * z + f - w) <= 4 * sys.float_info.epsilon * (1.0 + abs(w)) for z in closed)
 
 
 def test_linearizer_normalized_derivative():
-    f = quad(-1.0)
+    f = complex(-1.0)
     a = (1 + math.sqrt(5)) / 2
     lin = build_linearizer(f, make_periodic_point(f, a, 1))
     h = 1e-6
@@ -522,13 +522,13 @@ def test_linearizer_normalized_derivative():
 
 
 def test_collinearity_dichotomy():
-    f3 = quad(-3.0)
+    f3 = complex(-3.0)
     a3 = make_periodic_point(f3, (1 + math.sqrt(13)) / 2, 1)
     rep3 = collinearity_in_linearizer(f3, build_linearizer(f3, a3), depth=6)
     assert rep3.verdict == "line"
     assert rep3.max_deviation < 1e-8 * rep3.spread
 
-    f1 = quad(-1.0)
+    f1 = complex(-1.0)
     a1 = make_periodic_point(f1, (1 + math.sqrt(5)) / 2, 1)
     rep1 = collinearity_in_linearizer(f1, build_linearizer(f1, a1), depth=6)
     assert rep1.verdict == "full"
@@ -536,7 +536,7 @@ def test_collinearity_dichotomy():
 
 
 def test_power_map_flagged_exceptional():
-    f = quad(0.0)
+    f = complex(0.0)
     a = make_periodic_point(f, 1.0, 1)
     rep = collinearity_in_linearizer(f, build_linearizer(f, a), depth=5)
     assert rep.exceptional_family_flag
@@ -547,11 +547,12 @@ def test_power_map_flagged_exceptional():
 
 
 def reference_walk_cycle(eps, z, period):
-    """f^period(z) and the multiplier, one Python complex step at a time."""
-    m = 1 + 0j
+    """f^period(z) and the multiplier, one Python complex step at a time:
+    f(z) = z*z + eps and f'(z) = 2*z on the parts."""
+    z, m = complex(z), 1 + 0j
     for _ in range(period):
-        m *= derivative(z)
-        z = evaluate(eps, z)
+        m *= complex(2 * z.real, 2 * z.imag)
+        z = z * z + eps
     return z, m
 
 
@@ -578,9 +579,9 @@ def reference_make_periodic_point(eps, z, period, stops=None):
 
 
 def reference_minimal_period(eps, z, period):
-    w = z
+    w = complex(z)
     for m in range(1, period):
-        w = evaluate(eps, w)
+        w = w * w + eps
         if period % m == 0 and abs(w - z) < 1e-7 * (1.0 + abs(z)):
             return m
     return period
@@ -610,7 +611,7 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize(
     "eps",
-    [quad(-3.0), quad(-1.1), quad(complex(-0.525, 0.16)), quad(0.1), quad(complex(-1.0, 0.02)), complex(-1.0, -0.0)],
+    [complex(-3.0), complex(-1.1), complex(-0.525, 0.16), complex(0.1), complex(-1.0, 0.02), complex(-1.0, -0.0)],
 )
 def test_periodic_points_bitwise_the_scalar_polish(eps):
     for p in range(1, 9):
@@ -622,7 +623,7 @@ def test_near_parabolic_rows_stop_on_their_own(eps, period, stops):
     """At -0.75 both rows stop at the parabolic guard before a step; at
     -1.75 two rows (|m - 1| about 1e-7) take all 5 steps while the third
     stops once its step is small."""
-    f = quad(eps)
+    f = complex(eps)
     seen = []
     reference = reference_periodic_points(f, period, seen)
     assert seen == stops
@@ -633,8 +634,8 @@ def test_near_parabolic_rows_stop_on_their_own(eps, period, stops):
     "start",
     [
         1e200,
-        7e149,  # |z| at most OVERFLOW_RADIUS, |2z| beyond it: the derivative alone is tagged
-        1e151,  # tagged before it is squared: at eps -1e302 its square would cancel
+        7e149,  # squared twice it overflows to inf
+        1e151,  # at eps -1e302 its square cancels
         complex(math.nan, 0.0),
         complex(0.0, math.nan),
         0.3 + 0.4j,
@@ -648,7 +649,7 @@ def test_near_parabolic_rows_stop_on_their_own(eps, period, stops):
     ],
 )
 def test_make_periodic_point_bitwise_the_scalar_polish(start):
-    for eps in (quad(-1.0), quad(0.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), -1e302 + 0j):
+    for eps in (complex(-1.0), complex(0.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.0), -1e302 + 0j):
         for period in (1, 2):
             got = outcome(make_periodic_point, eps, start, period)
             assert got == outcome(reference_make_periodic_point, eps, start, period), (eps, period)
@@ -674,10 +675,10 @@ def complex_bits(z):
     return repr(z.real), repr(z.imag)
 
 
-@pytest.mark.parametrize("eps", [quad(-1.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.5), -1e302 + 0j])
+@pytest.mark.parametrize("eps", [complex(-1.0), complex(-1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 0.5), -1e302 + 0j])
 def test_walk_rows_bitwise_the_scalar_walk(eps):
-    """f^p(z) and the multiplier per row, tags and signs of zero parts
-    included, against maps.evaluate and maps.derivative."""
+    """f^p(z) and the multiplier per row, signs of zero parts, infinities
+    and NaNs included, against the scalar walk."""
     rng = random.Random(3)
     starts = SPECIAL_STARTS + [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(20)]
     z = np.array(starts, complex)
@@ -707,7 +708,7 @@ def test_divide_bitwise_python_division():
 def test_merged_roots_fail_with_the_scalar_text():
     """At eps -2, p = 8, _cluster merges two distinct roots, and the first
     failing point's error is the one raised."""
-    f = quad(-2.0)
+    f = complex(-2.0)
     got = outcome(periodic_points, f, 8)
     assert got[0] == "ConstructionError"
     assert got == outcome(reference_periodic_points, f, 8)

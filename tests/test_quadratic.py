@@ -293,6 +293,16 @@ def test_sigma_delta_preconditions():
         find_sigma_delta(-1.0, empty)
 
 
+@pytest.mark.parametrize("eps", [0.0, -2.0])
+def test_default_sigma_delta_rejects_the_parameter_before_sampling(eps, monkeypatch):
+    def no_sample(*args):
+        raise AssertionError("sampled a parameter the construction excludes")
+
+    monkeypatch.setattr(quadratic, "inverse_iteration_sample", no_sample)
+    with pytest.raises(PreconditionError, match=r"excludes epsilon in \{0, -2\}"):
+        default_sigma_delta(eps, 7)
+
+
 def reference_delta(eps, sample):
     """delta and delta_sample_size by the loop over the points that the
     array pass replaced."""

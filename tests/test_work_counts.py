@@ -3,15 +3,16 @@ fixed orbit once per batch, and a value once per run; of a
 realization: its closing checks read no more distances at a greater
 depth; of the certified series: distances its contraction scan reads
 and logarithms its sum takes; of the family's periodic-point solve:
-Aberth iterations and scalar map evaluations; and of the sigma
+Aberth iterations and evaluations of the map on rows; and of the sigma
 bisection: certificates made.
 
-The counts come from wrapping orbits.realize, orbits.realize_batch,
-cocycle.basic_cocycle and maps.evaluate in every horolab module that
-binds them, as the benchmark's tracer does, from wrapping the Newton
-ratio that periodic._aberth evaluates once per iteration, from wrapping
-quadratic._sigma_certificates, and from wrapping the distances
-cocycle.tail_contraction is handed and the math.log cocycle calls.
+The counts come from wrapping orbits.realize, orbits.realize_batch and
+cocycle.basic_cocycle in every horolab module that binds them, as the
+benchmark's tracer does, from wrapping the Newton ratio that
+periodic._aberth evaluates once per iteration, from wrapping
+periodic._evaluate_rows and quadratic._sigma_certificates, and from
+wrapping the distances cocycle.tail_contraction is handed and the
+math.log cocycle calls.
 """
 
 import collections
@@ -21,8 +22,7 @@ import types
 
 import pytest
 
-from horolab import cocycle, maps, orbits, periodic, quadratic, suite
-from horolab.maps import quadratic_map
+from horolab import cocycle, orbits, periodic, quadratic, suite
 from horolab.quadratic import family_word
 
 
@@ -329,25 +329,27 @@ def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
         return aberth(z, counted_newton)
 
     monkeypatch.setattr(periodic, "_aberth", counted)
-    assert len(periodic.periodic_points(quadratic_map(eps), 8)) == 240
+    assert len(periodic.periodic_points(eps, 8)) == 240
     assert set(calls) == {2**8}
     assert len(calls) - 4 <= 20  # 4 of the calls are the Newton polish
 
 
 def test_periodic_points_walk_no_cycle_point_by_point(monkeypatch):
     """The minimal-period filter and the Newton polish run on arrays: a
-    period-8 solve calls maps.evaluate not once (the scalar walks made
-    thousands of calls)."""
-    calls = []
-    evaluate = maps.evaluate
+    period-8 solve evaluates f on its 256 roots 4 times (the proper
+    divisors are at most 4), then on the 240 kept ones 8 times per walk,
+    in one walk before the polish and one after each of at most 5 Newton
+    steps (the scalar walks made thousands of calls)."""
+    rows = []
+    evaluate_rows = periodic._evaluate_rows
 
-    def counted(eps, z):
-        calls.append(z)
-        return evaluate(eps, z)
+    def counted(eps, zr, zi):
+        rows.append(len(zr))
+        return evaluate_rows(eps, zr, zi)
 
-    wrap_everywhere(monkeypatch, evaluate, counted)
-    assert len(periodic.periodic_points(quadratic_map(-1.1), 8)) == 240
-    assert calls == []
+    monkeypatch.setattr(periodic, "_evaluate_rows", counted)
+    assert len(periodic.periodic_points(-1.1, 8)) == 240
+    assert rows[:12] == [256] * 4 + [240] * 8 and len(rows) <= 4 + 6 * 8
 
 
 def test_find_sigma_stops_bisecting_when_the_midpoint_stops_moving(monkeypatch):

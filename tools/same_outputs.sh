@@ -9,10 +9,10 @@
 # the seed-7 acceptance suite, the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
 # parameter, collinearity at both verdicts, fixed-points at a complex
-# parameter, classify at periods 10, 8, 6 and 4, fixed-points, linearize
-# and julia at eps = -1 - 0i (a negative zero part, which the map's
-# division by 1 + 0j turns into +0 before the periodic points and the
-# linearizer see it, and which the Julia sampler takes as given),
+# parameter, classify at periods 10, 8, 6 and 4, fixed-points, linearize,
+# julia and classify at period 4 at eps = -1 - 0i (a negative zero part,
+# which every layer takes as parsed, through the row passes of the
+# periodic points at periods 1 and 4),
 # semigroup / limit-decomp with a fixed-orbit c and with a nested junction,
 # semigroup with a c longer than the post-junction window, bound-528
 # at a complex parameter (the half-delta floor), heights over a wide
@@ -119,6 +119,7 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" fixed-points-negative-zero fixed-points --epsilon=-1,-0
     run "$tree" "$out" linearize-negative-zero linearize --epsilon=-1,-0
     run "$tree" "$out" julia-negative-zero julia --epsilon=-1,-0 --seed 7
+    run "$tree" "$out" classify-negative-zero-period-4 classify --epsilon=-1,-0 --config "$tmp/period-4.cfg"
     run "$tree" "$out" sigma-delta-minus-3 sigma-delta --epsilon -3 --seed 7
     run "$tree" "$out" sigma-delta-minus-1.1 sigma-delta --epsilon -1.1 --seed 7
     run "$tree" "$out" sigma-delta-minus-1.9 sigma-delta --epsilon -1.9 --seed 7
