@@ -11,7 +11,13 @@ iterating f p times, without expanding the degree-2**p polynomial,
 starting from the 2**p preimages under f^p of one point outside the
 filled Julia set, followed by a Newton polish.  A root that is not
 finite, or whose residual is above tolerance, is a RootFindingError.
-Preimages are +-sqrt(w - eps) in closed form.
+The solver makes only the numpy calls its arithmetic needs: the Newton
+ratio's walk is tested for escaping points once, at its end
+(_iterated_newton), and the roots are clustered in one array pass
+unless two lie within the merge radius (_cluster).  Period 1 needs no
+solve: its roots are (1 +- sqrt(1 - 4 eps))/2, a(eps) as fixed_point_a
+forms it, so the polished a is base_point's bit for bit, and a real eps
+gives real fixed points.  Preimages are +-sqrt(w - eps) in closed form.
 
 The roots of one period are then filtered by minimal period and
 polished by Newton on f^p(z) - z together, as the rows of float arrays
@@ -79,25 +85,36 @@ def _aberth(z: np.ndarray, newton) -> np.ndarray:
     polish.  newton(z) gives the numerator and the denominator of the
     Newton ratio at every point (the function and its derivative).
 
-    The Aberth sums, over j != i of 1/(z_i - z_j), are made in one n x n
-    buffer per call: each iteration writes the differences into it, sets
-    its diagonal to inf (whose reciprocal is 0), takes the reciprocals in
-    place and sums each row."""
+    Each iteration makes only the arrays its arithmetic needs.  The Aberth
+    sums, over j != i of 1/(z_i - z_j), are made in one n x n buffer per
+    call: each iteration writes -z_j into every row and adds z_i (IEEE
+    makes z_i + (-z_j) the difference z_i - z_j, bit for bit), sets the
+    diagonal, a strided view, to inf (whose reciprocal is 0), takes the
+    reciprocals in place and sums each row.  The zero guards on the two
+    divisors are taken only where a divisor is 0, and the step is written
+    over the Newton ratio's array.  The products stay w * s: numpy's
+    complex multiply is not bitwise commutative."""
     tiny = 1e-300
-    buf = np.empty((len(z), len(z)), complex)
+    n = len(z)
+    buf = np.empty((n, n), complex)
+    diagonal = buf.reshape(-1)[:: n + 1]
+    z = z.copy()
     for _ in range(ABERTH_MAX_ITER):
         p, dp = newton(z)
-        dp = np.where(dp == 0, tiny, dp)
+        if not dp.all():
+            dp = np.where(dp == 0, tiny, dp)
         w = p / dp
-        np.subtract(z[:, None], z[None, :], out=buf)
-        np.fill_diagonal(buf, np.inf)
+        buf[:] = -z
+        buf += z[:, None]
+        diagonal[:] = np.inf
         np.divide(1.0, buf, out=buf)
         s = buf.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(denom == 0, tiny, denom)
-        step = w / denom
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14 * (1.0 + np.max(np.abs(z))):
+        denom = np.subtract(1.0, np.multiply(w, s, out=s), out=s)
+        if not denom.all():
+            denom = np.where(denom == 0, tiny, denom)
+        step = np.divide(w, denom, out=w)
+        z -= step
+        if np.abs(step).max() < 1e-14 * (1.0 + np.abs(z).max()):
             break
     for _ in range(4):  # Newton polish
         p, dp = newton(z)
@@ -106,13 +123,40 @@ def _aberth(z: np.ndarray, newton) -> np.ndarray:
     return z
 
 
-def _cluster(roots: list[complex]) -> list[Root]:
+def _cluster(roots: np.ndarray | list[complex]) -> list[Root]:
     """Merge each root with the later ones (by real part) within
     CLUSTER_REL_TOL * (1 + |z|) of it.  |w - z| >= |w.real - z.real|, so
     the scan stops at the first root whose real part is beyond that
-    radius."""
-    if not roots:
+    radius.
+
+    The usual case, where no two roots are that close, is one array pass:
+    after a stable sort by (re, im), for k = 1, 2, ... each root whose
+    scan still reaches the root k places on is tested against it, until
+    no scan reaches that far.  If no pair is within its radius, every root
+    is its own cluster, and its centre is the loop's sum([z]) / 1 on the
+    parts: 0.0 + z (a -0.0 part turns 0.0), divided by 1 + 0j as CPython
+    divides.  Otherwise _cluster_loop merges them."""
+    z = np.asarray(roots, complex)
+    if not len(z):
         return []
+    order = np.lexsort((z.imag, z.real))
+    re, im = z.real[order], z.imag[order]
+    radius = CLUSTER_REL_TOL * (1.0 + np.hypot(re, im))
+    for k in range(1, len(z)):
+        i = np.flatnonzero(re[k:] - re[:-k] <= radius[:-k])
+        if not len(i):
+            break
+        if (np.hypot(re[i + k] - re[i], im[i + k] - im[i]) <= radius[i]).any():
+            return _cluster_loop(z.tolist())
+    # CPython's division by 1 + 0j: ratio 0.0 and denominator 1.0, whose
+    # division is exact
+    ar, ai = 0.0 + re, 0.0 + im
+    cr, ci = ar + ai * 0.0, ai - ar * 0.0
+    return [Root(complex(x, y), 1) for x, y in zip(cr.tolist(), ci.tolist())]
+
+
+def _cluster_loop(roots: list[complex]) -> list[Root]:
+    """_cluster's merging scan, one root at a time."""
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
     out: list[Root] = []
     used = [False] * len(remaining)
@@ -311,6 +355,8 @@ def _polish(eps: complex, z: np.ndarray, period: int) -> tuple[np.ndarray, np.nd
 def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
     """The 2**period roots of f^period(z) - z for f = z**2 + eps, clustered.
 
+    At period 1 these are (1 +- sqrt(1 - 4 eps))/2 in closed form, a
+    RootFindingError where they are not finite.  Otherwise an
     Aberth iteration whose Newton ratio is computed by iterating f
     (Schleicher & Stoll, "Newton's method in practice", Theor. Comput.
     Sci. 681 (2017)), so no coefficient of the degree-2**period
@@ -329,6 +375,13 @@ def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
     """
     if period > MAX_FAMILY_PERIOD:
         raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
+    if period == 1:
+        # (1 +- sqrt(1 - 4 eps))/2, a(eps) formed as fixed_point_a forms it
+        s = cmath.sqrt(1.0 - 4.0 * complex(eps))
+        roots = [(1.0 + s) / 2.0, (1.0 - s) / 2.0]
+        if not all(map(cmath.isfinite, roots)):  # from |eps| about 4.5e307 up
+            raise RootFindingError(f"the fixed points {roots[0]} and {roots[1]} are not finite")
+        return _cluster(roots)
     newton = _iterated_newton(eps, period)
     radius = 1.05 * (1.0 + math.sqrt(1.0 + 4.0 * abs(eps))) / 2.0
     # from |eps| about 4.5e307 up the radius overflows and the points turn
@@ -345,7 +398,7 @@ def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
         raise RootFindingError(
             f"periodic-point residual {worst:.3e} exceeds tolerance {ROOT_RESIDUAL_TOL:.1e}"
         )
-    return _cluster([complex(x) for x in z])
+    return _cluster(z)
 
 
 def _iterated_newton(eps: complex, period: int):
@@ -356,20 +409,31 @@ def _iterated_newton(eps: complex, period: int):
     An orbit point z_j beyond ESCAPE_MODULUS is not iterated further:
     from there the ratio is z_j / ((f^j)'(z) 2**(period - j)) to a
     relative 1/ESCAPE_MODULUS, so that is returned and nothing overflows.
-    A step where no point has escaped, the usual case, is taken on the
-    whole arrays, with the masked step's arithmetic.
+
+    The walk is first taken on the whole arrays, with the masked walk's
+    arithmetic, and tested once, at its end.  With |eps| <= ESCAPE_MODULUS
+    a point beyond ESCAPE_MODULUS at a step j < period stays beyond it,
+    |z**2 + eps| >= |z|**2 - |eps|, or turns inf or NaN, which fails the
+    test too.  So a walk that ends with every point within ESCAPE_MODULUS
+    took, at every step, the whole-array step the masked walk takes.
+    Otherwise, or with |eps| beyond ESCAPE_MODULUS, the masked walk is
+    taken from z0; no solve of the benchmark's param-scan takes it.
     """
 
     def newton(z0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if abs(eps) <= ESCAPE_MODULUS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z, d = z0, np.ones_like(z0)
+                for _ in range(period):
+                    d *= 2.0 * z
+                    z = z * z + eps
+                if np.abs(z).max() <= ESCAPE_MODULUS:
+                    return z - z0, d - 1.0
         z = z0.copy()
         d = np.ones_like(z0)
         tail = np.ones(len(z0))  # 2**(period - j) once z_j has escaped
         for _ in range(period):
             live = np.abs(z) <= ESCAPE_MODULUS
-            if live.all():
-                d *= 2.0 * z
-                z = z * z + eps
-                continue
             tail[~live] *= 2.0
             zl = z[live]
             d[live] *= 2.0 * zl

@@ -87,6 +87,74 @@ def test_cluster_scan_cut_keeps_the_clusters():
     assert any(r.multiplicity > 1 for r in periodic._cluster(roots))
 
 
+def reference_cluster(roots):
+    """_cluster as it was, one root at a time: the reference its array
+    pass must match repr for repr."""
+    remaining = sorted(roots, key=lambda z: (z.real, z.imag))
+    out, used = [], [False] * len(remaining)
+    for i, z in enumerate(remaining):
+        if used[i]:
+            continue
+        members, used[i] = [z], True
+        radius = periodic.CLUSTER_REL_TOL * (1.0 + abs(z))
+        for j in range(i + 1, len(remaining)):
+            w = remaining[j]
+            if w.real - z.real > radius:
+                break
+            if used[j]:
+                continue
+            if abs(w - z) <= radius:
+                members.append(w)
+                used[j] = True
+        out.append(periodic.Root(sum(members) / len(members), len(members)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [-3.0, -1.1, complex(-0.525, 0.16), complex(-1, 0.02), complex(-1, -0.0), -0.75, -1.75],
+    ids=repr,
+)
+def test_cluster_matches_the_loop_on_the_solved_roots(eps, monkeypatch):
+    """The roots at periods 1 to 9 (period 1 in closed form, the rest
+    Aberth's), clustered by the array pass and by the loop."""
+    seen = []
+    cluster = periodic._cluster
+    monkeypatch.setattr(periodic, "_cluster", lambda z: seen.append(z.copy()) or cluster(z))
+    for p in range(1, 10):
+        periodic._family_periodic_roots(eps, p)
+    assert len(seen) == 9
+    for z in seen:
+        assert repr(cluster(z)) == repr(reference_cluster([complex(x) for x in z]))
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        [1.0 + 0.5j, 1.0 + 1e-7 + 0.5j, -2.0 + 0j],  # a merged pair
+        [0.0j, 5e-7 + 1e-7j, 9e-7 - 2e-7j, 3e-6 + 0j],  # the first radius covers the next two
+        [0.3 + 0.4j, 0.3 - 0.4j, -1 + 2j, -1 - 2j, 0.3 + 0j],  # conjugate pairs, equal real parts
+        [0.3 + 1e-8j, 0.3 - 1e-8j],  # a conjugate pair within the radius
+        [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0), complex(-1.5, -0.0)],
+        [complex(-0.0, 0.5), complex(-0.0, 0.5 + 1e-9)],
+        [0j, periodic.CLUSTER_REL_TOL + 0j],  # exactly on the radius
+        [],
+    ],
+    ids=[
+        "merged-pair",
+        "covers-two",
+        "conjugates",
+        "close-conjugates",
+        "negative-zeros",
+        "negative-zero-pair",
+        "on-the-radius",
+        "empty",
+    ],
+)
+def test_cluster_matches_the_loop_on_built_roots(roots):
+    assert repr(periodic._cluster(roots)) == repr(reference_cluster(roots))
+
+
 def test_fixed_points_of_squaring_map():
     pts = periodic_points(complex(0.0), 1)
     locs = sorted((p.location for p in pts), key=lambda z: z.real)
@@ -396,20 +464,59 @@ def reference_iterated_newton(eps, period):
     return newton
 
 
+def escaping_at_the_last_step(eps, period):
+    """A start point whose orbit first goes beyond ESCAPE_MODULUS at
+    f^period: a preimage under f^(period - 1) of 1e16."""
+    z = 1e16 + 0j
+    for _ in range(period - 1):
+        z = cmath.sqrt(z - eps)
+    orbit = [z]
+    for _ in range(period):
+        orbit.append(orbit[-1] * orbit[-1] + eps)
+    assert all(abs(w) <= periodic.ESCAPE_MODULUS for w in orbit[:-1]) and abs(orbit[-1]) > periodic.ESCAPE_MODULUS
+    return z
+
+
 @pytest.mark.parametrize("eps", [-3.0, -1.1, complex(-0.525, 0.16)], ids=repr)
 @pytest.mark.parametrize("period", [1, 2, 5, 8])
 def test_iterated_newton_whole_array_steps_match_the_masked_walk(eps, period):
-    """Numerator and denominator, bit for bit: on points that never
-    escape (every step on the whole arrays), with a point that escapes
-    part way (whole-array steps, then masked ones) and with one beyond
-    ESCAPE_MODULUS from the start (every step masked)."""
+    """Numerator and denominator, bit for bit, with no warning: on points
+    that never escape (every step on the whole arrays), with a point that
+    escapes part way, one beyond ESCAPE_MODULUS from the start, a NaN
+    point and one that goes beyond it only at the last step (each a
+    whole-array walk that fails the escape test, then the masked walk),
+    and with |eps| beyond ESCAPE_MODULUS (the masked walk only)."""
     rng = np.random.default_rng(5)
     inside = rng.uniform(-1.5, 1.5, 64) + 1j * rng.uniform(-1.5, 1.5, 64)
-    for z0 in (inside, np.append(inside, 1e20 + 1e19j), np.append(inside, 2.0 * periodic.ESCAPE_MODULUS)):
-        changed = periodic._iterated_newton(eps, period)(z0)
-        reference = reference_iterated_newton(eps, period)(z0)
+    cases = [
+        (eps, inside),
+        (eps, np.append(inside, 1e20 + 1e19j)),
+        (eps, np.append(inside, 2.0 * periodic.ESCAPE_MODULUS)),
+        (eps, np.append(inside, complex(math.nan, 0.0))),
+        (eps, np.append(inside, escaping_at_the_last_step(eps, period))),
+        (eps * 1e31, inside),
+    ]
+    for f, z0 in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            changed = periodic._iterated_newton(f, period)(z0)
+            reference = reference_iterated_newton(f, period)(z0)
         for x, y in zip(changed, reference):
             assert x.tobytes() == y.tobytes()
+
+
+def test_period_1_is_the_closed_form():
+    """The fixed points at period 1 are (1 +- sqrt(1 - 4 eps))/2, polished:
+    a is base_point bit for bit, a real eps gives no imaginary part, and
+    at eps = 1/4 the two are one, 1/2 with multiplier 1."""
+    for im in (0.0, -0.0, 0.3):
+        for k in range(-350, 25):
+            eps = complex(k / 100, im)
+            points = [point_bits(p) for p in periodic_points(eps, 1)]
+            assert len(points) == 2 and point_bits(base_point(eps)) in points, eps
+            if im == 0.0:
+                assert all(p[1] == p[3] == "0.0" for p in points), eps
+    assert [point_bits(p) for p in periodic_points(0.25, 1)] == [("0.5", "0.0", "1.0", "0.0", 1, "parabolic")]
 
 
 def test_root_solve_at_an_overflowing_start_radius_warns_nothing():
@@ -418,6 +525,18 @@ def test_root_solve_at_an_overflowing_start_radius_warns_nothing():
     RuntimeWarning escapes (the test suite makes one an error)."""
     with pytest.raises(RootFindingError):
         periodic_points(1e308, 1)
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_aberth_start_radius_overflows_past_period_1(period):
+    """Period 1 is solved in closed form, whose 1 - 4 eps overflows at
+    |eps| = 1e308; from period 2 up the Aberth start radius overflows
+    there, and its NaN points fail the residual check, with no numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match="residual nan"):
+            periodic_points(1e308, period)
 
 
 def mobius_count(p):

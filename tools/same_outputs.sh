@@ -43,6 +43,16 @@
 # midpoints far from the edge:
 #   sigma-delta at -3 + 0.3i: a complex parameter;
 #   cocycle at -1.9 with word -+: a command other than sigma-delta.
+# Seven on the periodic-point solver's paths:
+#   classify at -0.525 + 0.16i period 8: the slowest Aberth solve of the
+#     benchmark's scan (14 iterations);
+#   classify at -1.25 period 4: a double root, so the clustering loop;
+#   classify at -2 period 8: the merge that ends in a ConstructionError;
+#   classify at 1e25 period 3: the Newton walk's escape test failing, so
+#     the masked walk;
+#   classify at 1e40 period 2: |epsilon| beyond the escape modulus;
+#   fixed-points at -3.5 and at 0.25: period 1 in closed form (a real
+#     parameter's fixed points, and the double fixed point at 1/4).
 # Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.
@@ -136,6 +146,13 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" julia-no-fixed-point julia --epsilon 0.25 --seed 7
     run "$tree" "$out" sigma-delta-complex-minus-3 sigma-delta --epsilon=-3,0.3 --seed 7
     run "$tree" "$out" cocycle-bisected-sigma cocycle --epsilon -1.9 --word=-+
+    run "$tree" "$out" classify-complex-period-8 classify --epsilon=-0.525,0.16 --config "$tmp/period-8.cfg"
+    run "$tree" "$out" classify-double-root-period-4 classify --epsilon -1.25 --config "$tmp/period-4.cfg"
+    run "$tree" "$out" classify-merged-period-8 classify --epsilon -2 --config "$tmp/period-8.cfg"
+    run "$tree" "$out" classify-escaping-period-3 classify --epsilon 1e25 --config "$tmp/period-3.cfg"
+    run "$tree" "$out" classify-huge-epsilon-period-2 classify --epsilon 1e40 --config "$tmp/period-2.cfg"
+    run "$tree" "$out" fixed-points-real fixed-points --epsilon -3.5
+    run "$tree" "$out" fixed-points-parabolic fixed-points --epsilon 0.25
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
