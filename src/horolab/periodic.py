@@ -5,29 +5,47 @@ orbits, Julia samples and linearizers start from: fixed_point_a is its
 closed form, and base_point the PeriodicPoint polished from it, cached
 per parameter.
 
-The periodic points of period p are the roots of f^p(z) - z, found by an
-Aberth-Ehrlich simultaneous iteration whose Newton ratio is computed by
-iterating f p times, without expanding the degree-2**p polynomial,
-starting from the 2**p preimages under f^p of one point outside the
-filled Julia set, followed by a Newton polish.  A root that is not
-finite, or whose residual is above tolerance, is a RootFindingError.
-The solver makes only the numpy calls its arithmetic needs: the Newton
-ratio's walk is tested for escaping points once, at its end
-(_iterated_newton), and the roots are clustered in one array pass
-unless two lie within the merge radius (_cluster).  Period 1 needs no
-solve: its roots are (1 +- sqrt(1 - 4 eps))/2, a(eps) as fixed_point_a
-forms it, so the polished a is base_point's bit for bit, and a real eps
-gives real fixed points.  Preimages are +-sqrt(w - eps) in closed form.
+The periodic points of period p are the roots of f^p(z) - z, found in
+one of two regimes, chosen from eps (_family_periodic_roots).  At a real
+eps where the inverse branches +-sqrt(w - eps) are proved to contract
+[-beta, beta], beta = 1/2 + sqrt(1/4 + |eps|), the bound on the Julia
+set (paper, Lemma 5.2), by q = 1/(2 sqrt(-eps - beta)) < 1, which holds
+for eps < -2.368... (the Julia set is then a Cantor set in that
+interval): the roots are the fixed points of the 2**p compositions of
+the branches, one per sign word, all found in one numpy pass of a step
+count fixed in advance from q.  Each composition is a contraction with
+exactly one fixed point, and the two branch images are disjoint, so the
+2**p points are distinct: every root, each simple, a count proved, not
+tested.  q is computed rounded up (math.nextafter after each operation),
+so rounding cannot admit an eps where the proof fails
+(_branch_contraction); nearest -2.368..., where the step count would
+pass MAX_BRANCH_STEPS, the regime is not taken.
+
+Everywhere else the roots come from an Aberth-Ehrlich simultaneous
+iteration whose Newton ratio is computed by iterating f p times, without
+expanding the degree-2**p polynomial, starting from the 2**p preimages
+under f^p of one point outside the filled Julia set (_aberth_roots).  A
+root that is not finite, or whose residual is above tolerance, is a
+RootFindingError.  The solver makes only the numpy calls its arithmetic
+needs: the Newton ratio's walk is tested for escaping points once, at
+its end (_iterated_newton), and the roots are clustered in one array
+pass unless two lie within the merge radius (_cluster).  Period 1 needs
+no solve: its roots are (1 +- sqrt(1 - 4 eps))/2, a(eps) as
+fixed_point_a forms it, so the polished a is base_point's bit for bit,
+and a real eps gives real fixed points.  Preimages are +-sqrt(w - eps)
+in closed form.  The roots and their multiplicities are handed on as
+arrays.
 
 The roots of one period are then filtered by minimal period and
 polished by Newton on f^p(z) - z together, as the rows of float arrays
 (_polish; make_periodic_point is its one-row call): each Newton step and
 the validation take f^p(z) and the multiplier (f^p)'(z) from one walk of
-the cycle, and each row stops on its own.  The array passes are CPython's
-complex arithmetic written out on the real and imaginary parts, so every
-point and multiplier is bit for bit what the same steps on Python complex
-numbers give, f(z) as z*z + eps and f'(z) as 2*z on the parts; numpy's
-complex multiply, divide and abs round differently.
+the cycle, and each row stops on its own.  In the branch regime two
+points that polish to one are a ConstructionError.  The array passes
+are CPython's complex arithmetic written out on the real and imaginary
+parts, so every point and multiplier is bit for bit what the same steps
+on Python complex numbers give, f(z) as z*z + eps and f'(z) as 2*z on
+the parts; numpy's complex multiply, divide and abs round differently.
 
 The Koenigs linearizer phi at a repelling fixed point a is its Schroeder
 series (Linearizer), summed on a disk that the a-fixing inverse branch
@@ -62,6 +80,11 @@ CLUSTER_REL_TOL = 1e-6  # roots this close (relative) merge into one of higher m
 # buffer of pairwise differences for the n = 2**p roots: 4**p entries,
 # 16 MiB at p = 10 but 256 MiB at p = 12.
 MAX_FAMILY_PERIOD = 10
+# Most steps of the branch words' fixed-point pass (_branch_steps), about
+# 37 / -ln q for the contraction bound q: it takes q up to 0.991, eps below
+# about -2.3746.  Nearer q = 1 the count grows without bound, and the Aberth
+# solve is taken there.
+MAX_BRANCH_STEPS = 4096
 # Orbit points beyond this modulus are not iterated further: there the
 # Newton ratio of f^p(z) - z is finished in closed form, so nothing
 # overflows (see _iterated_newton).
@@ -72,12 +95,6 @@ LIST_MEMBER_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # root solver
-
-
-@dataclass(frozen=True)
-class Root:
-    value: complex
-    multiplicity: int
 
 
 def _aberth(z: np.ndarray, newton) -> np.ndarray:
@@ -123,11 +140,11 @@ def _aberth(z: np.ndarray, newton) -> np.ndarray:
     return z
 
 
-def _cluster(roots: np.ndarray | list[complex]) -> list[Root]:
+def _cluster(roots: np.ndarray | list[complex]) -> tuple[np.ndarray, np.ndarray]:
     """Merge each root with the later ones (by real part) within
-    CLUSTER_REL_TOL * (1 + |z|) of it.  |w - z| >= |w.real - z.real|, so
-    the scan stops at the first root whose real part is beyond that
-    radius.
+    CLUSTER_REL_TOL * (1 + |z|) of it: the centres, a complex array, and
+    their multiplicities.  |w - z| >= |w.real - z.real|, so the scan
+    stops at the first root whose real part is beyond that radius.
 
     The usual case, where no two roots are that close, is one array pass:
     after a stable sort by (re, im), for k = 1, 2, ... each root whose
@@ -137,8 +154,6 @@ def _cluster(roots: np.ndarray | list[complex]) -> list[Root]:
     parts: 0.0 + z (a -0.0 part turns 0.0), divided by 1 + 0j as CPython
     divides.  Otherwise _cluster_loop merges them."""
     z = np.asarray(roots, complex)
-    if not len(z):
-        return []
     order = np.lexsort((z.imag, z.real))
     re, im = z.real[order], z.imag[order]
     radius = CLUSTER_REL_TOL * (1.0 + np.hypot(re, im))
@@ -151,14 +166,16 @@ def _cluster(roots: np.ndarray | list[complex]) -> list[Root]:
     # CPython's division by 1 + 0j: ratio 0.0 and denominator 1.0, whose
     # division is exact
     ar, ai = 0.0 + re, 0.0 + im
-    cr, ci = ar + ai * 0.0, ai - ar * 0.0
-    return [Root(complex(x, y), 1) for x, y in zip(cr.tolist(), ci.tolist())]
+    centres = np.empty(len(z), complex)
+    centres.real, centres.imag = ar + ai * 0.0, ai - ar * 0.0
+    return centres, np.ones(len(z), int)
 
 
-def _cluster_loop(roots: list[complex]) -> list[Root]:
+def _cluster_loop(roots: list[complex]) -> tuple[np.ndarray, np.ndarray]:
     """_cluster's merging scan, one root at a time."""
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
-    out: list[Root] = []
+    centres: list[complex] = []
+    multiplicities: list[int] = []
     used = [False] * len(remaining)
     for i, z in enumerate(remaining):
         if used[i]:
@@ -175,9 +192,9 @@ def _cluster_loop(roots: list[complex]) -> list[Root]:
             if abs(w - z) <= radius:
                 members.append(w)
                 used[j] = True
-        center = sum(members) / len(members)
-        out.append(Root(center, len(members)))
-    return out
+        centres.append(sum(members) / len(members))
+        multiplicities.append(len(members))
+    return np.array(centres, complex), np.array(multiplicities, int)
 
 
 # ---------------------------------------------------------------------------
@@ -263,20 +280,26 @@ def base_point(eps: complex) -> PeriodicPoint:
 def periodic_points(eps: complex, period: int) -> list[PeriodicPoint]:
     """All finite points of exact period `period`, sorted by (re, im).
 
-    Roots of f^period(z) - z by iterated evaluation
-    (_family_periodic_roots); points whose minimal period is a proper
-    divisor are discarded, and the rest polished together (_polish).
+    Roots of f^period(z) - z (_family_periodic_roots); points whose
+    minimal period is a proper divisor are discarded, and the rest
+    polished together (_polish).  Where the roots are the branch words'
+    fixed points, two that polish to one point are a ConstructionError.
     """
     if period < 1:
         raise ConfigError("period must be >= 1")
-    z = np.array([r.value for r in _family_periodic_roots(eps, period)])
+    z, _ = _family_periodic_roots(eps, period)
     z, m = _polish(eps, z[_exact_period(eps, z, period)], period)
     # a stable sort, so (re, im) ties, -0.0 against 0.0 among them, keep
     # the root order, as sorting on the key tuple keeps it
     order = np.lexsort((z.imag, z.real))
+    z, m = z[order], m[order]
+    if _branch_steps(eps, period) and ((z.real[1:] == z.real[:-1]) & (z.imag[1:] == z.imag[:-1])).any():
+        # the branch words' fixed points are distinct (_branch_fixed_points),
+        # so two rows that polish to one point lost a root
+        raise ConstructionError(f"two period-{period} points polish to one point")
     return [
         PeriodicPoint(loc, period, mult, classify(mult))
-        for loc, mult in zip(z[order].tolist(), m[order].tolist())
+        for loc, mult in zip(z.tolist(), m.tolist())
     ]
 
 
@@ -352,12 +375,108 @@ def _polish(eps: complex, z: np.ndarray, period: int) -> tuple[np.ndarray, np.nd
     return points, multipliers
 
 
-def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
-    """The 2**period roots of f^period(z) - z for f = z**2 + eps, clustered.
+def _family_periodic_roots(eps: complex, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2**period roots of f^period(z) - z for f = z**2 + eps: the
+    distinct ones, a complex array, and their multiplicities.
 
-    At period 1 these are (1 +- sqrt(1 - 4 eps))/2 in closed form, a
-    RootFindingError where they are not finite.  Otherwise an
-    Aberth iteration whose Newton ratio is computed by iterating f
+    At period 1 these are (1 +- sqrt(1 - 4 eps))/2 in closed form,
+    clustered, a RootFindingError where they are not finite.  From period
+    2 up there are two regimes, chosen from eps:
+    - at a real eps below -2.368..., where the inverse branches
+      +-sqrt(w - eps) map [-beta, beta], beta = 1/2 + sqrt(1/4 + |eps|),
+      into itself with a contraction bound q < 1, q rounded up so that
+      rounding never admits an eps where it fails (_branch_contraction),
+      and within MAX_BRANCH_STEPS steps (_branch_steps): the fixed points
+      of the 2**period sign words in the branches, each word's
+      composition a contraction with one fixed point, distinct for
+      distinct words since the branch images are disjoint; so they are
+      every root, each simple, and none is merged or solved for
+      (_branch_fixed_points);
+    - everywhere else: the Aberth solve's roots, clustered (_aberth_roots).
+    """
+    if period > MAX_FAMILY_PERIOD:
+        raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
+    if period == 1:
+        # (1 +- sqrt(1 - 4 eps))/2, a(eps) formed as fixed_point_a forms it
+        s = cmath.sqrt(1.0 - 4.0 * complex(eps))
+        roots = [(1.0 + s) / 2.0, (1.0 - s) / 2.0]
+        if not all(map(cmath.isfinite, roots)):  # from |eps| about 4.5e307 up
+            raise RootFindingError(f"the fixed points {roots[0]} and {roots[1]} are not finite")
+        return _cluster(roots)
+    steps = _branch_steps(eps, period)
+    if steps:
+        return _branch_fixed_points(eps, period, steps), np.ones(2**period, int)
+    return _aberth_roots(eps, period)
+
+
+def _branch_steps(eps: complex, period: int) -> int:
+    """How many branch steps _branch_fixed_points takes at this period, or
+    0 where it is not taken: at period 1, where the contraction bound q is
+    not proved below 1 (_branch_contraction), and where it needs more
+    than MAX_BRANCH_STEPS steps.  From any start in [-beta, beta], n steps
+    put a word's point within q**n beta of its fixed point, so the count
+    is the least multiple of the period with q**n <= 2**-53."""
+    q = _branch_contraction(eps)
+    if period < 2 or not q < 1.0:
+        return 0
+    rounds = math.ceil(53.0 * math.log(2.0) / (-math.log(q) * period))
+    return rounds * period if rounds * period <= MAX_BRANCH_STEPS else 0
+
+
+def _branch_contraction(eps: complex) -> float:
+    """An upper bound q on |g'| over [-beta, beta] for the inverse branches
+    g(w) = +-sqrt(w - eps) of a real eps < -2, which then map the
+    interval into itself; inf for any other eps.
+
+    For real eps < -2 the filled Julia set lies in [-beta, beta],
+    beta = 1/2 + sqrt(1/4 + |eps|) (the fixed point with beta**2 =
+    beta - eps), and |g(w)| <= sqrt(beta - eps) = beta, with
+    |g'(w)| = 1/(2 sqrt(w - eps)) <= q = 1/(2 sqrt(-eps - beta)).  beta is
+    rounded up and q with it, each operation's result moved one float
+    outward with math.nextafter, so the q returned is at least the exact
+    one.  The exact q is below 1 for eps < -(5 + sqrt(20))/4 = -2.368...
+    """
+    if eps.imag != 0.0 or not eps.real < -2.0:
+        return math.inf
+    beta = _step(0.5 + _step(math.sqrt(_step(0.25 - eps.real, 1)), 1), 1)
+    gap = _step(-eps.real - beta, -1)
+    if not gap > 0.0:
+        return math.inf
+    return _step(0.5 / _step(math.sqrt(gap), -1), 1)
+
+
+def _branch_fixed_points(eps: complex, period: int, steps: int) -> np.ndarray:
+    """The fixed points of the 2**period compositions of the inverse
+    branches +-sqrt(w - eps), real, as a complex array, for a real eps
+    where _branch_steps proves that they contract.
+
+    Row i applies, at step t, the branch whose sign is bit t mod period
+    of i, from 0 for steps steps, all rows in one numpy pass: each step
+    is w - eps and a square root over every row, and a negation of the
+    rows whose bit is 1, a strided view.  Each branch maps [-beta, beta]
+    into itself with contraction q < 1 (_branch_contraction), so each
+    composition has exactly one fixed point there (Banach).  The two
+    branch images lie on either side of 0, |g(w)| >= sqrt(-eps - beta)
+    > 0, so the signs along a fixed point's cycle spell its word, and
+    words that differ have distinct fixed points.  These 2**period points
+    are fixed by f^period, whose degree is 2**period: they are all its
+    roots, each simple.  The count is proved from eps, not tested on the
+    result.
+    """
+    w = np.zeros(2**period)
+    odd = [w.reshape(-1, 2, 2**k)[:, 1] for k in range(period)]  # rows with bit k set
+    for _ in range(steps // period):
+        for rows in odd:
+            w -= eps.real
+            np.sqrt(w, out=w)
+            np.negative(rows, out=rows)
+    return w.astype(complex)
+
+
+def _aberth_roots(eps: complex, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of f^period(z) - z by an Aberth iteration, clustered.
+
+    The Aberth iteration's Newton ratio is computed by iterating f
     (Schleicher & Stoll, "Newton's method in practice", Theor. Comput.
     Sci. 681 (2017)), so no coefficient of the degree-2**period
     polynomial is formed.  The start points are the 2**period preimages
@@ -373,15 +492,6 @@ def _family_periodic_roots(eps: complex, period: int) -> list[Root]:
     |f^period(z) - z| / (1 + |z|) is above ROOT_RESIDUAL_TOL, is a
     RootFindingError.
     """
-    if period > MAX_FAMILY_PERIOD:
-        raise ConfigError(f"period {period} exceeds {MAX_FAMILY_PERIOD} for z**2 + epsilon")
-    if period == 1:
-        # (1 +- sqrt(1 - 4 eps))/2, a(eps) formed as fixed_point_a forms it
-        s = cmath.sqrt(1.0 - 4.0 * complex(eps))
-        roots = [(1.0 + s) / 2.0, (1.0 - s) / 2.0]
-        if not all(map(cmath.isfinite, roots)):  # from |eps| about 4.5e307 up
-            raise RootFindingError(f"the fixed points {roots[0]} and {roots[1]} are not finite")
-        return _cluster(roots)
     newton = _iterated_newton(eps, period)
     radius = 1.05 * (1.0 + math.sqrt(1.0 + 4.0 * abs(eps))) / 2.0
     # from |eps| about 4.5e307 up the radius overflows and the points turn

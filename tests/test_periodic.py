@@ -75,7 +75,7 @@ def test_cluster_scan_cut_keeps_the_clusters():
                 if not used[j] and abs(w - z) <= periodic.CLUSTER_REL_TOL * (1.0 + abs(z)):
                     members.append(w)
                     used[j] = True
-            out.append(periodic.Root(sum(members) / len(members), len(members)))
+            out.append((sum(members) / len(members), len(members)))
         return out
 
     rng = random.Random(5)
@@ -83,13 +83,19 @@ def test_cluster_scan_cut_keeps_the_clusters():
     # many roots share a real part and many pairs lie near the radius
     step = 0.3 * periodic.CLUSTER_REL_TOL
     roots = [complex(rng.randrange(40) * step - 1.0, rng.randrange(40) * step) for _ in range(400)]
-    assert periodic._cluster(roots) == cluster_by_full_scan(roots)
-    assert any(r.multiplicity > 1 for r in periodic._cluster(roots))
+    assert cluster_pairs(periodic._cluster(roots)) == cluster_by_full_scan(roots)
+    assert any(m > 1 for _, m in cluster_pairs(periodic._cluster(roots)))
+
+
+def cluster_pairs(clustered):
+    """_cluster's centres and multiplicities as (complex, int) pairs."""
+    centres, multiplicities = clustered
+    return list(zip(centres.tolist(), multiplicities.tolist()))
 
 
 def reference_cluster(roots):
     """_cluster as it was, one root at a time: the reference its array
-    pass must match repr for repr."""
+    pass must match repr for repr, as (centre, multiplicity) pairs."""
     remaining = sorted(roots, key=lambda z: (z.real, z.imag))
     out, used = [], [False] * len(remaining)
     for i, z in enumerate(remaining):
@@ -106,7 +112,7 @@ def reference_cluster(roots):
             if abs(w - z) <= radius:
                 members.append(w)
                 used[j] = True
-        out.append(periodic.Root(sum(members) / len(members), len(members)))
+        out.append((sum(members) / len(members), len(members)))
     return out
 
 
@@ -117,15 +123,17 @@ def reference_cluster(roots):
 )
 def test_cluster_matches_the_loop_on_the_solved_roots(eps, monkeypatch):
     """The roots at periods 1 to 9 (period 1 in closed form, the rest
-    Aberth's), clustered by the array pass and by the loop."""
+    Aberth's, solved directly, as -3 takes the branch words in
+    periodic_points), clustered by the array pass and by the loop."""
     seen = []
     cluster = periodic._cluster
     monkeypatch.setattr(periodic, "_cluster", lambda z: seen.append(z.copy()) or cluster(z))
-    for p in range(1, 10):
-        periodic._family_periodic_roots(eps, p)
+    periodic._family_periodic_roots(eps, 1)
+    for p in range(2, 10):
+        periodic._aberth_roots(eps, p)
     assert len(seen) == 9
     for z in seen:
-        assert repr(cluster(z)) == repr(reference_cluster([complex(x) for x in z]))
+        assert repr(cluster_pairs(cluster(z))) == repr(reference_cluster([complex(x) for x in z]))
 
 
 @pytest.mark.parametrize(
@@ -152,7 +160,7 @@ def test_cluster_matches_the_loop_on_the_solved_roots(eps, monkeypatch):
     ],
 )
 def test_cluster_matches_the_loop_on_built_roots(roots):
-    assert repr(periodic._cluster(roots)) == repr(reference_cluster(roots))
+    assert repr(cluster_pairs(periodic._cluster(roots))) == repr(reference_cluster(roots))
 
 
 def test_fixed_points_of_squaring_map():
@@ -427,12 +435,13 @@ def reference_aberth(z, newton):
     ids=repr,
 )
 def test_aberth_buffer_matches_fresh_arrays(eps, monkeypatch):
-    """Roots and multiplicities at periods 1 to 9, repr for repr, as the
-    Aberth iteration with fresh arrays gives them."""
-    solved = [periodic._family_periodic_roots(eps, p) for p in range(1, 10)]
+    """Roots and multiplicities of the Aberth solve at periods 2 to 9,
+    repr for repr, as the Aberth iteration with fresh arrays gives them
+    (solved directly: periodic_points takes the branch words at -3)."""
+    solved = [cluster_pairs(periodic._aberth_roots(eps, p)) for p in range(2, 10)]
     monkeypatch.setattr(periodic, "_aberth", reference_aberth)
-    for p, roots in enumerate(solved, 1):
-        assert repr(roots) == repr(periodic._family_periodic_roots(eps, p)), p
+    for p, roots in enumerate(solved, 2):
+        assert repr(roots) == repr(cluster_pairs(periodic._aberth_roots(eps, p))), p
 
 
 def test_aberth_buffer_fails_as_fresh_arrays_do(monkeypatch):
@@ -619,6 +628,104 @@ def test_family_period_cap_raises_config_error():
         periodic_points(complex(-1.0), MAX_FAMILY_PERIOD + 1)
 
 
+# Real parameters where the inverse branches contract [-beta, beta], each
+# with the largest period whose points pass the polish's residual test: at
+# -10 the multipliers at period 9 reach 4e7, and 30 of the 504 points have
+# no float within 6 ulp whose residual |f^9(z) - z| is below 1e-9 (1 + |z|).
+BRANCH_PARAMETERS = [(-3.0, MAX_FAMILY_PERIOD), (-2.5, MAX_FAMILY_PERIOD), (-4.0, MAX_FAMILY_PERIOD), (-10.0, 8)]
+
+
+@pytest.mark.parametrize("eps, top", BRANCH_PARAMETERS)
+def test_branch_words_give_every_periodic_point_on_the_real_line(eps, top):
+    """Where the branches contract, every period has the Moebius count of
+    points (990 at period 10, which the Aberth solve misses at -3 and -4),
+    each real: its imaginary part is 0."""
+    for p in range(1, top + 1):
+        points = periodic_points(complex(eps), p)
+        assert len(points) == mobius_count(p), p
+        assert all(q.location.imag == 0.0 for q in points), p
+
+
+@pytest.mark.parametrize("eps, top", BRANCH_PARAMETERS)
+def test_branch_words_match_the_aberth_points(eps, top, monkeypatch):
+    """Each point lies within 4 ulp of the Aberth solve's point, with the
+    same class, at every period where the Aberth solve succeeds."""
+    branch = {p: periodic_points(complex(eps), p) for p in range(2, top + 1)}
+    monkeypatch.setattr(periodic, "_branch_steps", lambda eps, period: 0)
+    compared = 0
+    for p, points in branch.items():
+        try:
+            aberth = periodic_points(complex(eps), p)
+        except (ConstructionError, RootFindingError):
+            continue
+        compared += 1
+        assert len(aberth) == len(points), p
+        for q, r in zip(points, aberth):
+            assert abs(q.location - r.location) <= 4 * math.ulp(abs(r.location)), (p, q, r)
+            assert q.classification == r.classification, (p, q, r)
+    assert compared >= 7
+
+
+def test_branch_words_make_no_aberth_solve(monkeypatch):
+    def no_aberth(z, newton):
+        raise AssertionError("an Aberth solve at -3")
+
+    monkeypatch.setattr(periodic, "_aberth", no_aberth)
+    assert len(periodic_points(complex(-3.0), 8)) == 240
+
+
+@pytest.mark.parametrize("eps", [-2.3, -2.0])
+def test_aberth_solves_where_the_branches_are_not_proved_to_contract(eps, monkeypatch):
+    """At -2.3 and -2 the branch bound q is not below 1, so every period
+    from 2 up is one Aberth solve, and -2 at period 8 fails as before."""
+    calls = []
+    aberth = periodic._aberth
+    monkeypatch.setattr(periodic, "_aberth", lambda z, newton: calls.append(len(z)) or aberth(z, newton))
+    assert not periodic._branch_contraction(complex(eps)) < 1.0
+    for p in range(2, 8):
+        assert len(periodic_points(complex(eps), p)) == mobius_count(p)
+    assert calls == [2**p for p in range(2, 8)]
+    if eps == -2.0:
+        with pytest.raises(ConstructionError, match=r"^\|f\^8\(z\) - z\| = 1\.237e-02; not a period-8 point$"):
+            periodic_points(complex(eps), 8)
+
+
+def test_branch_contraction_bounds_the_exact_one():
+    """The rounded q is at least 1/(2 sqrt(-eps - beta)) in exact rational
+    arithmetic, so it is below 1 only where the exact one is, from
+    -(5 + sqrt(20))/4 = -2.3680339887... down."""
+    boundary = -(5 + math.sqrt(20)) / 4
+    grid = [boundary + k * 1e-15 for k in range(-4, 5)] + [-2.0 - k / 64 for k in range(1, 200)]
+    grid += [-3.0, -10.0, -1e5, -1e25, -1e300]
+    for eps in grid:
+        q = periodic._branch_contraction(complex(eps))
+        c = -Fraction(eps)
+        beta = Fraction(1, 2) + sqrt_bounds(Fraction(1, 4) + c)[1]
+        if c - beta <= 0:
+            assert q == math.inf, eps
+            continue
+        exact = 1 / (2 * sqrt_bounds(c - beta)[0])  # at least the exact q
+        assert q == math.inf or Fraction(q) >= exact, eps
+    assert periodic._branch_contraction(complex(boundary + 1e-12)) > 1.0
+    assert periodic._branch_contraction(complex(boundary - 1e-12)) < 1.0
+    assert periodic._branch_contraction(complex(-3.0, 1e-300)) == math.inf
+
+
+def test_branch_points_that_polish_to_one_raise(monkeypatch):
+    """Two rows that the polish takes to one point are a ConstructionError:
+    the branch words' fixed points are distinct."""
+    polish = periodic._polish
+
+    def merge_two(eps, z, period):
+        points, multipliers = polish(eps, z, period)
+        points[1] = points[0]
+        return points, multipliers
+
+    monkeypatch.setattr(periodic, "_polish", merge_two)
+    with pytest.raises(ConstructionError, match="polish to one point"):
+        periodic_points(complex(-3.0), 4)
+
+
 @pytest.mark.parametrize("w", [0.5, -2.0, 1j, complex(0.3, -0.2)])
 def test_family_preimages_in_closed_form(w):
     f = complex(-1.1)
@@ -707,8 +814,8 @@ def reference_minimal_period(eps, z, period):
 
 
 def reference_periodic_points(eps, period, stops=None):
-    roots = periodic._family_periodic_roots(eps, period)
-    zs = [r.value for r in roots if reference_minimal_period(eps, r.value, period) == period]
+    roots, _ = periodic._family_periodic_roots(eps, period)
+    zs = [z for z in roots.tolist() if reference_minimal_period(eps, z, period) == period]
     out = [reference_make_periodic_point(eps, z, period, stops) for z in zs]
     return sorted(out, key=lambda p: (p.location.real, p.location.imag))
 

@@ -317,7 +317,8 @@ def test_values_vs_fixed_takes_one_log_of_the_constant_fixed_orbit(monkeypatch):
 def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
     """At period 8, from the preimages of one point outside the filled
     Julia set, Aberth runs at most 20 iterations at each of param-scan's
-    parameters (135, 96 and 71 from a circle around it)."""
+    parameters (135, 96 and 71 from a circle around it), solved directly,
+    as -3 takes the branch words in periodic_points."""
     calls = []
     aberth = periodic._aberth
 
@@ -329,7 +330,8 @@ def test_family_aberth_starts_beside_the_roots(eps, monkeypatch):
         return aberth(z, counted_newton)
 
     monkeypatch.setattr(periodic, "_aberth", counted)
-    assert len(periodic.periodic_points(eps, 8)) == 240
+    centres, multiplicities = periodic._aberth_roots(eps, 8)
+    assert len(centres) == 256 and (multiplicities == 1).all()
     assert set(calls) == {2**8}
     assert len(calls) - 4 <= 20  # 4 of the calls are the Newton polish
 

@@ -53,6 +53,10 @@
 #   classify at 1e40 period 2: |epsilon| beyond the escape modulus;
 #   fixed-points at -3.5 and at 0.25: period 1 in closed form (a real
 #     parameter's fixed points, and the double fixed point at 1/4).
+# Three on either side of the branch words' regime (real epsilon below
+# -2.368..., where the inverse branches contract):
+#   classify at -3 period 10 and at -2.5 period 8: the branch words;
+#   classify at -2.3 period 8: just outside the regime, the Aberth solve.
 # Each command's --out tree,
 # stdout, exit status and (for the suite, with its timings removed)
 # stderr are collected per tree and compared with `diff -r`.
@@ -153,6 +157,9 @@ run_all() {  # run_all TREE OUT
     run "$tree" "$out" classify-huge-epsilon-period-2 classify --epsilon 1e40 --config "$tmp/period-2.cfg"
     run "$tree" "$out" fixed-points-real fixed-points --epsilon -3.5
     run "$tree" "$out" fixed-points-parabolic fixed-points --epsilon 0.25
+    run "$tree" "$out" classify-branch-words-period-10 classify --epsilon -3 --config "$tmp/period-10.cfg"
+    run "$tree" "$out" classify-branch-words-period-8 classify --epsilon -2.5 --config "$tmp/period-8.cfg"
+    run "$tree" "$out" classify-outside-the-branch-words classify --epsilon -2.3 --config "$tmp/period-8.cfg"
 }
 
 run_all "$tmp/ref" "$tmp/out-ref"
