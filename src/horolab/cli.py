@@ -483,14 +483,15 @@ def cmd_suite(cfg: RunConfig) -> dict:
         print(f"[{r.index:02d}] {status} {r.name} ({r.elapsed:.2f}s)", file=sys.stderr)
     for r in results:
         if r.index == 5 and "points" in r.artifacts:
+            points = r.artifacts["points"]
             write_csv(
                 cfg.out / "julia_points.csv",
                 ["re", "im"],
-                [(z.real, z.imag) for z in r.artifacts["points"]],
+                list(zip(points.real.tolist(), points.imag.tolist())),
             )
             svg_julia_scatter(
                 cfg.out / "julia_scatter.svg",
-                r.artifacts["points"],
+                points.tolist(),
                 r.artifacts["radius"],
                 "Julia containment sample",
             )
@@ -499,7 +500,7 @@ def cmd_suite(cfg: RunConfig) -> dict:
             write_csv(
                 cfg.out / f"heights_{tag}.csv",
                 ["value"],
-                [(v,) for v in r.artifacts["heights"]],
+                list(zip(r.artifacts["heights"])),
             )
             svg_gap_histogram(
                 cfg.out / f"gap_histogram_{tag}.svg",
@@ -509,20 +510,17 @@ def cmd_suite(cfg: RunConfig) -> dict:
             )
         if r.index == 7 and "tables" in r.artifacts:
             junctions = r.details["junctions"]
-            rows = []
-            for py, pc, ld in r.artifacts["tables"]:
-                for j, d in zip(junctions, ld.defects):
-                    rows.append((py, pc, j, d))
+            tables = r.artifacts["tables"]
             write_csv(
                 cfg.out / "semigroup_defects.csv",
                 ["word_y", "word_c", "junction", "defect"],
-                rows,
+                [(py, pc, j, d) for py, pc, defects in tables for j, d in zip(junctions, defects)],
             )
-            _, _, ld0 = r.artifacts["tables"][0]
+            _, _, first = tables[0]
             svg_defect_decay(
                 cfg.out / "defect_decay.svg",
                 junctions,
-                list(ld0.defects),
+                list(first),
                 "semigroup defect decay (first pair)",
             )
     payload = _payload(

@@ -10,14 +10,17 @@ sigma/delta floor, semigroup convergence, cocycle algebra, field
 harmonicity, height-set density, the collinearity dichotomy, the
 complex-perturbation regime, and determinism itself.
 
-`run_battery` runs criteria 1-12 as eleven tasks in a pool of forked
-worker processes, one per usable CPU (at most eleven): each criterion is
-a task of its own except criterion 6, which runs after criterion 4 in
-one task and checks its bound on criterion 4's words and values.
-Criterion 13 then runs in the calling process on the collected results.
-The results come back in registry order, with the same details as a
-run in one process, so the suite's output is byte-identical; each
-result's `elapsed` is measured in the worker that ran it.
+`run_battery` runs criteria 1-12 as eleven tasks, and criterion 13's
+reruns as a twelfth, in a pool of forked worker processes, one per
+usable CPU (at most one per task): each criterion is a task of its own
+except criterion 6, which runs after criterion 4 in one task and checks
+its bound on criterion 4's words and values.  The tasks are submitted
+longest first.  Criterion 13's round trip then runs in the calling
+process on the collected results.  The results, and a criterion's
+error, come back in registry order, with the same details as a run in
+one process, so the suite's output is byte-identical; each result's
+`elapsed` is measured in the worker that ran it.  A result's artifacts
+hold only the plot inputs, in compact form.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +82,10 @@ class CriterionResult:
     ok: bool
     details: dict
     elapsed: float
-    artifacts: dict  # raw tables/points for plot emission and values later criteria reuse; not serialized
+    # the plot inputs, in compact form (prefix strings, defect tuples, one
+    # complex array), and criterion 4's samples for criterion 6, which
+    # _run_task drops before they leave the worker; not serialized
+    artifacts: dict
 
 
 def _result(index, name, ok, details, t0, artifacts=None) -> CriterionResult:
@@ -229,7 +235,7 @@ def criterion_5(seed: int) -> CriterionResult:
         details[f"{key}_max_excess"] = rep.max_excess
         details[f"{key}_derivative_violations"] = len(ext.violations)
         if eps < 0:
-            points_neg = (list(sample.points), rep.radius)
+            points_neg = (np.array(sample.points), rep.radius)
     return _result(
         5,
         "Julia containment",
@@ -311,7 +317,7 @@ def criterion_7(seed: int) -> CriterionResult:
         nd = nested_decomposition_check(ld, 35)
         nested_ok = nested_ok and nd.defects[0] < 1e-6
         worst_nested = max(worst_nested, nd.defects[0])
-        tables.append((y.prefix, c.prefix, ld))
+        tables.append((y.prefix, c.prefix, ld.defects))
     ok = all_monotone and all_final and nested_ok
     return _result(
         7,
@@ -550,32 +556,44 @@ RUNTIME_CAPS = {
 }
 
 
-# criterion 6 checks its bound on criterion 4's words and values, so the
-# two run in one task, in that order
-TASKS = [(1,), (2,), (3,), (4, 6), (5,), (7,), (8,), (9,), (10,), (11,), (12,)]
+PROBES = (13,)  # criterion 13's reruns, which run in the pool
+
+# The pool's tasks, longest first, so that no worker is left with a long
+# task when the others have run out: forked-worker times on a 2-vCPU
+# x86-64 VM at seeds 5, 7, 11 and 12 put criteria 12, 4 + 6 and 10 at
+# 55-107 ms each, 7 at 39-72 ms, 3 at 19-52 ms and 8 at 30-49 ms, and
+# each of the rest under 30 ms.  Criterion 6 checks its bound on
+# criterion 4's words and values, so the two run in one task, in that
+# order.
+TASKS = [(12,), (4, 6), (10,), (7,), (3,), (8,), (1,), (5,), (9,), PROBES, (11,), (2,)]
 
 
 def _run_task(task: tuple[int, ...], seed: int) -> list[CriterionResult]:
     """The task's criteria, run in order; each is looked up by its
-    position in CRITERIA, so it runs as wrapped when the entries are."""
+    position in CRITERIA, so it runs as wrapped when the entries are.
+    Criterion 4's samples, criterion 6's inputs, are dropped from what
+    the task returns: no later reader needs them."""
     results = []
     for index in task:
         fn = CRITERIA[index - 1]
         results.append(fn(seed, results[0]) if index == 6 else fn(seed))
-    return results
+    return [replace(r, artifacts={}) if index == 4 else r for index, r in zip(task, results)]
 
 
 def run_battery(seed: int) -> list[CriterionResult]:
     """All thirteen checks, in registry order.
 
-    The TASKS, and last criterion 13's reruns, run in a pool of forked
-    processes, one per usable CPU (at most one per task), picked up in
-    that order as workers come free; criterion 13's round trip of the
-    collected results runs here.  A criterion's exception is raised
-    here as it would be in one process, once the tasks already running
-    have ended and the rest are cancelled.  A worker that dies ends the
-    battery in SuiteFailureError, naming the criteria left unfinished.
-    No worker outlives the call.
+    The TASKS, criterion 13's reruns among them, run in a pool of forked
+    processes, one per usable CPU (at most one per task), submitted
+    longest first and picked up in that order as workers come free;
+    criterion 13's round trip of the collected results runs here.  Each
+    result's artifacts hold only the plot inputs, in compact form.  The
+    results are collected in registry order, so a criterion's exception
+    is raised here as it would be in one process: the first in registry
+    order, once the tasks already running have ended and the rest are
+    cancelled.  A worker that dies ends the battery in SuiteFailureError,
+    naming the criteria left unfinished in registry order.  No worker
+    outlives the call.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -587,21 +605,25 @@ def run_battery(seed: int) -> list[CriterionResult]:
     # thread of its own (numpy's BLAS pool handles fork itself)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        futures = [pool.submit(_run_task, task, seed) for task in TASKS]
-        futures.append(pool.submit(_reproduction_probes, seed))
+        futures = {
+            task: pool.submit(_reproduction_probes, seed) if task == PROBES else pool.submit(_run_task, task, seed)
+            for task in TASKS
+        }
         try:
-            done = [future.result() for future in futures]
+            # tuples sort as the registry does: (3,) < (4, 6) < (5,) < PROBES
+            done = {task: futures[task].result() for task in sorted(futures)}
         except BrokenProcessPool:
-            lost = [
+            lost = sorted(
                 index
-                for task, future in zip(TASKS + [(13,)], futures)
+                for task, future in futures.items()
                 if isinstance(future.exception(), BrokenProcessPool)
                 for index in task
-            ]
+            )
             raise SuiteFailureError(f"a battery worker ended abruptly; criteria left unfinished: {lost}") from None
     finally:
         pool.shutdown(cancel_futures=True)
-    by_index = {i: r for task, rows in zip(TASKS, done) for i, r in zip(task, rows)}
+    probes = done.pop(PROBES)
+    by_index = {i: r for task, rows in done.items() for i, r in zip(task, rows)}
     results = [by_index[i] for i in range(1, len(CRITERIA) + 1)]
-    results.append(criterion_13(seed, results, done[-1]))
+    results.append(criterion_13(seed, results, probes))
     return results

@@ -9,6 +9,7 @@ process, and a criterion's error or a worker's death ends the command
 as a JSON payload with exit 1, leaving no worker behind.
 """
 
+import dataclasses
 import filecmp
 import json
 import multiprocessing
@@ -22,6 +23,8 @@ import pytest
 from horolab import suite
 from horolab.cli import main
 from horolab.errors import DivergentWordError
+from horolab.orbits import OrbitWord, RealizedOrbit
+from horolab.quadratic import LimitDecomposition
 from horolab.reports import to_json_text
 from horolab.suite import (
     CRITERIA,
@@ -192,3 +195,70 @@ def test_dead_worker_ends_the_suite_in_a_failure_payload(monkeypatch, tmp_path, 
     unfinished = re.search(r"criteria left unfinished: \[([\d, ]*)\]$", payload["message"])
     assert 9 in json.loads(f"[{unfinished.group(1)}]")
     assert multiprocessing.active_children() == []
+
+
+def logged_stand_ins(monkeypatch, log, errors):
+    """Stand-ins for criteria 1-12 that append their index to log and
+    raise errors[index] where given, in a pool of one worker, so that
+    the log is the order the pool ran them in."""
+
+    def stand_in(i):
+        def run(seed, *earlier):
+            with open(log, "a") as fh:
+                fh.write(f"{i}\n")
+            if i in errors:
+                raise errors[i]
+            return CriterionResult(i, "stand-in", True, {}, 0.0, {})
+
+        return run
+
+    monkeypatch.setattr(suite, "CRITERIA", [stand_in(i) for i in range(1, 13)])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def test_errors_keep_registry_order_when_the_longest_task_goes_first(monkeypatch, tmp_path):
+    log = tmp_path / "ran.log"
+    third = DivergentWordError("criterion 3 stand-in did not settle")
+    logged_stand_ins(monkeypatch, log, {3: third, 12: DivergentWordError("criterion 12 stand-in did not settle")})
+    with pytest.raises(DivergentWordError) as raised:
+        run_battery(SEED)
+    ran = [int(line) for line in log.read_text().split()]
+    assert ran[0] == 12 and 3 in ran
+    assert str(raised.value) == str(third)
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_lists_the_unfinished_criteria_in_registry_order(monkeypatch, tmp_path, capsys):
+    logged_stand_ins(monkeypatch, tmp_path / "ran.log", {})
+    suite.CRITERIA[8] = lambda seed: os._exit(3)
+    code, payload = run_suite(tmp_path / "out", capsys)
+    assert code == 1 and payload["error"] == "suite-failure"
+    unfinished = re.search(r"criteria left unfinished: \[([\d, ]*)\]$", payload["message"])
+    lost = json.loads(f"[{unfinished.group(1)}]")
+    # criterion 2 is submitted last, so the one worker dies before it
+    assert {2, 9} <= set(lost) and lost == sorted(set(lost))
+    assert multiprocessing.active_children() == []
+
+
+def walk(obj):
+    """obj and everything inside it: containers' items and dataclass fields."""
+    yield obj
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        for item in obj:
+            yield from walk(item)
+
+
+def test_workers_send_back_only_the_plot_inputs():
+    forbidden = (RealizedOrbit, OrbitWord, LimitDecomposition)
+    for task in suite.TASKS:
+        if 13 in task:
+            continue
+        for r in suite._run_task(task, SEED):
+            kinds = {type(o).__name__ for o in walk(r.artifacts) if isinstance(o, forbidden)}
+            assert not kinds, f"criterion {r.index} sends back {sorted(kinds)}"
+            if r.index == 4:
+                assert "samples" not in r.artifacts

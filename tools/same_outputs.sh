@@ -6,7 +6,8 @@
 #
 # Extracts REF into a temporary directory (git archive, so an interrupted
 # run leaves nothing behind in .git) and runs, against both source trees:
-# the seed-7 acceptance suite, the README examples, every other
+# the acceptance suite at seed 7 (the README's) and at seed 11 (the
+# benchmark's), the README examples, every other
 # subcommand once with the flags it reads, the linearizer at a complex
 # parameter, collinearity at both verdicts, fixed-points at a complex
 # parameter, classify at periods 10, 8, 6 and 4, fixed-points, linearize,
@@ -94,6 +95,7 @@ run_all() {  # run_all TREE OUT
     local tree=$1 out=$2
     mkdir -p "$out"
     run "$tree" "$out" suite suite --epsilon -1 --seed 7
+    run "$tree" "$out" suite-seed-11 suite --epsilon -1 --seed 11
     run "$tree" "$out" fixed-points fixed-points --epsilon 0
     run "$tree" "$out" cocycle cocycle --epsilon 0.1 --word=- --tol 1e-9
     run "$tree" "$out" sigma-delta sigma-delta --epsilon -1 --seed 7
